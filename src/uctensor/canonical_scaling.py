@@ -28,13 +28,15 @@ declared after the first sweep with v below the threshold.  A few extra
 polish sweeps then run until v reaches the floating-point floor: the
 geometric contraction makes them cheap, and they take the subtensor
 products to full precision instead of leaving an error of order sqrt(v).
-Exponentiation back out of log space happens only at the boundary.
+The result stays in log space, as the canonical log values ``x`` in the
+order ``solve_lcsp`` uses; :func:`apply_scaling` exponentiates at the
+boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,22 +57,15 @@ class ScalingFamily:
 
     Coefficients of empty subtensors are exactly 0.  Ids not present in
     ``log_coeffs`` (possible for k < d-1, where only occupied subtensors
-    are enumerated) read as 0 too.  ``lookups`` counts coefficient reads
-    made through :meth:`log_coeff`; it is instrumentation only and takes
-    no part in equality.
+    are enumerated) read as 0 too.
     """
 
     k: int
     log_coeffs: dict[SubtensorId, float]
-    lookups: int = field(default=0, compare=False)
-
-    def log_coeff(self, sid: SubtensorId) -> float:
-        self.lookups += 1
-        return self.log_coeffs.get(sid, 0.0)
 
     def log_sum_at(self, idx: Index, d: int) -> float:
         """Sum of coefficients over the subtensors containing ``idx``."""
-        return sum(self.log_coeff(sid) for sid in membership(idx, self.k, d))
+        return sum(self.log_coeffs.get(sid, 0.0) for sid in membership(idx, self.k, d))
 
 
 @dataclass
@@ -95,7 +90,6 @@ class ScalingState:
     """
 
     def __init__(self, tensor: SparseTensor, k: int, order: Sequence[int] | None = None):
-        self.tensor = tensor
         self.k = k
         self.groups = tensor.groups(k)
         if order is None:
@@ -120,13 +114,6 @@ class ScalingState:
             for sid, s in zip(group.ids, arr):
                 coeffs[sid] = float(s)
         return ScalingFamily(self.k, coeffs)
-
-    def canonical(self) -> SparseTensor:
-        values = np.exp(self.log_values)
-        return SparseTensor(
-            self.tensor.extents,
-            {idx: float(v) for idx, v in zip(self.tensor.known_indices(), values)},
-        )
 
     def report(self, epsilon: float) -> ConvergenceReport:
         converged = bool(self.v_trace) and self.v_trace[-1] < epsilon
@@ -158,15 +145,17 @@ def csa(
     epsilon: float = DEFAULT_EPSILON,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     order: Sequence[int] | None = None,
-) -> tuple[SparseTensor, ScalingFamily, ConvergenceReport]:
+) -> tuple[np.ndarray, ScalingFamily, ConvergenceReport]:
     """Scale ``tensor`` to canonical form over its k-dimensional subtensors.
 
-    Returns the canonical tensor (same known set, unit subtensor
-    products), the scaling family realizing it, and the convergence
-    report.  The input tensor is not modified.  Once v passes the epsilon
-    test, sweeping continues to the numerical floor (still within
-    ``max_sweeps``), so results do not depend on how far above the floor
-    epsilon sits.
+    Returns ``(x, family, report)``: the canonical log values ``x``
+    (aligned with ``tensor.known_indices()``, zero sum over every
+    non-empty subtensor), the scaling family realizing them, and the
+    convergence report.  ``apply_scaling(tensor, family)`` gives the
+    canonical tensor.  The input tensor is not modified.  Once v passes
+    the epsilon test, sweeping continues to the numerical floor (still
+    within ``max_sweeps``), so results do not depend on how far above the
+    floor epsilon sits.
 
     Raises
     ------
@@ -193,7 +182,7 @@ def csa(
             f"(last v={report.v_trace[-1]:.3e}, epsilon={epsilon:.3e})",
             report=report,
         )
-    return state.canonical(), state.family(), report
+    return state.log_values, state.family(), report
 
 
 def residual(tensor: SparseTensor, k: int) -> float:
@@ -212,10 +201,23 @@ def residual(tensor: SparseTensor, k: int) -> float:
     return worst
 
 
+def _membership_sums(
+    tensor: SparseTensor, k: int, log_coeffs: Mapping[SubtensorId, float]
+) -> np.ndarray:
+    """Per known entry, the sum of ``log_coeffs`` over the subtensors containing it.
+
+    Gathers each group's coefficients through its labels, as :func:`sweep`
+    does; absent ids read as 0.
+    """
+    total = np.zeros(len(tensor))
+    for group in tensor.groups(k):
+        coeffs = np.array([log_coeffs.get(sid, 0.0) for sid in group.ids])
+        total += coeffs[group.labels]
+    return total
+
+
 def apply_scaling(tensor: SparseTensor, family: ScalingFamily) -> SparseTensor:
     """Scale every known entry by exp(sum of coefficients containing it)."""
-    d = tensor.d
-    scaled = {}
-    for idx, val in tensor.entries.items():
-        scaled[idx] = val * float(np.exp(family.log_sum_at(idx, d)))
-    return SparseTensor(tensor.extents, scaled)
+    log_sums = _membership_sums(tensor, family.k, family.log_coeffs)
+    scaled = tensor.values_array() * np.exp(log_sums)
+    return SparseTensor(tensor.extents, dict(zip(tensor.known_indices(), scaled.tolist())))

@@ -303,26 +303,29 @@ def cmd_predict(args) -> int:
         seed=args.seed, fmt=args.format,
     ).as_record("predict", model=args.model, source_digest=digest, all=args.all))
 
-    queries: list[tuple[str, ...]] = []
-    if args.all:
-        if model.source.box_size > model.config.complete_all_cap:
-            emitter.emit({
-                "record": "error",
-                "message": (
-                    f"extent box has {model.source.box_size} cells, above the "
-                    f"cap {model.config.complete_all_cap}; query per cell instead"
-                ),
-            })
-            return 2
-        for idx in model.source.missing_indices():
-            queries.append(idmap.unresolve(idx))
-    for q in args.queries:
-        queries.append(tuple(p.strip() for p in q.split(args.delimiter)))
+    if args.all and model.source.box_size > model.config.complete_all_cap:
+        emitter.emit({
+            "record": "error",
+            "message": (
+                f"extent box has {model.source.box_size} cells, above the "
+                f"cap {model.config.complete_all_cap}; query per cell instead"
+            ),
+        })
+        return 2
 
-    successes = 0
-    for ids in queries:
+    def queries():  # explicit queries resolve their ids in the loop
+        if args.all:
+            for idx in model.source.missing_indices():
+                yield idmap.unresolve(idx), idx
+        for q in args.queries:
+            yield tuple(p.strip() for p in q.split(args.delimiter)), None
+
+    asked = successes = 0
+    for ids, idx in queries():
+        asked += 1
         try:
-            idx = idmap.resolve(ids)
+            if idx is None:
+                idx = idmap.resolve(ids)
             raw = model.predict(idx)
         except (UnknownIdError, ValueError, IndexError) as exc:
             emitter.emit({
@@ -339,7 +342,7 @@ def cmd_predict(args) -> int:
         if bounds is not None:
             rec["rounded"] = round_to_scale(raw, *bounds)
         emitter.emit(rec)
-    if not queries:
+    if not asked:
         emitter.emit({"record": "warning", "message": "no queries given"})
         return 0
     return 0 if successes else 2
@@ -387,8 +390,8 @@ def _verify_oracle(tensor, k, emitter, config) -> dict | None:
         return None
     system = build_constraints(tensor, k)
     x, s = solve_lcsp(tensor, k, system)
-    canonical, family, report = csa(tensor, k, config.epsilon, config.max_sweeps)
-    dev_canonical = float(np.abs(np.log(canonical.values_array()) - x).max())
+    x_csa, family, report = csa(tensor, k, config.epsilon, config.max_sweeps)
+    dev_canonical = float(np.abs(x_csa - x).max())
     model = CompletionModel(tensor, family, report, k)
     dev_pred = 0.0
     checked = 0
@@ -477,7 +480,7 @@ def cmd_verify(args) -> int:
         elif name == "unit_consistency":
             rep = check_unit_consistency(
                 tensor, k, trials=args.trials, seed=args.seed,
-                missing_cap=config.missing_cap, supported_only=True,
+                missing_cap=config.missing_cap,
             )
             reports.append(rep.as_dict())
         elif name == "gauge_uniqueness":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical_scaling import ScalingFamily
+from .canonical_scaling import ScalingFamily, _membership_sums
 from .errors import CapacityError
 from .sparse_tensor import Index, SparseTensor, SubtensorId, membership
 
@@ -149,14 +149,9 @@ def gauge_check(
     """
     if s1.k != s2.k:
         raise ValueError(f"family dimensionalities differ: {s1.k} vs {s2.k}")
-    diff: dict[SubtensorId, float] = dict()
-    for sid, value in s2.log_coeffs.items():
-        diff[sid] = value - s1.log_coeffs.get(sid, 0.0)
-    for sid, value in s1.log_coeffs.items():
-        if sid not in s2.log_coeffs:
-            diff[sid] = -value
-    worst = 0.0
-    for idx in tensor.known_indices():
-        total = sum(diff.get(sid, 0.0) for sid in membership(idx, s1.k, tensor.d))
-        worst = max(worst, abs(total))
+    diff = {
+        sid: s2.log_coeffs.get(sid, 0.0) - s1.log_coeffs.get(sid, 0.0)
+        for sid in s1.log_coeffs.keys() | s2.log_coeffs.keys()
+    }
+    worst = float(np.abs(_membership_sums(tensor, s1.k, diff)).max(initial=0.0))
     return worst < tolerance, worst

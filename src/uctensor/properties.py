@@ -113,35 +113,28 @@ def check_unit_consistency(
     tolerance: float = 1e-6,
     seed: int = 0,
     missing_cap: int = 20_000,
-    supported_only: bool = False,
 ) -> PropertyReport:
     """Rescaling inputs by a random positive family rescales predictions.
 
     For each trial draws a family T, completes both the original and the
     T-scaled tensor, and compares the scaled predictions against the
-    predictions of the scaled tensor on every missing index (up to
-    ``missing_cap``).  Predictions at unsupported missing indices are
-    gauge-dependent and carry no rescaling guarantee; pass
-    ``supported_only`` to exclude them when the tensor lacks full
-    support.
+    predictions of the scaled tensor on every supported missing index
+    (up to ``missing_cap`` missing indices scanned).  Predictions at
+    unsupported missing indices are gauge-dependent and carry no
+    rescaling guarantee, so they are excluded, with a note.
     """
     rng = np.random.default_rng(seed)
     base = tca(tensor, k)
     missing = list(itertools.islice(tensor.missing_indices(), missing_cap))
-    notes: list[str] = []
-    if supported_only:
-        kept = [idx for idx in missing if _support.witness(tensor, idx) is not None]
-        if len(kept) < len(missing):
-            notes.append(
-                f"{len(missing) - len(kept)} unsupported missing indices excluded"
-            )
-        missing = kept
+    supported = [idx for idx in missing if _support.witness(tensor, idx) is not None]
+    excluded = len(missing) - len(supported)
+    notes = [f"{excluded} unsupported missing indices excluded"] if excluded else []
     worst = 0.0
     violations: list[str] = []
     for trial in range(trials):
         family = random_scaling_family(rng, tensor.extents, k)
         scaled_model = tca(apply_scaling(tensor, family), k)
-        for idx in missing:
+        for idx in supported:
             expected = base.predict(idx) * float(
                 np.exp(family.log_sum_at(idx, tensor.d))
             )
@@ -356,7 +349,7 @@ def check_gauge_uniqueness(
     """Sweep order changes the coefficients but nothing observable.
 
     Runs the scaler under random permutations of the group processing
-    order and asserts (a) canonical tensors agree, (b) every pair of
+    order and asserts (a) canonical log values agree, (b) every pair of
     scaling families differs by a pure gauge, (c) predictions agree on
     supported missing indices.  On tensors without full support the
     prediction clause is restricted to the indices that are supported.
@@ -376,12 +369,12 @@ def check_gauge_uniqueness(
     worst = 0.0
     violations: list[str] = []
 
-    base_canonical = runs[0][0].values_array()
-    for run_i, (canonical, _, _) in enumerate(runs[1:], start=1):
-        dev = float(np.abs(canonical.values_array() / base_canonical - 1.0).max())
+    base_x = runs[0][0]
+    for run_i, (x, _, _) in enumerate(runs[1:], start=1):
+        dev = float(np.abs(x - base_x).max())
         worst = max(worst, dev)
         if dev > tolerance:
-            violations.append(f"canonical tensors diverge for order {run_i}: {dev:.3e}")
+            violations.append(f"canonical log values diverge for order {run_i}: {dev:.3e}")
 
     for i, j in itertools.combinations(range(len(runs)), 2):
         ok, gauge_dev = gauge_check(runs[i][1], runs[j][1], tensor, tolerance)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import isfinite
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -99,9 +98,10 @@ class SparseTensor:
     extents:
         Dimensional extents (n_1, ..., n_d), all positive.
     entries:
-        Mapping from 1-based index tuples to positive values, or an
-        iterable of (index, value) pairs.  Iterables with repeated keys
-        are rejected rather than silently collapsed.
+        Mapping from 1-based index tuples of ints to positive values, or
+        an iterable of (index, value) pairs.  Iterables with repeated keys
+        are rejected rather than silently collapsed.  ``entries`` keeps
+        the caller's index tuples, in the caller's order.
     """
 
     __slots__ = ("extents", "entries", "_known", "_coords", "_values", "_groups")
@@ -116,23 +116,41 @@ class SparseTensor:
             raise ValueError(f"extents must be positive, got {self.extents}")
 
         if isinstance(entries, Mapping):
-            pairs = entries.items()
+            store = {idx: float(val) for idx, val in entries.items()}
         else:
-            pairs = list(entries)
-        store: dict[Index, float] = {}
-        for idx, val in pairs:
-            idx = tuple(int(a) for a in idx)
-            flat_index(idx, self.extents)  # bounds check
-            val = float(val)
-            if not (val > 0.0 and isfinite(val)):
-                raise ValueError(f"entry {idx} has non-positive value {val!r}")
-            if idx in store:
-                raise ValueError(f"duplicate entry at {idx}")
-            store[idx] = val
+            store = {}
+            for idx, val in entries:
+                idx = tuple(idx)
+                if idx in store:
+                    raise ValueError(f"duplicate entry at {idx}")
+                store[idx] = float(val)
+        wrong = next((idx for idx in store if len(idx) != self.d), None)
+        if wrong is not None:
+            raise IndexError(f"index {wrong} has wrong length for extents {self.extents}")
+        keys = list(store)
+        coords = np.array(keys).reshape(len(keys), self.d)
+        if keys and coords.dtype.kind not in "iu":
+            raise TypeError(f"index coordinates must be 64-bit ints, got {coords.dtype} values")
+        coords = coords.astype(np.int64, copy=False)
+        outside = np.flatnonzero(((coords < 1) | (coords > self.extents)).any(axis=1))
+        if outside.size:
+            raise IndexError(
+                f"index {keys[outside[0]]} out of bounds for extents {self.extents}"
+            )
+        values = np.fromiter(store.values(), dtype=np.float64, count=len(keys))
+        invalid = np.flatnonzero(~((values > 0.0) & np.isfinite(values)))
+        if invalid.size:
+            idx = keys[invalid[0]]
+            raise ValueError(f"entry {idx} has non-positive value {store[idx]!r}")
+
+        # lexsort's last key is its primary one, and the last dimension
+        # varies slowest in flat_index: columns in order give flat order
+        order = np.lexsort(coords.T)
         self.entries = store
-        self._known: tuple[Index, ...] | None = None
-        self._coords: np.ndarray | None = None
-        self._values: np.ndarray | None = None
+        # reorder the caller's own tuples: rebuilding them costs 8x the memory
+        self._known = tuple(np.fromiter(keys, dtype=object, count=len(keys))[order])
+        self._coords = coords[order]
+        self._values = values[order]
         self._groups: dict[int, list[SubtensorGroup]] = {}
 
     # -- basic access ----------------------------------------------------
@@ -159,10 +177,6 @@ class SparseTensor:
 
     def known_indices(self) -> tuple[Index, ...]:
         """All known index vectors, ascending by :func:`flat_index`."""
-        if self._known is None:
-            self._known = tuple(
-                sorted(self.entries, key=lambda t: flat_index(t, self.extents))
-            )
         return self._known
 
     def missing_indices(self) -> Iterator[Index]:
@@ -173,18 +187,10 @@ class SparseTensor:
 
     def coords_array(self) -> np.ndarray:
         """Known indices as an (N, d) int array, rows in flat-index order."""
-        if self._coords is None:
-            self._coords = np.array(self.known_indices(), dtype=np.int64).reshape(
-                len(self.entries), self.d
-            )
         return self._coords
 
     def values_array(self) -> np.ndarray:
         """Known values aligned with :meth:`known_indices`."""
-        if self._values is None:
-            self._values = np.array(
-                [self.entries[idx] for idx in self.known_indices()], dtype=np.float64
-            )
         return self._values
 
     def __repr__(self) -> str:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapacityError
 from .sparse_tensor import Index, SparseTensor, flat_index
 
@@ -54,11 +56,8 @@ def _corners(idx: Index, offset: tuple[int, ...]) -> list[Index]:
 
 
 def _occupied_slices(tensor: SparseTensor) -> list[list[int]]:
-    occ: list[set[int]] = [set() for _ in range(tensor.d)]
-    for idx in tensor.known_indices():
-        for dim, c in enumerate(idx):
-            occ[dim].add(c)
-    return [sorted(s) for s in occ]
+    """Per dimension, the ascending coordinates holding a known entry."""
+    return [np.unique(column).tolist() for column in tensor.coords_array().T]
 
 
 def _search_offset(

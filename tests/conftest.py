@@ -7,6 +7,7 @@ independent oracles for the vectorized implementations under test.
 
 import itertools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -120,6 +121,48 @@ def reference_sweep(log_values, subtensor_members, passes=1):
             rhos.append(rho)
         v_per_pass.append(v)
     return log_values, v_per_pass, rhos
+
+
+def reference_apply_scaling(entries, log_coeffs, k, d):
+    """Each entry times exp(sum of its C(d, k) coefficients), one entry at a time.
+
+    Coefficient keys are read as plain ``(fixed_dims, fixed_coords)``
+    tuples, which the package's subtensor ids compare equal to; absent
+    keys read as 0.
+    """
+    out = {}
+    for idx, value in entries.items():
+        total = 0
+        for fixed in itertools.combinations(range(1, d + 1), d - k):
+            key = (fixed, tuple(idx[f - 1] for f in fixed))
+            total += log_coeffs.get(key, 0.0)
+        out[idx] = value * float(np.exp(total))
+    return out
+
+
+class CountingMapping(Mapping):
+    """Read-only view of a mapping that counts item reads in ``reads``."""
+
+    def __init__(self, data):
+        self.data = data
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.data[key]
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+
+def count_reads(model):
+    """Swap a counting view into a model's coefficients and return it."""
+    counter = CountingMapping(model.scaling.log_coeffs)
+    model.scaling.log_coeffs = counter
+    return counter
 
 
 def golden_subtensor_members():

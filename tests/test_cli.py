@@ -98,6 +98,23 @@ class TestPredict:
         assert len(preds) == 1  # only (2,2) is missing
         assert preds[0]["ids"] == ["u2", "p2"]
 
+    def test_predict_all_matches_model_bit_for_bit(self, tmp_path, capsys):
+        ratings = tmp_path / "sparse.csv"
+        ratings.write_text(
+            "u1,p1,1\nu1,p2,2\nu2,p2,3\nu2,p3,4\nu3,p1,5\nu3,p3,2\nu4,p2,1.5\n"
+        )
+        out = str(tmp_path / "model.json")
+        assert main(["complete", str(ratings), "-o", out]) == 0
+        capsys.readouterr()
+        code, records = run_jsonl(capsys, ["predict", out, "--all"])
+        model, idmap, _ = load_model(out)
+        missing = list(model.source.missing_indices())
+        preds = [r for r in records if r["record"] == "prediction"]
+        assert code == 0 and len(missing) == 5
+        assert [r["ids"] for r in preds] == [list(idmap.unresolve(i)) for i in missing]
+        assert [r["raw"] for r in preds] == [model.predict(i) for i in missing]
+        assert not any(r["known"] for r in preds)
+
     def test_rounding(self, demo_model, capsys):
         code, records = run_jsonl(
             capsys, ["predict", demo_model, "u2,p2", "--round", "1,5"]

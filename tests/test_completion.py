@@ -12,7 +12,7 @@ from uctensor.errors import CapacityError
 from uctensor.lcsp_oracle import build_constraints, oracle_complete, solve_lcsp
 from uctensor.sparse_tensor import SparseTensor, all_indices
 
-from conftest import random_full_support, rank1_tensor
+from conftest import count_reads, random_full_support, rank1_tensor
 
 # closed form for the golden matrix: unit consistency forces
 # r(2,2) = r(1,2) * r(2,1) / r(1,1) = 2 * 3 / 1
@@ -169,24 +169,24 @@ class TestMca:
 class TestInstrumentation:
     def test_missing_query_costs_exactly_d_lookups(self, golden_matrix):
         model = tca(golden_matrix, 1)
-        before = model.scaling.lookups
+        counter = count_reads(model)
         model.predict((2, 2))
-        assert model.scaling.lookups - before == 2
+        assert counter.reads == 2
 
     def test_general_k_costs_choose_dk_lookups(self):
         tensor = rank1_tensor(
             [(1.0, 2.0), (1.0, 3.0), (1.0, 5.0)], drop=[(2, 2, 2)]
         )
         model = tca(tensor, 1)
-        before = model.scaling.lookups
+        counter = count_reads(model)
         model.predict((2, 2, 2))
-        assert model.scaling.lookups - before == 3  # C(3, 1)
+        assert counter.reads == 3  # C(3, 1)
 
     def test_known_query_costs_no_lookups(self, golden_matrix):
         model = tca(golden_matrix, 1)
-        before = model.scaling.lookups
+        counter = count_reads(model)
         model.predict((1, 1))
-        assert model.scaling.lookups == before
+        assert counter.reads == 0
 
 
 class TestSupportedFlag:

@@ -45,6 +45,19 @@ class TestUnitConsistency:
         report = check_unit_consistency(tensor, 1, trials=5, seed=1)
         assert report.passed, report.violations[:1]
 
+    def test_unsupported_cells_excluded_with_note(self):
+        # a staircase plus a disjoint 2x2 block: 13 missing cells have no
+        # witness, and their predictions follow the gauge, not the data
+        path = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
+        entries = {idx: 1.0 + 0.25 * n for n, idx in enumerate(path)}
+        entries.update(
+            {(a, b): 1.0 + 0.3 * a + 0.7 * b for a in (4, 5) for b in (4, 5)}
+        )
+        tensor = SparseTensor((5, 5), entries)
+        report = check_unit_consistency(tensor, 1, trials=5, seed=0)
+        assert report.passed, report.violations[:1]
+        assert report.notes == ["13 unsupported missing indices excluded"]
+
     def test_deterministic_given_seed(self, golden_matrix):
         a = check_unit_consistency(golden_matrix, 1, trials=5, seed=9)
         b = check_unit_consistency(golden_matrix, 1, trials=5, seed=9)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,20 +70,51 @@ class TestFlatIndex:
 
 class TestConstruction:
     def test_rejects_nonpositive_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\(1, 1\)"):
             SparseTensor((2, 2), {(1, 1): 0.0})
-        with pytest.raises(ValueError):
-            SparseTensor((2, 2), {(1, 1): -1.5})
+        with pytest.raises(ValueError, match=r"\(2, 1\)"):
+            SparseTensor((2, 2), {(1, 1): 1.0, (2, 1): -1.5})
         with pytest.raises(ValueError):
             SparseTensor((2, 2), {(1, 1): float("nan")})
+        with pytest.raises(ValueError):
+            SparseTensor((2, 2), {(1, 1): float("inf")})
 
     def test_rejects_duplicate_pairs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\(1, 1\)"):
             SparseTensor((2, 2), [((1, 1), 1.0), ((1, 1), 2.0)])
 
     def test_rejects_out_of_bounds_entries(self):
-        with pytest.raises(IndexError):
-            SparseTensor((2, 2), {(3, 1): 1.0})
+        with pytest.raises(IndexError, match=r"\(3, 1\)"):
+            SparseTensor((2, 2), {(1, 1): 1.0, (3, 1): 1.0})
+        with pytest.raises(IndexError, match=r"\(1, 0\)"):
+            SparseTensor((2, 2), {(1, 0): 1.0})
+        for wrong_length in ((1,), (1, 1, 1)):
+            with pytest.raises(IndexError, match=re.escape(str(wrong_length))):
+                SparseTensor((2, 2), {(1, 1): 1.0, wrong_length: 1.0})
+
+    def test_rejects_non_integer_coordinates(self):
+        with pytest.raises(TypeError):
+            SparseTensor((2, 2), {(1, 1): 1.0, (1.5, 1): 2.0})
+
+    def test_known_order_is_flat_and_keeps_caller_tuples(self):
+        rng = np.random.default_rng(5)
+        extents = (4, 3, 2)
+        cells = [idx for idx in all_indices(extents) if rng.random() < 0.6]
+        keys = [cells[t] for t in rng.permutation(len(cells))]
+        t = SparseTensor(extents, {idx: float(n + 1) for n, idx in enumerate(keys)})
+        known = t.known_indices()
+        assert list(t.entries) == keys  # insertion order kept
+        assert list(known) == sorted(keys, key=lambda i: flat_index(i, extents))
+        assert {id(i) for i in known} == {id(i) for i in keys}
+        assert t.coords_array().tolist() == [list(i) for i in known]
+        assert t.values_array().tolist() == [t.entries[i] for i in known]
+
+    def test_empty_tensor(self):
+        t = SparseTensor((2, 3), {})
+        assert len(t) == 0 and t.known_indices() == ()
+        assert t.coords_array().shape == (0, 2)
+        assert t.values_array().shape == (0,)
+        assert list(t.missing_indices()) == list(all_indices((2, 3)))
 
     def test_rejects_bad_extents(self):
         with pytest.raises(ValueError):
