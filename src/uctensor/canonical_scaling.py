@@ -36,12 +36,12 @@ boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .sparse_tensor import Index, SparseTensor, SubtensorId, membership
+from .sparse_tensor import Index, SparseTensor, SubtensorGroup, SubtensorId
 
 DEFAULT_EPSILON = 1e-12
 DEFAULT_MAX_SWEEPS = 10_000
@@ -51,21 +51,33 @@ DEFAULT_MAX_SWEEPS = 10_000
 POLISH_FLOOR = 1e-28
 
 
-@dataclass
+@dataclass(eq=False)
 class ScalingFamily:
-    """Per-subtensor log scaling coefficients for one subtensor dimensionality.
+    """Log scaling coefficients of a tensor's k-dimensional subtensors.
 
-    Coefficients of empty subtensors are exactly 0.  Ids not present in
-    ``log_coeffs`` (possible for k < d-1, where only occupied subtensors
-    are enumerated) read as 0 too.
+    One float vector per subtensor group, as the sweep keeps them:
+    ``coeffs[g][p]`` belongs to ``groups[g].ids[p]``.  Empty subtensors
+    have coefficient 0, and so do those without an id (for k < d-1 only
+    occupied subtensors are enumerated).
     """
 
     k: int
-    log_coeffs: dict[SubtensorId, float]
+    groups: list[SubtensorGroup]
+    coeffs: list[np.ndarray]
 
-    def log_sum_at(self, idx: Index, d: int) -> float:
+    @property
+    def log_coeffs(self) -> dict[SubtensorId, float]:
+        """The coefficients keyed by subtensor id, rebuilt on every access."""
+        pairs = zip(self.groups, self.coeffs)
+        return {sid: s for g, vec in pairs for sid, s in zip(g.ids, vec.tolist())}
+
+    def log_sum_at(self, idx: Index) -> float:
         """Sum of coefficients over the subtensors containing ``idx``."""
-        return sum(self.log_coeffs.get(sid, 0.0) for sid in membership(idx, self.k, d))
+        total = 0.0
+        for group, vec in zip(self.groups, self.coeffs):
+            if (pos := group.slot(idx)) is not None:
+                total += vec[pos]
+        return total
 
 
 @dataclass
@@ -109,11 +121,7 @@ class ScalingState:
         return len(self.v_trace)
 
     def family(self) -> ScalingFamily:
-        coeffs: dict[SubtensorId, float] = {}
-        for group, arr in zip(self.groups, self.log_coeffs):
-            for sid, s in zip(group.ids, arr):
-                coeffs[sid] = float(s)
-        return ScalingFamily(self.k, coeffs)
+        return ScalingFamily(self.k, self.groups, [c.copy() for c in self.log_coeffs])
 
     def report(self, epsilon: float) -> ConvergenceReport:
         converged = bool(self.v_trace) and self.v_trace[-1] < epsilon
@@ -202,22 +210,24 @@ def residual(tensor: SparseTensor, k: int) -> float:
 
 
 def _membership_sums(
-    tensor: SparseTensor, k: int, log_coeffs: Mapping[SubtensorId, float]
+    tensor: SparseTensor, k: int, coeffs: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Per known entry, the sum of ``log_coeffs`` over the subtensors containing it.
+    """Per known entry, the sum of ``coeffs`` over the subtensors containing it.
 
-    Gathers each group's coefficients through its labels, as :func:`sweep`
-    does; absent ids read as 0.
+    ``coeffs`` holds one vector per group of ``tensor.groups(k)``, gathered
+    through the group's labels as :func:`sweep` does.
     """
+    groups = tensor.groups(k)
+    if [len(c) for c in coeffs] != [len(g.ids) for g in groups]:
+        raise ValueError("coefficient vectors do not match the tensor's subtensor groups")
     total = np.zeros(len(tensor))
-    for group in tensor.groups(k):
-        coeffs = np.array([log_coeffs.get(sid, 0.0) for sid in group.ids])
-        total += coeffs[group.labels]
+    for group, vec in zip(groups, coeffs):
+        total += vec[group.labels]
     return total
 
 
 def apply_scaling(tensor: SparseTensor, family: ScalingFamily) -> SparseTensor:
     """Scale every known entry by exp(sum of coefficients containing it)."""
-    log_sums = _membership_sums(tensor, family.k, family.log_coeffs)
+    log_sums = _membership_sums(tensor, family.k, family.coeffs)
     scaled = tensor.values_array() * np.exp(log_sums)
     return SparseTensor(tensor.extents, dict(zip(tensor.known_indices(), scaled.tolist())))

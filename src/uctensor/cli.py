@@ -40,16 +40,17 @@ from .ingest import IdMap, Schema, idmap_from_dict, idmap_to_dict, parse_ratings
 from .lcsp_oracle import SIZE_CAP, build_constraints, oracle_complete, solve_lcsp
 from .properties import (
     OrderingSpec,
+    PropertyReport,
     check_consensus_ordering,
     check_gauge_uniqueness,
     check_scale_fairness,
     check_unit_consistency,
     find_consensus_sets,
 )
-from .sparse_tensor import SparseTensor, SubtensorId
+from .sparse_tensor import SparseTensor
 
 MODEL_FORMAT = "uctensor-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 ALL_PROPERTIES = (
     "full_support",
@@ -200,10 +201,8 @@ def save_model(path: str, model: CompletionModel, idmap: IdMap, digest: str) -> 
             [list(idx), model.source.entries[idx]]
             for idx in model.source.known_indices()
         ],
-        "log_coeffs": [
-            {"dims": list(sid.fixed_dims), "coords": list(sid.fixed_coords), "s": val}
-            for sid, val in sorted(model.scaling.log_coeffs.items())
-        ],
+        # one list per group of source.groups(k), aligned with its ids
+        "log_coeffs": [vec.tolist() for vec in model.scaling.coeffs],
         "idmap": idmap_to_dict(idmap),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -212,31 +211,39 @@ def save_model(path: str, model: CompletionModel, idmap: IdMap, digest: str) -> 
 
 
 def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
+    """Read a :func:`save_model` artifact; ValueError for any malformed file."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
+    found = (payload.get("format"), payload.get("version")) if isinstance(payload, dict) else None
+    if found != (MODEL_FORMAT, MODEL_VERSION):
         raise ValueError(f"{path} is not a version-{MODEL_VERSION} {MODEL_FORMAT} file")
-    extents = tuple(int(n) for n in payload["extents"])
-    tensor = SparseTensor(
-        extents, {tuple(int(c) for c in idx): float(v) for idx, v in payload["entries"]}
-    )
-    coeffs = {
-        SubtensorId(tuple(int(d) for d in row["dims"]), tuple(int(c) for c in row["coords"])): float(row["s"])
-        for row in payload["log_coeffs"]
-    }
-    family = ScalingFamily(int(payload["k"]), coeffs)
-    report = ConvergenceReport(
-        sweeps=int(payload["sweeps"]),
-        v_trace=[float(v) for v in payload["v_trace"]],
-        epsilon=float(payload["epsilon"]),
-        converged=bool(payload["converged"]),
-    )
-    config = CompletionConfig(
-        epsilon=float(payload["epsilon"]), max_sweeps=int(payload["max_sweeps"])
-    )
-    model = CompletionModel(tensor, family, report, int(payload["k"]), config)
-    idmap = idmap_from_dict(payload["idmap"])
-    return model, idmap, payload["source_digest"]
+    try:
+        extents = tuple(int(n) for n in payload["extents"])
+        tensor = SparseTensor(
+            extents, {tuple(int(c) for c in idx): float(v) for idx, v in payload["entries"]}
+        )
+        k = int(payload["k"])
+        groups = tensor.groups(k)  # ValueError for k outside [1, d-1]
+        coeffs = [np.array(row, dtype=np.float64) for row in payload["log_coeffs"]]
+        if [c.shape for c in coeffs] != [(len(g.ids),) for g in groups]:
+            raise ValueError(
+                f"coefficient vectors of shapes {[c.shape for c in coeffs]} do not fit "
+                f"the {len(groups)} subtensor groups of sizes {[len(g.ids) for g in groups]}"
+            )
+        family = ScalingFamily(k, groups, coeffs)
+        report = ConvergenceReport(
+            sweeps=int(payload["sweeps"]),
+            v_trace=[float(v) for v in payload["v_trace"]],
+            epsilon=float(payload["epsilon"]),
+            converged=bool(payload["converged"]),
+        )
+        config = CompletionConfig(
+            epsilon=float(payload["epsilon"]), max_sweeps=int(payload["max_sweeps"])
+        )
+        model = CompletionModel(tensor, family, report, k, config)
+        return model, idmap_from_dict(payload["idmap"]), payload["source_digest"]
+    except (TypeError, IndexError, KeyError, AttributeError) as exc:
+        raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
 
 
 # -- subcommands ------------------------------------------------------------
@@ -287,7 +294,7 @@ def cmd_predict(args) -> int:
     emitter = Emitter(args.format)
     try:
         model, idmap, digest = load_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         emitter.emit({"record": "error", "message": f"cannot load model: {exc}"})
         return 2
     bounds = None
@@ -376,7 +383,7 @@ def _parse_consensus_spec(text: str, tensor: SparseTensor, idmap: IdMap) -> Orde
     return OrderingSpec(dim, tuple(gamma), support)
 
 
-def _verify_oracle(tensor, k, emitter, config) -> dict | None:
+def _verify_oracle(tensor, k, emitter, config) -> PropertyReport | None:
     """Direct-solve cross-check; None when the instance is over the cap."""
     n_rows = sum(int((g.counts > 0).sum()) for g in tensor.groups(k))
     if len(tensor) > config.oracle_cap or n_rows > SIZE_CAP:
@@ -388,8 +395,7 @@ def _verify_oracle(tensor, k, emitter, config) -> dict | None:
             ),
         })
         return None
-    system = build_constraints(tensor, k)
-    x, s = solve_lcsp(tensor, k, system)
+    x, oracle = solve_lcsp(tensor, k, build_constraints(tensor, k))
     x_csa, family, report = csa(tensor, k, config.epsilon, config.max_sweeps)
     dev_canonical = float(np.abs(x_csa - x).max())
     model = CompletionModel(tensor, family, report, k)
@@ -401,25 +407,21 @@ def _verify_oracle(tensor, k, emitter, config) -> dict | None:
         if _support.witness(tensor, idx) is None:
             continue
         checked += 1
-        reference = oracle_complete(tensor, k, idx, presolved=(system, s))
+        reference = oracle_complete(tensor, k, idx, presolved=oracle)
         dev_pred = max(dev_pred, abs(model.predict(idx) / reference - 1.0))
     violations = []
     if dev_canonical > 1e-8:
         violations.append(f"canonical log values diverge from projection: {dev_canonical:.3e}")
     if dev_pred > 1e-6:
         violations.append(f"predictions diverge from direct solve: {dev_pred:.3e}")
-    return {
-        "record": "property",
-        "name": "oracle_equivalence",
-        "instances": checked,
-        "max_deviation": max(dev_canonical, dev_pred),
-        "violations": violations,
-        "passed": not violations,
-        "tolerance": 1e-8,
-        "seed": None,
-        "informational": False,
-        "notes": [],
-    }
+    return PropertyReport(
+        name="oracle_equivalence",
+        instances=checked,
+        max_deviation=max(dev_canonical, dev_pred),
+        violations=violations,
+        passed=not violations,
+        tolerance=1e-8,
+    )
 
 
 def cmd_verify(args) -> int:
@@ -455,7 +457,7 @@ def cmd_verify(args) -> int:
 
     fully_supported = None
     spec_error = False
-    reports: list[dict] = []
+    reports: list[PropertyReport] = []
     for name in wanted:
         if name == "full_support":
             try:
@@ -464,25 +466,23 @@ def cmd_verify(args) -> int:
                 emitter.emit({"record": "warning", "message": str(exc)})
                 continue
             fully_supported = ok
-            reports.append({
-                "record": "property", "name": "full_support",
-                "instances": tensor.box_size - len(tensor),
-                "max_deviation": 0.0,
-                "violations": [],
-                "passed": True,
-                "tolerance": None, "seed": None,
-                "informational": True,
-                "notes": [
+            reports.append(PropertyReport(
+                name="full_support",
+                instances=tensor.box_size - len(tensor),
+                max_deviation=0.0,
+                violations=[],
+                passed=True,
+                informational=True,
+                notes=[
                     f"{len(failures)} unsupported missing indices"
                     + (f"; first {failures[0]}" if failures else "")
                 ],
-            })
+            ))
         elif name == "unit_consistency":
-            rep = check_unit_consistency(
+            reports.append(check_unit_consistency(
                 tensor, k, trials=args.trials, seed=args.seed,
                 missing_cap=config.missing_cap,
-            )
-            reports.append(rep.as_dict())
+            ))
         elif name == "gauge_uniqueness":
             rep = check_gauge_uniqueness(
                 tensor, k, orderings=args.orderings, seed=args.seed,
@@ -491,13 +491,12 @@ def cmd_verify(args) -> int:
             if fully_supported is False:
                 rep.informational = True
                 rep.notes.append("tensor lacks full support; result is informational")
-            reports.append(rep.as_dict())
+            reports.append(rep)
         elif name == "scale_fairness":
             first_dim_occupied = sorted({idx[0] for idx in tensor.entries})
-            rep = check_scale_fairness(
+            reports.append(check_scale_fairness(
                 tensor, dim=1, slice_index=first_dim_occupied[0], factor=args.factor,
-            )
-            reports.append(rep.as_dict())
+            ))
         elif name == "consensus_ordering":
             model = tca(tensor, k, CompletionConfig(args.epsilon, args.max_sweeps))
             if declared_specs:
@@ -507,13 +506,11 @@ def cmd_verify(args) -> int:
                 for dim in range(1, tensor.d + 1):
                     specs.extend(find_consensus_sets(tensor, dim, min_size=2))
             if not specs:
-                reports.append({
-                    "record": "property", "name": "consensus_ordering",
-                    "instances": 0, "max_deviation": 0.0, "violations": [],
-                    "passed": True, "tolerance": 0.0, "seed": None,
-                    "informational": False,
-                    "notes": ["no unanimously ordered slice sets found; vacuous"],
-                })
+                reports.append(PropertyReport(
+                    name="consensus_ordering", instances=0, max_deviation=0.0,
+                    violations=[], passed=True, tolerance=0.0,
+                    notes=["no unanimously ordered slice sets found; vacuous"],
+                ))
             for ospec in specs:
                 try:
                     rep = check_consensus_ordering(model, ospec)
@@ -526,32 +523,26 @@ def cmd_verify(args) -> int:
                         "clause": exc.clause,
                     })
                     continue
-                d = rep.as_dict()
-                d["notes"].append(
-                    f"dim {ospec.dim}, slices {list(ospec.gamma)}"
-                )
-                reports.append(d)
+                rep.notes.append(f"dim {ospec.dim}, slices {list(ospec.gamma)}")
+                reports.append(rep)
         elif name == "oracle_equivalence":
             rep = _verify_oracle(tensor, k, emitter, config)
             if rep is not None:
                 reports.append(rep)
 
-    failed = False
     for rep in reports:
-        emitter.emit(rep)
-        if not rep["passed"] and not rep.get("informational"):
-            failed = True
-    if failed:
+        emitter.emit(rep.as_dict())
+    if any(not rep.passed and not rep.informational for rep in reports):
         return 1
     return 2 if spec_error else 0
 
 
 # -- experiments ------------------------------------------------------------
 
+MEASURE_SECONDS = 0.01  # shortest timed stretch of sweeps in experiment_scaling
+
 
 def _random_full_support_matrix(rng, rows, cols, density):
-    from .support import is_fully_supported
-
     while True:
         entries = {}
         for i in range(1, rows + 1):
@@ -561,7 +552,7 @@ def _random_full_support_matrix(rng, rows, cols, density):
         if not entries:
             continue
         tensor = SparseTensor((rows, cols), entries)
-        ok, _ = is_fully_supported(tensor)
+        ok, _ = _support.is_fully_supported(tensor)
         if ok:
             return tensor
 
@@ -688,36 +679,39 @@ def experiment_scaling(
 ) -> tuple[dict, list[tuple]]:
     """Per-sweep wall time as the number of known entries doubles.
 
-    Each size is timed ``repeats`` times and the minimum kept, which
-    filters scheduler noise out of the small sizes.
+    Each size is timed ``repeats`` times and the fastest per-sweep time
+    kept, which filters scheduler noise out of the small sizes.  A repeat
+    runs at least ``sweeps_per_measure`` sweeps and ``MEASURE_SECONDS``,
+    so sub-millisecond sweeps are timed over many, and the repeats cycle
+    through the sizes, so a slow spell of the host slows them all.
     """
     rng = np.random.default_rng(seed)
     shapes = [(base_rows, base_cols)]
     for i in range(doublings):
         r, c = shapes[-1]
         shapes.append((r * 2, c) if i % 2 == 0 else (r, c * 2))
-    data = [("entries", "sweeps", "wall_seconds", "per_sweep_seconds", "ratio_vs_previous")]
-    prev = None
-    max_ratio = 0.0
+    tensors = []
     for r, c in shapes:
         values = np.exp(rng.uniform(-1.0, 1.0, size=(r, c)))
-        entries = {
-            (i + 1, j + 1): float(values[i, j]) for i in range(r) for j in range(c)
-        }
-        tensor = SparseTensor((r, c), entries)
-        best = float("inf")
-        for _ in range(repeats):
+        cells = ((i + 1, j + 1) for i in range(r) for j in range(c))
+        tensors.append(SparseTensor((r, c), zip(cells, values.ravel().tolist())))
+    best = [(float("inf"), 0, 0.0)] * len(tensors)  # per-sweep s, sweeps, wall s
+    for _ in range(repeats):
+        for n, tensor in enumerate(tensors):
             state = ScalingState(tensor, 1)
-            started = time.perf_counter()
-            for _ in range(sweeps_per_measure):
+            count, elapsed, started = 0, 0.0, time.perf_counter()
+            while count < sweeps_per_measure or elapsed < MEASURE_SECONDS:
                 sweep(state)
-            best = min(best, time.perf_counter() - started)
-        per_sweep = best / sweeps_per_measure
-        ratio = per_sweep / prev if prev is not None else float("nan")
-        if prev is not None:
-            max_ratio = max(max_ratio, ratio)
-        data.append((len(entries), sweeps_per_measure, best, per_sweep, ratio))
-        prev = per_sweep
+                count += 1
+                elapsed = time.perf_counter() - started
+            best[n] = min(best[n], (elapsed / count, count, elapsed))
+    per_sweep = [b[0] for b in best]
+    ratios = [float("nan")] + [b / a for a, b in zip(per_sweep, per_sweep[1:])]
+    max_ratio = max(ratios[1:], default=0.0)
+    data = [("entries", "sweeps", "wall_seconds", "per_sweep_seconds", "ratio_vs_previous")]
+    data.extend(
+        (len(t), count, wall, s, ratio) for t, (s, count, wall), ratio in zip(tensors, best, ratios)
+    )
     summary = {
         "record": "experiment",
         "name": "scaling",
@@ -849,7 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", type=float, default=1.25)
     p.add_argument("--top-n", type=int, default=10)
     p.add_argument("--doublings", type=int, default=5)
-    p.add_argument("--sweeps-per-measure", type=int, default=8)
+    p.add_argument("--sweeps-per-measure", type=int, default=8,
+                   help="fewest sweeps per timed repeat; each also runs >= 10 ms")
     p.add_argument("--data", default=None, help="write the plot-ready table here")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)

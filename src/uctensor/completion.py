@@ -115,7 +115,7 @@ def predict(model: CompletionModel, idx: Index) -> float:
     stored = model.source.entries.get(idx)
     if stored is not None:
         return stored
-    return math.exp(-model.scaling.log_sum_at(idx, model.source.d))
+    return math.exp(-model.scaling.log_sum_at(idx))
 
 
 def round_to_scale(raw: float, low: float, high: float) -> float:
@@ -141,7 +141,5 @@ def complete_all(model: CompletionModel) -> SparseTensor:
         raise CapacityError(
             f"extent box has {box} cells, above the complete_all cap {cap}"
         )
-    filled = {}
-    for idx in all_indices(model.source.extents):
-        filled[idx] = predict(model, idx)
+    filled = {idx: predict(model, idx) for idx in all_indices(model.source.extents)}
     return SparseTensor(model.source.extents, filled)

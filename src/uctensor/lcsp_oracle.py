@@ -26,7 +26,7 @@ import numpy as np
 
 from .canonical_scaling import ScalingFamily, _membership_sums
 from .errors import CapacityError
-from .sparse_tensor import Index, SparseTensor, SubtensorId, membership
+from .sparse_tensor import Index, SparseTensor, SubtensorId
 
 SIZE_CAP = 2000
 PINV_CUTOFF = 1e-10
@@ -59,32 +59,26 @@ def build_constraints(tensor: SparseTensor, k: int) -> ConstraintSystem:
     """
     if len(tensor) == 0:
         raise ValueError("cannot build constraints for an empty tensor")
-    columns = tensor.known_indices()
-    n = len(columns)
     row_ids: list[SubtensorId] = []
     rows = []
     for group in tensor.groups(k):
-        for local, sid in enumerate(group.ids):
-            if group.counts[local] == 0:
-                continue
-            row = np.zeros(n)
-            row[group.labels == local] = 1.0
-            row_ids.append(sid)
-            rows.append(row)
-    matrix = np.vstack(rows)
+        occupied = np.flatnonzero(group.counts)
+        row_ids.extend(group.ids[i] for i in occupied)
+        rows.append(occupied[:, None] == group.labels[None, :])
+    matrix = np.vstack(rows).astype(np.float64)
     a = np.log(tensor.values_array())
-    return ConstraintSystem(k, row_ids, columns, matrix, a)
+    return ConstraintSystem(k, row_ids, tensor.known_indices(), matrix, a)
 
 
 def solve_lcsp(
     tensor: SparseTensor, k: int, system: ConstraintSystem | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ScalingFamily]:
     """Project the log values onto the constraint null space.
 
-    Returns ``(x, s)``: the canonical log values (aligned with the known
-    entries in flat-index order) and one coefficient vector realizing
-    them (aligned with the system's rows).  ``s`` is a particular gauge;
-    only quantities invariant under gauge shifts are meaningful.
+    Returns ``(x, family)`` like :func:`csa`: the canonical log values
+    (aligned with the known entries in flat-index order) and one scaling
+    family realizing them, 0 on empty subtensors.  The family is one
+    particular gauge; only gauge-invariant quantities are meaningful.
 
     Raises :class:`CapacityError` above the dense-solve size cap.
     """
@@ -104,34 +98,31 @@ def solve_lcsp(
         raise ArithmeticError(
             f"projection residual {worst:.3e} exceeds {PROJECTION_TOL:.1e}"
         )
-    return x, s
+    rows = iter(s.tolist())  # one per non-empty subtensor, group by group
+    groups = tensor.groups(k)
+    coeffs = [np.array([next(rows) if n else 0.0 for n in g.counts]) for g in groups]
+    return x, ScalingFamily(k, groups, coeffs)
 
 
 def oracle_complete(
     tensor: SparseTensor,
     k: int,
     idx: Index,
-    presolved: tuple[ConstraintSystem, np.ndarray] | None = None,
+    presolved: ScalingFamily | None = None,
 ) -> float:
     """Completion value at a missing index from the direct solve.
 
     Under full support the value is gauge-invariant; without it a value
-    is still returned but depends on the particular coefficient vector
-    the solve produced (pair with the support module to tell these
-    apart).  Pass ``presolved = (system, s)`` to reuse one solve across
-    many queries.
+    is still returned but depends on the particular coefficients the
+    solve produced (pair with the support module to tell these apart).
+    Pass ``presolved``, the family :func:`solve_lcsp` returned, to reuse
+    one solve across many queries.
     """
     idx = tuple(idx)
     if idx in tensor.entries:
         raise ValueError(f"index {idx} is known; completion applies to missing entries")
-    if presolved is None:
-        system = build_constraints(tensor, k)
-        _, s = solve_lcsp(tensor, k, system)
-    else:
-        system, s = presolved
-    coeff = {sid: float(v) for sid, v in zip(system.row_ids, s)}
-    total = sum(coeff.get(sid, 0.0) for sid in membership(idx, k, tensor.d))
-    return math.exp(-total)
+    family = presolved if presolved is not None else solve_lcsp(tensor, k)[1]
+    return math.exp(-family.log_sum_at(idx))
 
 
 def gauge_check(
@@ -149,9 +140,6 @@ def gauge_check(
     """
     if s1.k != s2.k:
         raise ValueError(f"family dimensionalities differ: {s1.k} vs {s2.k}")
-    diff = {
-        sid: s2.log_coeffs.get(sid, 0.0) - s1.log_coeffs.get(sid, 0.0)
-        for sid in s1.log_coeffs.keys() | s2.log_coeffs.keys()
-    }
+    diff = [b - a for a, b in zip(s1.coeffs, s2.coeffs, strict=True)]
     worst = float(np.abs(_membership_sums(tensor, s1.k, diff)).max(initial=0.0))
     return worst < tolerance, worst

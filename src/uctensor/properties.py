@@ -19,7 +19,7 @@ from .canonical_scaling import ScalingFamily, apply_scaling, csa
 from .completion import CompletionModel, tca
 from .errors import OrderingSpecError
 from .lcsp_oracle import gauge_check
-from .sparse_tensor import Index, SparseTensor, SubtensorId, all_indices
+from .sparse_tensor import Index, SparseTensor, all_indices
 
 STRICTNESS_SLACK = 1e-12
 
@@ -90,20 +90,15 @@ def _slice_support(tensor: SparseTensor, dim: int, slice_index: int) -> dict[Ind
 
 
 def random_scaling_family(
-    rng: np.random.Generator, extents: tuple[int, ...], k: int, spread: float = 2.0
+    rng: np.random.Generator, tensor: SparseTensor, k: int, spread: float = 2.0
 ) -> ScalingFamily:
-    """Positive scaling family, one log-uniform coefficient per subtensor.
+    """Positive scaling family for ``tensor``, one log-uniform coefficient per subtensor.
 
-    Coefficients cover every coordinate combination of the extent box,
-    occupied or not, with logs uniform in [-spread, spread].
+    One vector per subtensor group, covering every id of the group, with
+    logs uniform in [-spread, spread].
     """
-    d = len(extents)
-    coeffs: dict[SubtensorId, float] = {}
-    for fixed in itertools.combinations(range(d), d - k):
-        dims = tuple(f + 1 for f in fixed)
-        for coords in itertools.product(*(range(1, extents[f] + 1) for f in fixed)):
-            coeffs[SubtensorId(dims, coords)] = float(rng.uniform(-spread, spread))
-    return ScalingFamily(k, coeffs)
+    groups = tensor.groups(k)
+    return ScalingFamily(k, groups, [rng.uniform(-spread, spread, len(g.ids)) for g in groups])
 
 
 def check_unit_consistency(
@@ -132,12 +127,10 @@ def check_unit_consistency(
     worst = 0.0
     violations: list[str] = []
     for trial in range(trials):
-        family = random_scaling_family(rng, tensor.extents, k)
+        family = random_scaling_family(rng, tensor, k)
         scaled_model = tca(apply_scaling(tensor, family), k)
         for idx in supported:
-            expected = base.predict(idx) * float(
-                np.exp(family.log_sum_at(idx, tensor.d))
-            )
+            expected = base.predict(idx) * float(np.exp(family.log_sum_at(idx)))
             actual = scaled_model.predict(idx)
             dev = abs(actual / expected - 1.0)
             if dev > worst:

@@ -19,7 +19,8 @@ mixed-radix linearization :func:`flat_index`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -58,6 +59,20 @@ class SubtensorGroup:
     ids: list[SubtensorId]
     labels: np.ndarray
     counts: np.ndarray
+    _slots: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def slot(self, idx: Index) -> int | None:
+        """Position in ``ids`` of the subtensor containing ``idx``; None if it has no id.
+
+        The map from fixed coordinates to positions is built on first use.
+        """
+        if self._slots is None:
+            bare = len(self.fixed_dims) == 1  # itemgetter of one item returns it bare
+            coords = [sid.fixed_coords[0] if bare else sid.fixed_coords for sid in self.ids]
+            key = itemgetter(*(dim - 1 for dim in self.fixed_dims))
+            self._slots = (key, {c: pos for pos, c in enumerate(coords)})
+        key, positions = self._slots
+        return positions.get(key(idx))
 
 
 def flat_index(idx: Index, extents: tuple[int, ...]) -> int:
@@ -276,14 +291,10 @@ def membership(idx: Index, k: int, d: int) -> list[SubtensorId]:
         raise ValueError(f"index {idx} is not {d}-dimensional")
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must be in [1, {d - 1}], got {k}")
-    out = []
-    for fixed in itertools.combinations(range(d), d - k):
-        out.append(
-            SubtensorId(
-                tuple(f + 1 for f in fixed), tuple(idx[f] for f in fixed)
-            )
-        )
-    return out
+    return [
+        SubtensorId(tuple(f + 1 for f in fixed), tuple(idx[f] for f in fixed))
+        for fixed in itertools.combinations(range(d), d - k)
+    ]
 
 
 def all_indices(extents: tuple[int, ...]) -> Iterator[Index]:

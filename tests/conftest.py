@@ -7,7 +7,6 @@ independent oracles for the vectorized implementations under test.
 
 import itertools
 import math
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -140,28 +139,32 @@ def reference_apply_scaling(entries, log_coeffs, k, d):
     return out
 
 
-class CountingMapping(Mapping):
-    """Read-only view of a mapping that counts item reads in ``reads``."""
+class ReadCounter:
+    """Total item reads through the :class:`CountingVector` views sharing it."""
 
-    def __init__(self, data):
-        self.data = data
+    def __init__(self):
         self.reads = 0
 
-    def __getitem__(self, key):
-        self.reads += 1
-        return self.data[key]
 
-    def __iter__(self):
-        return iter(self.data)
+class CountingVector:
+    """Read-only view of one coefficient vector that counts item reads."""
+
+    def __init__(self, data, counter):
+        self.data = data
+        self.counter = counter
+
+    def __getitem__(self, pos):
+        self.counter.reads += 1
+        return self.data[pos]
 
     def __len__(self):
         return len(self.data)
 
 
 def count_reads(model):
-    """Swap a counting view into a model's coefficients and return it."""
-    counter = CountingMapping(model.scaling.log_coeffs)
-    model.scaling.log_coeffs = counter
+    """Swap counting views into a model's per-group coefficient vectors."""
+    counter = ReadCounter()
+    model.scaling.coeffs = [CountingVector(c, counter) for c in model.scaling.coeffs]
     return counter
 
 

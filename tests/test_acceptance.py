@@ -92,12 +92,12 @@ def test_criterion_3_oracle_equivalence():
     for tensor, k in instances:
         assert len(tensor) <= 500
         system = build_constraints(tensor, k)
-        x, s = solve_lcsp(tensor, k, system)
+        x, oracle = solve_lcsp(tensor, k, system)
         x_csa, family, report = csa(tensor, k)
         worst_canon = max(worst_canon, float(np.abs(x_csa - x).max()))
         model = CompletionModel(tensor, family, report, k)
         for idx in tensor.missing_indices():
-            reference = oracle_complete(tensor, k, idx, presolved=(system, s))
+            reference = oracle_complete(tensor, k, idx, presolved=oracle)
             worst_pred = max(worst_pred, abs(model.predict(idx) / reference - 1.0))
     conclude(
         3,

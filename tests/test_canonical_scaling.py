@@ -84,7 +84,7 @@ class TestCsa:
         x, family, report = csa(dense_ones((3, 3)), 1)
         assert report.converged and report.sweeps == 1
         assert all(v == 0.0 for v in x)
-        assert all(c == 0.0 for c in family.log_coeffs.values())
+        assert all(not c.any() for c in family.coeffs)
 
     def test_golden_canonical_is_all_ones(self, golden_matrix):
         x, _, report = csa(golden_matrix, 1)
@@ -101,9 +101,7 @@ class TestCsa:
     def test_sign_contract_at_convergence(self, golden_matrix):
         x, family, _ = csa(golden_matrix, 1)
         for t, idx in enumerate(golden_matrix.known_indices()):
-            reconstructed = math.log(golden_matrix.entries[idx]) + family.log_sum_at(
-                idx, 2
-            )
+            reconstructed = math.log(golden_matrix.entries[idx]) + family.log_sum_at(idx)
             assert x[t] == pytest.approx(reconstructed, abs=1e-12)
 
     def test_sign_contract_holds_after_every_sweep(self):
@@ -116,15 +114,13 @@ class TestCsa:
                 sweep(state)
                 family = state.family()
                 for t, idx in enumerate(tensor.known_indices()):
-                    expected = logs0[t] + family.log_sum_at(idx, d)
+                    expected = logs0[t] + family.log_sum_at(idx)
                     assert state.log_values[t] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_subtensor_coefficients_are_zero(self):
         t = SparseTensor((3, 2), make_golden().entries)  # row 3 empty
         _, family, _ = csa(t, 1)
-        from uctensor.sparse_tensor import SubtensorId
-
-        assert family.log_coeffs[SubtensorId((1,), (3,))] == 0.0
+        assert family.coeffs[0][2] == 0.0  # group of dimension 1, slice 3
 
     def test_single_entry_tensor_allowed(self):
         x, _, report = csa(SparseTensor((2, 2), {(1, 1): 7.0}), 1)
@@ -200,7 +196,7 @@ class TestUniquenessAndInvariance:
         rng = np.random.default_rng(29)
         for d, k in ((2, 1), (3, 2)):
             tensor = random_full_support(rng, d, extent_hi=6, box_cap=200)
-            family = random_scaling_family(rng, tensor.extents, k)
+            family = random_scaling_family(rng, tensor, k)
             base, _, _ = csa(tensor, k)
             scaled, _, _ = csa(apply_scaling(tensor, family), k)
             # same known set, so the log values align entry for entry
@@ -223,16 +219,16 @@ class TestUniquenessAndInvariance:
 class TestApplyScaling:
     def test_identity_family(self, golden_matrix):
         family = random_scaling_family(
-            np.random.default_rng(0), (2, 2), 1, spread=0.0
+            np.random.default_rng(0), golden_matrix, 1, spread=0.0
         )
         scaled = apply_scaling(golden_matrix, family)
         assert scaled.entries == golden_matrix.entries
 
     def test_row_scaling(self, golden_matrix):
         from uctensor.canonical_scaling import ScalingFamily
-        from uctensor.sparse_tensor import SubtensorId
 
-        family = ScalingFamily(1, {SubtensorId((1,), (2,)): math.log(10.0)})
+        rows = np.array([0.0, math.log(10.0)])  # slice 2 of dimension 1
+        family = ScalingFamily(1, golden_matrix.groups(1), [rows, np.zeros(2)])
         scaled = apply_scaling(golden_matrix, family)
         assert scaled.entries[(2, 1)] == pytest.approx(30.0, rel=1e-12)
         assert scaled.entries[(1, 1)] == 1.0
@@ -242,7 +238,7 @@ class TestApplyScaling:
         for d, k in ((2, 1), (3, 2), (3, 1)):
             for _ in range(10):
                 tensor = random_full_support(rng, d, extent_hi=7, box_cap=300)
-                family = random_scaling_family(rng, tensor.extents, k)
+                family = random_scaling_family(rng, tensor, k)
                 expected = reference_apply_scaling(
                     tensor.entries, family.log_coeffs, k, d
                 )

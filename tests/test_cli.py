@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -122,10 +123,36 @@ class TestPredict:
         preds = [r for r in records if r["record"] == "prediction"]
         assert preds[0]["rounded"] == 5.0  # 6.0 clamped into [1, 5]
 
-    def test_bad_model_file(self, tmp_path):
-        bad = tmp_path / "not-a-model.json"
-        bad.write_text("{}")
-        assert main(["predict", str(bad), "u1,p1"]) == 2
+    def test_bad_model_file(self, demo_model, tmp_path, capsys):
+        good = json.loads(open(demo_model).read())
+
+        def variant(**changes):
+            return json.dumps({**good, **changes})
+
+        rows, cols = good["log_coeffs"]
+        payloads = {
+            "empty object": "{}",
+            "top-level list": json.dumps([good]),
+            "extents shorter than the indices": variant(extents=[2]),
+            "k below 1": variant(k=0),
+            "k above d-1": variant(k=2),
+            "too many vectors": variant(log_coeffs=[rows, cols, cols]),
+            "too few vectors": variant(log_coeffs=[rows]),
+            "vector too long": variant(log_coeffs=[rows + [0.0], cols]),
+            "nested vector": variant(log_coeffs=[[rows], cols]),
+            "vector not a list": variant(log_coeffs=[{"dims": 1}, cols]),
+            "entries missing": json.dumps({k: v for k, v in good.items() if k != "entries"}),
+            "version 1": variant(version=1, log_coeffs=[
+                {"dims": 1, "coords": [1], "s": 0.0},
+            ]),
+        }
+        for name, text in payloads.items():
+            bad = tmp_path / "not-a-model.json"
+            bad.write_text(text)
+            assert main(["predict", str(bad), "u1,p1"]) == 2, name
+            captured = capsys.readouterr()
+            assert captured.out.startswith("error: cannot load model: "), name
+            assert "Traceback" not in captured.err, name
 
 
 class TestArtifact:
@@ -146,10 +173,41 @@ class TestArtifact:
     def test_artifact_stores_log_coefficients(self, demo_model):
         payload = json.loads(open(demo_model).read())
         assert payload["format"] == "uctensor-model"
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["v_trace"]
-        assert len(payload["log_coeffs"]) == 4  # two rows + two columns
+        # one list per subtensor group: the two rows, then the two columns
+        assert [len(vec) for vec in payload["log_coeffs"]] == [2, 2]
         assert payload["source_digest"]
+
+    def test_k_below_d_minus_1_round_trip(self, tmp_path, capsys):
+        ratings = tmp_path / "cube.csv"
+        ratings.write_text(
+            "x1,y1,z1,1\nx1,y2,z1,2\nx2,y1,z1,3\nx2,y1,z2,4\n"
+            "x3,y2,z2,5\nx3,y1,z1,1.5\nx1,y1,z2,2.5\n"
+        )
+        out = str(tmp_path / "cube.json")
+        argv = ["complete", str(ratings), "-o", out, "--schema", "key,key,key,value"]
+        assert main(argv + ["--k", "1"]) == 0
+        capsys.readouterr()
+        code, records = run_jsonl(capsys, ["predict", out, "--all"])
+        model, idmap, digest = load_model(out)
+        missing = list(model.source.missing_indices())
+        preds = [r for r in records if r["record"] == "prediction"]
+        assert code == 0 and model.k == 1 and len(missing) == 5
+        assert [r["ids"] for r in preds] == [list(idmap.unresolve(i)) for i in missing]
+        assert [r["raw"] for r in preds] == [model.predict(i) for i in missing]
+
+        resaved = tmp_path / "resaved.json"
+        save_model(str(resaved), model, idmap, digest)
+        assert resaved.read_bytes() == open(out, "rb").read()
+
+        # no known entry has (x2, y2): that group has no slot there and reads 0
+        idx = idmap.resolve(("x2", "y2", "z1"))
+        xy, xz, yz = model.scaling.groups
+        assert xy.fixed_dims == (1, 2) and xy.slot(idx) is None
+        _, vec_xz, vec_yz = model.scaling.coeffs
+        expected = math.exp(-(0 + vec_xz[xz.slot(idx)] + vec_yz[yz.slot(idx)]))
+        assert model.predict(idx) == expected
 
 
 class TestVerify:

@@ -209,7 +209,7 @@ class TestOracleAgreement:
             tensor = random_full_support(rng, d, extent_hi=7, box_cap=300)
             model = tca(tensor, d - 1)
             system = build_constraints(tensor, d - 1)
-            _, s = solve_lcsp(tensor, d - 1, system)
+            _, oracle = solve_lcsp(tensor, d - 1, system)
             for idx in tensor.missing_indices():
-                reference = oracle_complete(tensor, d - 1, idx, presolved=(system, s))
+                reference = oracle_complete(tensor, d - 1, idx, presolved=oracle)
                 assert model.predict(idx) == pytest.approx(reference, rel=1e-6)

@@ -11,7 +11,7 @@ from uctensor.lcsp_oracle import (
     oracle_complete,
     solve_lcsp,
 )
-from uctensor.sparse_tensor import SparseTensor, SubtensorId, all_indices, membership
+from uctensor.sparse_tensor import SparseTensor, SubtensorId, all_indices
 from uctensor.support import witness
 
 from conftest import random_full_support, rank1_tensor
@@ -19,6 +19,13 @@ from conftest import random_full_support, rank1_tensor
 
 def dense(extents, value=1.0):
     return SparseTensor(extents, {idx: value for idx in all_indices(extents)})
+
+
+def row_coefficients(family):
+    """The family's coefficients of non-empty subtensors, in constraint-row order."""
+    return np.concatenate(
+        [vec[g.counts > 0] for g, vec in zip(family.groups, family.coeffs)]
+    )
 
 
 class TestBuildConstraints:
@@ -69,13 +76,15 @@ class TestBuildConstraints:
 
 class TestSolveLcsp:
     def test_all_ones_is_fixed_point(self):
-        x, s = solve_lcsp(dense((3, 3)), 1)
+        x, family = solve_lcsp(dense((3, 3)), 1)
         assert np.allclose(x, 0.0, atol=1e-14)
-        assert np.allclose(s, 0.0, atol=1e-14)
+        assert all(np.allclose(c, 0.0, atol=1e-14) for c in family.coeffs)
 
     def test_golden_matrix_projects_to_zero(self, golden_matrix):
         system = build_constraints(golden_matrix, 1)
-        x, s = solve_lcsp(golden_matrix, 1, system)
+        x, family = solve_lcsp(golden_matrix, 1, system)
+        s = row_coefficients(family)
+        assert len(s) == len(system.row_ids)
         assert np.allclose(x, 0.0, atol=1e-12)
         assert np.allclose(system.a + system.matrix.T @ s, x, atol=1e-12)
         assert float(np.abs(system.matrix @ x).max()) < 1e-12
@@ -95,13 +104,20 @@ class TestSolveLcsp:
         _, family, _ = csa(tensor, 1)
         canonical = apply_scaling(tensor, family)
         system = build_constraints(canonical, 1)
-        x, s = solve_lcsp(canonical, 1, system)
+        x, family = solve_lcsp(canonical, 1, system)
         assert np.allclose(x, system.a, atol=1e-10)
-        # null gauge: every membership sum of s vanishes
-        coeff = dict(zip(system.row_ids, s))
+        # null gauge: every membership sum of the coefficients vanishes
         for idx in canonical.known_indices():
-            total = sum(coeff.get(sid, 0.0) for sid in membership(idx, 1, 2))
-            assert abs(total) < 1e-10
+            assert abs(family.log_sum_at(idx)) < 1e-10
+
+    def test_empty_subtensors_read_zero(self, golden_matrix):
+        padded = SparseTensor((3, 2), golden_matrix.entries)  # row 3 empty
+        x, family = solve_lcsp(padded, 1)
+        assert [len(c) for c in family.coeffs] == [3, 2]
+        assert family.coeffs[0][2] == 0.0
+        assert oracle_complete(padded, 1, (2, 2), presolved=family) == pytest.approx(
+            6.0, rel=1e-9
+        )
 
     def test_size_cap(self):
         big = dense((50, 50))  # 2500 known entries
@@ -129,9 +145,9 @@ class TestOracleComplete:
 
     def test_presolved_reuse(self, golden_matrix):
         system = build_constraints(golden_matrix, 1)
-        _, s = solve_lcsp(golden_matrix, 1, system)
+        _, family = solve_lcsp(golden_matrix, 1, system)
         direct = oracle_complete(golden_matrix, 1, (2, 2))
-        reused = oracle_complete(golden_matrix, 1, (2, 2), presolved=(system, s))
+        reused = oracle_complete(golden_matrix, 1, (2, 2), presolved=family)
         assert direct == reused
 
 
@@ -145,29 +161,23 @@ class TestGaugeCheck:
         tensor = dense((2, 2))
         _, family, _ = csa(tensor, 1)
         shift = math.log(2)
-        shifted = ScalingFamily(
-            1,
-            {
-                sid: val
-                + (shift if sid.fixed_dims == (1,) else -shift)
-                for sid, val in family.log_coeffs.items()
-            },
-        )
+        rows, cols = family.coeffs
+        shifted = ScalingFamily(1, family.groups, [rows + shift, cols - shift])
         ok, worst = gauge_check(family, shifted, tensor)
         assert ok and worst < 1e-12
 
     def test_unbalanced_shift_is_not(self):
         tensor = dense((2, 2))
         _, family, _ = csa(tensor, 1)
-        bumped = dict(family.log_coeffs)
-        bumped[SubtensorId((1,), (1,))] += math.log(2)
-        ok, worst = gauge_check(family, ScalingFamily(1, bumped), tensor)
+        bumped = [c.copy() for c in family.coeffs]
+        bumped[0][0] += math.log(2)  # slice 1 of dimension 1
+        ok, worst = gauge_check(family, ScalingFamily(1, family.groups, bumped), tensor)
         assert not ok
         assert worst == pytest.approx(math.log(2), rel=1e-12)
 
     def test_mismatched_k_rejected(self, golden_matrix):
         with pytest.raises(ValueError):
-            gauge_check(ScalingFamily(1, {}), ScalingFamily(2, {}), golden_matrix)
+            gauge_check(ScalingFamily(1, [], []), ScalingFamily(2, [], []), golden_matrix)
 
     def test_order_permutations_are_gauges(self):
         rng = np.random.default_rng(3)

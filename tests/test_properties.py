@@ -68,7 +68,7 @@ class TestUnitConsistency:
         from uctensor.properties import random_scaling_family
 
         identity = random_scaling_family(
-            np.random.default_rng(0), (2, 2), 1, spread=0.0
+            np.random.default_rng(0), golden_matrix, 1, spread=0.0
         )
         base = tca(golden_matrix, 1)
         rescaled = tca(apply_scaling(golden_matrix, identity), 1)
