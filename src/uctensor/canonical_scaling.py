@@ -23,20 +23,38 @@ so the canonical tensor is the original scaled *by* exp(s), and completion
 downstream divides by it (predictions are exp(-sum s)).
 
 The squared step sizes accumulated during one sweep form the convergence
-measure ``v``; it resets at the start of every sweep.  Convergence is
-declared after the first sweep with v below the threshold.  A few extra
-polish sweeps then run until v reaches the floating-point floor: the
-geometric contraction makes them cheap, and they take the subtensor
-products to full precision instead of leaving an error of order sqrt(v).
-The result stays in log space, as the canonical log values ``x`` in the
-order ``solve_lcsp`` uses; :func:`apply_scaling` exponentiates at the
-boundary.
+measure ``v``; it resets at the start of every sweep.
+
+The same projection solves the linear system ``C Cᵀ s = −C a``, with
+``C`` the 0/1 membership matrix of known entries (columns) in non-empty
+subtensors (rows) and ``a`` the known log values; then ``x = a + Cᵀs``.
+:func:`csa` runs one warm sweep and then Jacobi-preconditioned conjugate
+gradients on that system, built from the sweep's gather and bincount over
+group labels.  Gauss-Seidel contracts slowly on poorly connected patterns
+(a chain of length L needs on the order of L² sweeps, CG about 2L
+iterations); :func:`sweep` stays available to drive the paper's iteration
+one pass at a time.  For a CG iteration ``v`` is the squared norm of the
+centering steps every subtensor would take at once, the same kind of
+measure as a sweep's, one value per step.
+
+Once v is below epsilon, a run stops when v reaches the floating-point
+floor, ``n_occupied · (ε_mach · max(1, max |log value|))²`` over the
+occupied subtensors, or when v has set no new minimum for
+``STALL_STEPS`` steps; otherwise it runs until its step budget is spent,
+and it has converged if the last v is below epsilon.  Going on past
+epsilon takes the subtensor products to full precision instead of leaving
+an error of order sqrt(v), and neither stop depends on instance
+size.  The result stays in log space, as the canonical log values ``x``
+in the order ``solve_lcsp`` uses; :func:`apply_scaling` exponentiates at
+the boundary.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,9 +64,9 @@ from .sparse_tensor import Index, SparseTensor, SubtensorGroup, SubtensorId
 DEFAULT_EPSILON = 1e-12
 DEFAULT_MAX_SWEEPS = 10_000
 
-# Extra sweeps after the epsilon test passes stop once v falls below this;
-# double precision puts the attainable floor around 1e-31 for unit-scale logs.
-POLISH_FLOOR = 1e-28
+# Steps without a new minimum of v, once v is below epsilon, after which
+# rounding noise is taken to have stalled the run.
+STALL_STEPS = 10
 
 
 @dataclass(eq=False)
@@ -88,6 +106,11 @@ class ConvergenceReport:
     v_trace: list[float]
     epsilon: float
     converged: bool
+    # Why the run ended: "floor", "stagnation" or "budget".  residual is the
+    # worst |sum of canonical log values| over a subtensor at the end.  A
+    # report read back from a model artifact records neither (None).
+    stop_reason: str | None
+    residual: float | None
 
 
 class ScalingState:
@@ -113,7 +136,12 @@ class ScalingState:
                     f"order must permute range({len(self.groups)}), got {order}"
                 )
         self.log_values = np.log(tensor.values_array())
-        self.log_coeffs = [np.zeros(len(g.ids)) for g in self.groups]
+        # one flat vector, so a whole-system step can update every group at once
+        self.offsets = np.cumsum([0] + [len(g.ids) for g in self.groups])
+        self.coeffs_flat = np.zeros(self.offsets[-1])
+        self.log_coeffs = [
+            self.coeffs_flat[a:b] for a, b in zip(self.offsets, self.offsets[1:])
+        ]
         self.v_trace: list[float] = []
 
     @property
@@ -123,9 +151,12 @@ class ScalingState:
     def family(self) -> ScalingFamily:
         return ScalingFamily(self.k, self.groups, [c.copy() for c in self.log_coeffs])
 
-    def report(self, epsilon: float) -> ConvergenceReport:
+    def report(self, epsilon: float, stop_reason: str) -> ConvergenceReport:
         converged = bool(self.v_trace) and self.v_trace[-1] < epsilon
-        return ConvergenceReport(self.sweeps, list(self.v_trace), epsilon, converged)
+        return ConvergenceReport(
+            self.sweeps, list(self.v_trace), epsilon, converged, stop_reason,
+            _worst_sum(self.groups, self.log_values),
+        )
 
 
 def sweep(state: ScalingState) -> float:
@@ -147,6 +178,61 @@ def sweep(state: ScalingState) -> float:
     return v
 
 
+def _cg_steps(state: ScalingState) -> Iterator[float]:
+    """Jacobi-preconditioned conjugate gradients on ``C Cᵀ s = −C x``; yields each v.
+
+    ``C`` is the 0/1 membership matrix of known entries in subtensors, so
+    ``C Cᵀ`` has the known-entry counts on its diagonal.  The first step is
+    one :func:`sweep`, which also absorbs a single-group rescaling exactly.
+    Every later step moves ``s`` along a search direction ``p`` and ``x``
+    along ``w = Cᵀp``, then recomputes the residual ``r = −C x`` from ``x``
+    itself, at the same cost as the usual recurrence ``r −= α C w``, which
+    drifts away from the true residual once ``r·z`` underflows.  v is
+    ``z·z`` with ``z = r / counts``, the centering steps all subtensors
+    would take at once.
+    """
+    yield sweep(state)
+    groups, x, s = state.groups, state.log_values, state.coeffs_flat
+    spans = list(zip(state.offsets, state.offsets[1:]))
+    counts = np.concatenate([g.counts for g in groups])
+    inv_counts = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
+
+    def minus_cx() -> np.ndarray:
+        return -np.concatenate(
+            [np.bincount(g.labels, weights=x, minlength=len(g.ids)) for g in groups]
+        )
+
+    r = minus_cx()
+    z = r * inv_counts
+    rz = float(r @ z)
+    p = z
+    while True:
+        w = sum(p[a:b][g.labels] for g, (a, b) in zip(groups, spans))
+        ww = float(w @ w)
+        alpha = rz / ww if ww > 0 else 0.0  # w = 0 only once r is exactly 0
+        s += alpha * p
+        x += alpha * w
+        r = minus_cx()
+        z = r * inv_counts
+        v = float(z @ z)
+        state.v_trace.append(v)
+        yield v
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+
+
+def _run_until_stop(steps: Iterable[float], epsilon: float, floor: float) -> str:
+    """Take v values from ``steps`` until the stop rule fires; return why it stopped."""
+    best, since_best = math.inf, 0
+    for v in steps:
+        best, since_best = (v, 0) if v < best else (best, since_best + 1)
+        if v < epsilon and v <= floor:
+            return "floor"
+        if v < epsilon and since_best >= STALL_STEPS:
+            return "stagnation"
+    return "budget"
+
+
 def csa(
     tensor: SparseTensor,
     k: int,
@@ -160,16 +246,22 @@ def csa(
     (aligned with ``tensor.known_indices()``, zero sum over every
     non-empty subtensor), the scaling family realizing them, and the
     convergence report.  ``apply_scaling(tensor, family)`` gives the
-    canonical tensor.  The input tensor is not modified.  Once v passes
-    the epsilon test, sweeping continues to the numerical floor (still
-    within ``max_sweeps``), so results do not depend on how far above the
-    floor epsilon sits.
+    canonical tensor.  The input tensor is not modified.
+
+    The projection is solved by Jacobi-preconditioned conjugate gradients
+    after one warm :func:`sweep`, which processes the groups in ``order``
+    (default: group order).  A different order leaves the coefficients in
+    a different gauge but gives the same ``x``.  The warm sweep and each
+    CG iteration are one step against ``max_sweeps``.
+    ``report.stop_reason`` says which part of the stop rule (module
+    docstring) ended the run: ``"floor"``, ``"stagnation"`` or
+    ``"budget"``.
 
     Raises
     ------
     ConvergenceError
-        If v is still at or above ``epsilon`` after ``max_sweeps`` sweeps.
-        The exception carries the report for the failed run.
+        If the last v is at or above ``epsilon`` when the run stops.  The
+        exception carries the report for the failed run.
     """
     if len(tensor) == 0:
         raise ValueError("cannot scale a tensor with no known entries")
@@ -179,11 +271,15 @@ def csa(
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
 
     state = ScalingState(tensor, k, order)
-    for _ in range(max_sweeps):
-        v = sweep(state)
-        if v < epsilon and v < POLISH_FLOOR:
-            break
-    report = state.report(epsilon)
+    steps = _cg_steps(state)
+    first = next(steps)
+    # rounding noise scales with the log values as the first step leaves them
+    # (it removes any common offset of the input)
+    occupied = sum(int(np.count_nonzero(g.counts)) for g in state.groups)
+    scale = max(1.0, float(np.abs(state.log_values).max()))
+    floor = occupied * (np.finfo(float).eps * scale) ** 2
+    budget = itertools.chain([first], itertools.islice(steps, max_sweeps - 1))
+    report = state.report(epsilon, _run_until_stop(budget, epsilon, floor))
     if not report.converged:
         raise ConvergenceError(
             f"no convergence after {state.sweeps} sweeps "
@@ -199,9 +295,12 @@ def residual(tensor: SparseTensor, k: int) -> float:
     Zero for a tensor in exact canonical form; empty subtensors are
     skipped.
     """
-    log_values = np.log(tensor.values_array())
+    return _worst_sum(tensor.groups(k), np.log(tensor.values_array()))
+
+
+def _worst_sum(groups: Sequence[SubtensorGroup], log_values: np.ndarray) -> float:
     worst = 0.0
-    for group in tensor.groups(k):
+    for group in groups:
         sums = np.bincount(group.labels, weights=log_values, minlength=len(group.ids))
         occupied = group.counts > 0
         if occupied.any():

@@ -112,7 +112,8 @@ class Emitter:
         elif kind == "convergence":
             status = "converged" if rec["converged"] else "DID NOT CONVERGE"
             self.out.write(
-                f"{status} in {rec['sweeps']} sweeps (final v={rec['final_v']:.3e})\n"
+                f"{status} in {rec['sweeps']} sweeps (final v={rec['final_v']:.3e}, "
+                f"stop={rec['stop_reason']}, residual={rec['residual']:.3e})\n"
             )
         elif kind == "prediction":
             ids = ",".join(rec["ids"])
@@ -236,6 +237,8 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
             v_trace=[float(v) for v in payload["v_trace"]],
             epsilon=float(payload["epsilon"]),
             converged=bool(payload["converged"]),
+            stop_reason=None,
+            residual=None,
         )
         config = CompletionConfig(
             epsilon=float(payload["epsilon"]), max_sweeps=int(payload["max_sweeps"])
@@ -272,10 +275,7 @@ def cmd_complete(args) -> int:
         model = tca(tensor, k, CompletionConfig(args.epsilon, args.max_sweeps))
     except ConvergenceError as exc:
         report = exc.report
-        emitter.emit({
-            "record": "convergence", "converged": False, "sweeps": report.sweeps,
-            "final_v": report.v_trace[-1], "epsilon": report.epsilon,
-        })
+        emitter.emit(_convergence_record(report))
         return 1
     except ValueError as exc:
         emitter.emit({"record": "error", "message": str(exc)})
@@ -283,11 +283,18 @@ def cmd_complete(args) -> int:
     elapsed = time.perf_counter() - started
     save_model(args.output, model, idmap, digest)
     emitter.emit({
-        "record": "convergence", "converged": True, "sweeps": model.report.sweeps,
-        "final_v": model.report.v_trace[-1], "epsilon": model.report.epsilon,
+        **_convergence_record(model.report),
         "seconds": round(elapsed, 6), "model": args.output,
     })
     return 0
+
+
+def _convergence_record(report: ConvergenceReport) -> dict:
+    return {
+        "record": "convergence", "converged": report.converged, "sweeps": report.sweeps,
+        "final_v": report.v_trace[-1], "epsilon": report.epsilon,
+        "stop_reason": report.stop_reason, "residual": report.residual,
+    }
 
 
 def cmd_predict(args) -> int:
@@ -782,7 +789,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None,
                    help="subtensor dimensionality (default d-1)")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
+    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS,
+                   help="cap on sweeps or CG iterations per fit")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="human", choices=("human", "jsonl"))
 
@@ -847,7 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fewest sweeps per timed repeat; each also runs >= 10 ms")
     p.add_argument("--data", default=None, help="write the plot-ready table here")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
+    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS,
+                   help="cap on sweeps or CG iterations per fit")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="human", choices=("human", "jsonl"))
     p.set_defaults(func=cmd_experiment)

@@ -13,8 +13,9 @@ entry.  The solution is the Euclidean projection onto the null space of C:
 The pseudoinverse absorbs the rank deficiency of C C^T caused by gauge
 freedom (coefficient perturbations whose membership sums vanish on every
 known entry leave x unchanged).  This is a direct, non-iterative
-reference used to cross-check the sweep-based scaler and its completions;
-it is built for correctness on small instances, not for speed.
+reference used to cross-check :func:`~uctensor.canonical_scaling.csa` and
+its completions; it is built for correctness on small instances, not for
+speed.
 """
 
 from __future__ import annotations

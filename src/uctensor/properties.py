@@ -1,7 +1,7 @@
 """Executable checks of the completion method's behavioral guarantees.
 
 Each check builds completion models under some perturbation (rescaling,
-sweep-order permutation) or evaluates a structural claim (order
+warm-sweep order permutation) or evaluates a structural claim (order
 preservation across unanimously ranked slices) and reports the worst
 deviation it saw together with any concrete counterexamples.  Checks are
 deterministic given their seed, which every report carries for replay.
@@ -339,10 +339,10 @@ def check_gauge_uniqueness(
     tolerance: float = 1e-8,
     missing_cap: int = 20_000,
 ) -> PropertyReport:
-    """Sweep order changes the coefficients but nothing observable.
+    """Warm-sweep order changes the coefficients but nothing observable.
 
-    Runs the scaler under random permutations of the group processing
-    order and asserts (a) canonical log values agree, (b) every pair of
+    Runs the scaler in group order and under random permutations of the
+    order its warm sweep processes the groups in, and asserts (a) canonical log values agree, (b) every pair of
     scaling families differs by a pure gauge, (c) predictions agree on
     supported missing indices.  On tensors without full support the
     prediction clause is restricted to the indices that are supported.

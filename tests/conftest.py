@@ -68,6 +68,16 @@ def random_full_support(
             return tensor
 
 
+def staircase(rng, length):
+    """User i rates items i and i+1: a chain, the slowest shape to scale."""
+    values = np.exp(rng.uniform(-1.0, 1.0, size=2 * length)).tolist()
+    entries = {}
+    for i in range(1, length + 1):
+        entries[(i, i)] = values[2 * i - 2]
+        entries[(i, i + 1)] = values[2 * i - 1]
+    return SparseTensor((length, length + 1), entries)
+
+
 # -- independent reference implementations ----------------------------------
 
 

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from uctensor.canonical_scaling import (
+    STALL_STEPS,
     ConvergenceReport,
     ScalingState,
+    _run_until_stop,
     apply_scaling,
     csa,
     residual,
     sweep,
 )
 from uctensor.errors import ConvergenceError
+from uctensor.lcsp_oracle import SIZE_CAP, solve_lcsp
 from uctensor.properties import random_scaling_family
 from uctensor.sparse_tensor import SparseTensor, all_indices
 
@@ -24,6 +27,7 @@ from conftest import (
     random_full_support,
     reference_apply_scaling,
     reference_sweep,
+    staircase,
 )
 
 
@@ -150,6 +154,90 @@ class TestCsa:
         assert report.converged == (report.v_trace[-1] < report.epsilon)
         assert all(v >= 0.0 for v in report.v_trace)
         assert report.sweeps == len(report.v_trace)
+
+
+class TestStopRule:
+    def test_polish_stops_on_wide_log_range(self):
+        # 4500 slices of logs in (-20, 20): v's rounding plateau sits above
+        # a fixed absolute floor, so a polish aimed at one ran the budget out
+        rng = np.random.default_rng(7)
+        flat = rng.choice(3000 * 1500, size=30_000, replace=False)
+        values = np.exp(rng.uniform(-20.0, 20.0, size=30_000))
+        tensor = SparseTensor(
+            (3000, 1500),
+            {
+                (int(f % 3000) + 1, int(f // 3000) + 1): float(v)
+                for f, v in zip(flat, values)
+            },
+        )
+        for order in (None, [1, 0]):
+            _, _, report = csa(tensor, 1, order=order)
+            met = next(n for n, v in enumerate(report.v_trace, 1) if v < report.epsilon)
+            assert report.stop_reason != "budget" and report.sweeps <= 2 * met
+
+    def test_stop_rule_on_given_v_sequences(self):
+        plateau = [1.0, 1e-13, 2e-30] + [3e-30] * STALL_STEPS + [1e-31]
+        steps = iter(plateau)
+        assert _run_until_stop(steps, 1e-12, 1e-31) == "stagnation"
+        assert next(steps) == 1e-31  # stopped right after STALL_STEPS without a new minimum
+        # a plateau above epsilon never stagnates, and the floor stops a run
+        # only once v is below epsilon
+        assert _run_until_stop([1.0] + [1e-6] * 50, 1e-12, 1e-31) == "budget"
+        assert _run_until_stop([1.0, 1e-31], 1e-12, 1e-31) == "floor"
+        assert _run_until_stop([1.0, 1e-31, 1.0], 1e-40, 1e-31) == "budget"
+
+    def test_epsilon_below_the_floor_still_converges(self):
+        tensor = random_full_support(
+            np.random.default_rng(5), 2, extent_hi=20, box_cap=400, density=0.6
+        )
+        x, _, _ = csa(tensor, 1)
+        occupied = sum(int(np.count_nonzero(g.counts)) for g in tensor.groups(1))
+        floor = occupied * (np.finfo(float).eps * max(1.0, np.abs(x).max())) ** 2
+        epsilon = 1e-31
+        assert epsilon < floor
+        _, _, report = csa(tensor, 1, epsilon=epsilon)
+        assert report.converged and report.v_trace[-1] < epsilon
+        assert report.stop_reason in ("floor", "stagnation")
+
+    def test_stop_reason_and_residual_reported(self, golden_matrix):
+        def worst_line_sum(x):
+            sums = {}
+            for (i, j), value in zip(golden_matrix.known_indices(), x):
+                sums[(1, i)] = sums.get((1, i), 0.0) + value
+                sums[(2, j)] = sums.get((2, j), 0.0) + value
+            return max(abs(total) for total in sums.values())
+
+        for order in (None, [1, 0]):
+            x, _, report = csa(golden_matrix, 1, order=order)
+            assert report.stop_reason in ("floor", "stagnation")
+            assert report.residual == pytest.approx(worst_line_sum(x), abs=1e-15)
+        with pytest.raises(ConvergenceError) as excinfo:
+            csa(golden_matrix, 1, max_sweeps=1)
+        assert excinfo.value.report.stop_reason == "budget"
+        assert excinfo.value.report.residual > 0.0
+
+
+class TestHardShapes:
+    @pytest.mark.parametrize("length", [50, 400, 2000])
+    def test_staircase_converges(self, length):
+        tensor = staircase(np.random.default_rng(length), length)
+        x, family, report = csa(tensor, 1)
+        assert report.converged and report.residual <= 1e-8
+        assert residual(apply_scaling(tensor, family), 1) <= 1e-8
+        if len(tensor) <= SIZE_CAP and 2 * length + 1 <= SIZE_CAP:
+            x_oracle, _ = solve_lcsp(tensor, 1)
+            assert np.abs(x - x_oracle).max() <= 1e-8
+
+    def test_sparse_cube_converges_at_both_k(self):
+        rng = np.random.default_rng(30)
+        flat = rng.choice(27_000, size=2_700, replace=False)
+        coords = np.stack(np.unravel_index(flat, (30, 30, 30)), axis=1) + 1
+        values = np.exp(rng.uniform(-1.0, 1.0, size=len(flat)))
+        tensor = SparseTensor((30, 30, 30), zip(map(tuple, coords.tolist()), values))
+        for k in (2, 1):
+            _, family, report = csa(tensor, k)
+            assert report.converged and report.sweeps < 1000
+            assert residual(apply_scaling(tensor, family), k) <= 1e-8
 
 
 class TestResidual:

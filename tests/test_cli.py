@@ -57,6 +57,21 @@ class TestComplete:
         conv = [r for r in records if r["record"] == "convergence"][0]
         assert not conv["converged"]
 
+    def test_convergence_record_fields(self, demo_file, tmp_path, capsys):
+        fields = {"record", "converged", "sweeps", "final_v", "epsilon",
+                  "stop_reason", "residual"}
+        out = str(tmp_path / "m.json")
+        code, records = run_jsonl(capsys, ["complete", demo_file, "-o", out])
+        conv = [r for r in records if r["record"] == "convergence"][0]
+        assert code == 0 and set(conv) == fields | {"seconds", "model"}
+        assert conv["stop_reason"] in ("floor", "stagnation") and conv["residual"] < 1e-12
+        code, records = run_jsonl(capsys, ["complete", demo_file, "-o", out, "--max-sweeps", "1"])
+        conv = [r for r in records if r["record"] == "convergence"][0]
+        assert code == 1 and set(conv) == fields
+        assert conv["stop_reason"] == "budget" and conv["residual"] > 0.0
+        assert main(["complete", demo_file, "-o", out]) == 0
+        assert "stop=floor" in capsys.readouterr().out
+
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["complete", str(tmp_path / "nope.csv")]) == 2
 

@@ -15,7 +15,7 @@ from uctensor.properties import (
 )
 from uctensor.sparse_tensor import SparseTensor
 
-from conftest import make_golden, random_full_support
+from conftest import make_golden, random_full_support, staircase
 
 
 def consensus_example():
@@ -223,6 +223,14 @@ class TestGaugeUniqueness:
         tensor = SparseTensor((8, 8, 8), entries)
         report = check_gauge_uniqueness(tensor, 2, orderings=5, seed=7)
         assert report.passed, report.violations[:1]
+
+    def test_staircase(self):
+        # a chain ran the sweep budget out before csa solved with CG; every
+        # warm order must now fit, with the same x and gauge-equal families
+        tensor = staircase(np.random.default_rng(100), 100)
+        report = check_gauge_uniqueness(tensor, 1, orderings=5, seed=0, missing_cap=200)
+        assert report.passed, report.violations[:1]
+        assert report.instances == 6 and report.max_deviation < 1e-8
 
     def test_deterministic_given_seed(self, golden_matrix):
         a = check_gauge_uniqueness(golden_matrix, 1, orderings=3, seed=5)
