@@ -22,6 +22,7 @@ from .completion import (
     complete_all,
     mca,
     predict,
+    predict_many,
     tca,
 )
 from .errors import (
@@ -60,7 +61,7 @@ from .sparse_tensor import (
     subtensor_ids,
     unflatten_index,
 )
-from .support import SupportWitness, is_fully_supported, witness
+from .support import SupportWitness, is_fully_supported, supported, witness
 
 __version__ = "0.1.0"
 
@@ -104,9 +105,11 @@ __all__ = [
     "oracle_complete",
     "parse_ratings",
     "predict",
+    "predict_many",
     "residual",
     "solve_lcsp",
     "subtensor_ids",
+    "supported",
     "sweep",
     "tca",
     "unflatten_index",

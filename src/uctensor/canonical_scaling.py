@@ -97,6 +97,19 @@ class ScalingFamily:
                 total += vec[pos]
         return total
 
+    def log_sums(self, coords: np.ndarray) -> np.ndarray:
+        """:meth:`log_sum_at` of each row of an (n, d) array of in-bounds indices.
+
+        Adds in the same group order from the same zero, so every sum
+        equals :meth:`log_sum_at`'s bit for bit.
+        """
+        total = np.zeros(len(coords))
+        for group, vec in zip(self.groups, self.coeffs):
+            pos = group.slots(coords)
+            found = pos >= 0  # log_sum_at skips subtensors without an id
+            total[found] += vec[pos[found]]
+        return total
+
 
 @dataclass
 class ConvergenceReport:

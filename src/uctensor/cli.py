@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import sys
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .canonical_scaling import (
     csa,
     sweep,
 )
-from .completion import CompletionConfig, CompletionModel, round_to_scale, tca
+from .completion import CompletionConfig, CompletionModel, predict_many, round_to_scale, tca
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -115,14 +117,6 @@ class Emitter:
                 f"{status} in {rec['sweeps']} sweeps (final v={rec['final_v']:.3e}, "
                 f"stop={rec['stop_reason']}, residual={rec['residual']:.3e})\n"
             )
-        elif kind == "prediction":
-            ids = ",".join(rec["ids"])
-            line = f"{ids} -> {rec['raw']!r}"
-            if rec.get("rounded") is not None:
-                line += f" (rounded {rec['rounded']})"
-            if rec.get("known"):
-                line += " [known]"
-            self.out.write(line + "\n")
         elif kind == "property":
             tag = "PASS" if rec["passed"] else "FAIL"
             if rec.get("informational"):
@@ -143,6 +137,32 @@ class Emitter:
         else:
             pairs = ", ".join(f"{k}={v}" for k, v in rec.items() if k != "record")
             self.out.write(f"{kind}: {pairs}\n")
+
+
+def _prediction_lines(fmt: str, ids, raws, known: bool, rounded) -> Iterator[str]:
+    """Prediction records as :class:`Emitter` would write them, one line per cell.
+
+    ``ids`` holds each cell's ids joined: "a,b" for human lines, '"a", "b"'
+    (each id JSON-encoded) for JSON lines, whose keys are in sorted order.
+    ``known`` holds for every cell; ``rounded`` is None or one value per
+    cell.  Each raw value is finite, so its repr is also its JSON text.
+    """
+    if fmt == "jsonl":
+        flag = "true" if known else "false"
+        if rounded is None:
+            return (
+                f'{{"ids": [{i}], "known": {flag}, "raw": {r!r}, "record": "prediction"}}\n'
+                for i, r in zip(ids, raws)
+            )
+        return (
+            f'{{"ids": [{i}], "known": {flag}, "raw": {r!r}, "record": "prediction", '
+            f'"rounded": {q!r}}}\n'
+            for i, r, q in zip(ids, raws, rounded)
+        )
+    tail = " [known]\n" if known else "\n"
+    if rounded is None:
+        return (f"{i} -> {r!r}{tail}" for i, r in zip(ids, raws))
+    return (f"{i} -> {r!r} (rounded {q}){tail}" for i, r, q in zip(ids, raws, rounded))
 
 
 # -- schema / input helpers -------------------------------------------------
@@ -206,8 +226,9 @@ def save_model(path: str, model: CompletionModel, idmap: IdMap, digest: str) -> 
         "log_coeffs": [vec.tolist() for vec in model.scaling.coeffs],
         "idmap": idmap_to_dict(idmap),
     }
+    text = json.dumps(payload, sort_keys=True)  # one call: the C encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -220,9 +241,9 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
         raise ValueError(f"{path} is not a version-{MODEL_VERSION} {MODEL_FORMAT} file")
     try:
         extents = tuple(int(n) for n in payload["extents"])
-        tensor = SparseTensor(
-            extents, {tuple(int(c) for c in idx): float(v) for idx, v in payload["entries"]}
-        )
+        # popped, so the parsed entry lists are freed before the tensor is built
+        entries = {tuple(int(c) for c in idx): float(v) for idx, v in payload.pop("entries")}
+        tensor = SparseTensor(extents, entries)
         k = int(payload["k"])
         groups = tensor.groups(k)  # ValueError for k outside [1, d-1]
         coeffs = [np.array(row, dtype=np.float64) for row in payload["log_coeffs"]]
@@ -231,6 +252,8 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
                 f"coefficient vectors of shapes {[c.shape for c in coeffs]} do not fit "
                 f"the {len(groups)} subtensor groups of sizes {[len(g.ids) for g in groups]}"
             )
+        if not all(np.isfinite(c).all() for c in coeffs):
+            raise ValueError("coefficient vectors hold non-finite values")
         family = ScalingFamily(k, groups, coeffs)
         report = ConvergenceReport(
             sweeps=int(payload["sweeps"]),
@@ -244,7 +267,10 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
             epsilon=float(payload["epsilon"]), max_sweeps=int(payload["max_sweeps"])
         )
         model = CompletionModel(tensor, family, report, k, config)
-        return model, idmap_from_dict(payload["idmap"]), payload["source_digest"]
+        idmap = idmap_from_dict(payload["idmap"])
+        if idmap.extents() != extents:
+            raise ValueError(f"id map of extents {idmap.extents()} does not fit extents {extents}")
+        return model, idmap, payload["source_digest"]
     except (TypeError, IndexError, KeyError, AttributeError) as exc:
         raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
 
@@ -308,10 +334,14 @@ def cmd_predict(args) -> int:
     if args.round:
         try:
             lo, hi = (float(p) for p in args.round.split(","))
-            bounds = (lo, hi)
+            if not lo < hi:
+                raise ValueError
         except ValueError:
-            emitter.emit({"record": "error", "message": f"--round expects 'lo,hi', got {args.round!r}"})
+            emitter.emit({
+                "record": "error", "message": f"--round expects 'lo,hi' with lo < hi, got {args.round!r}",
+            })
             return 2
+        bounds = (lo, hi)
     emitter.emit(RunConfig(
         k=model.k, epsilon=model.report.epsilon, max_sweeps=model.config.max_sweeps,
         seed=args.seed, fmt=args.format,
@@ -327,19 +357,28 @@ def cmd_predict(args) -> int:
         })
         return 2
 
-    def queries():  # explicit queries resolve their ids in the loop
-        if args.all:
-            for idx in model.source.missing_indices():
-                yield idmap.unresolve(idx), idx
-        for q in args.queries:
-            yield tuple(p.strip() for p in q.split(args.delimiter)), None
-
+    fmt = args.format
+    write = emitter.out.write
+    # how _prediction_lines wants ids joined
+    sep, encode = (", ", json.dumps) if fmt == "jsonl" else (",", str)
     asked = successes = 0
-    for ids, idx in queries():
+    if args.all:  # block by block, one line (and one write) per cell
+        columns = [np.array([encode(i) for i in ids], dtype=object) for ids in idmap.to_id]
+        for block in model.source.missing_blocks():
+            raws = predict_many(model, block).tolist()
+            keys = map(sep.join, zip(*(
+                col[block[:, dim] - 1].tolist() for dim, col in enumerate(columns)
+            )))
+            rounded = [round_to_scale(r, *bounds) for r in raws] if bounds else None
+            for line in _prediction_lines(fmt, keys, raws, False, rounded):
+                write(line)
+            asked += len(raws)
+        successes = asked
+    for q in args.queries:  # explicit queries: one scalar prediction each
         asked += 1
+        ids = tuple(p.strip() for p in q.split(args.delimiter))
         try:
-            if idx is None:
-                idx = idmap.resolve(ids)
+            idx = idmap.resolve(ids)
             raw = model.predict(idx)
         except (UnknownIdError, ValueError, IndexError) as exc:
             emitter.emit({
@@ -347,15 +386,10 @@ def cmd_predict(args) -> int:
             })
             continue
         successes += 1
-        rec = {
-            "record": "prediction",
-            "ids": list(ids),
-            "raw": raw,
-            "known": idx in model.source.entries,
-        }
-        if bounds is not None:
-            rec["rounded"] = round_to_scale(raw, *bounds)
-        emitter.emit(rec)
+        rounded = [round_to_scale(raw, *bounds)] if bounds else None
+        known = idx in model.source.entries
+        for line in _prediction_lines(fmt, [sep.join(map(encode, ids))], [raw], known, rounded):
+            write(line)
     if not asked:
         emitter.emit({"record": "warning", "message": "no queries given"})
         return 0
@@ -406,16 +440,15 @@ def _verify_oracle(tensor, k, emitter, config) -> PropertyReport | None:
     x_csa, family, report = csa(tensor, k, config.epsilon, config.max_sweeps)
     dev_canonical = float(np.abs(x_csa - x).max())
     model = CompletionModel(tensor, family, report, k)
+    cells = list(itertools.islice(
+        _support.supported(tensor, tensor.missing_indices()), config.missing_cap
+    ))
+    checked = len(cells)
+    preds = predict_many(model, np.array(cells, dtype=np.int64).reshape(checked, tensor.d))
     dev_pred = 0.0
-    checked = 0
-    for idx in tensor.missing_indices():
-        if checked >= config.missing_cap:
-            break
-        if _support.witness(tensor, idx) is None:
-            continue
-        checked += 1
+    for idx, pred in zip(cells, preds.tolist()):
         reference = oracle_complete(tensor, k, idx, presolved=oracle)
-        dev_pred = max(dev_pred, abs(model.predict(idx) / reference - 1.0))
+        dev_pred = max(dev_pred, abs(pred / reference - 1.0))
     violations = []
     if dev_canonical > 1e-8:
         violations.append(f"canonical log values diverge from projection: {dev_canonical:.3e}")

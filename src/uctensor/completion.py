@@ -10,13 +10,17 @@ break some unit subtensor product through it), so transforming back gives
 
 Known entries pass through unchanged.  A fitted model answers a query in
 C(d, k) coefficient lookups plus one exponentiation — d lookups in the
-usual k = d-1 case.
+usual k = d-1 case.  :func:`predict` answers one query;
+:func:`predict_many` answers an array of them with one gather per
+subtensor group, to the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import support as _support
 from .canonical_scaling import (
@@ -27,7 +31,7 @@ from .canonical_scaling import (
     csa,
 )
 from .errors import CapacityError
-from .sparse_tensor import Index, SparseTensor, all_indices, flat_index
+from .sparse_tensor import Index, SparseTensor, flat_index
 
 DEFAULT_BOX_CAP = 10_000_000
 
@@ -118,6 +122,49 @@ def predict(model: CompletionModel, idx: Index) -> float:
     return math.exp(-model.scaling.log_sum_at(idx))
 
 
+def predict_many(model: CompletionModel, coords) -> np.ndarray:
+    """Predictions at each row of an (n, d) int array of 1-based indices.
+
+    Equal bit for bit to ``[predict(model, idx) for idx in coords]``: the
+    coefficient sums add in :meth:`ScalingFamily.log_sum_at`'s order and
+    exponentiate through ``math.exp``, and known cells return their
+    stored values.
+
+    Raises
+    ------
+    IndexError
+        Rows of the wrong length, or the first row out of bounds.
+    TypeError
+        Coordinates that are not integers.
+    """
+    source = model.source
+    extents = source.extents
+    try:
+        rows = np.asarray(coords)
+    except ValueError as exc:  # rows of differing lengths
+        raise IndexError(f"coordinate rows differ in length: {exc}") from None
+    if rows.size == 0:
+        return np.empty(0)
+    if rows.ndim != 2 or rows.shape[1] != len(extents):
+        raise IndexError(f"coordinates of shape {rows.shape} are not rows for extents {extents}")
+    if rows.dtype.kind not in "iu":
+        raise TypeError(f"index coordinates must be ints, got {rows.dtype} values")
+    rows = rows.astype(np.int64, copy=False)
+    outside = np.flatnonzero(((rows < 1) | (rows > extents)).any(axis=1))
+    if outside.size:
+        first = outside[0]
+        raise IndexError(
+            f"row {first}: index {tuple(rows[first].tolist())} out of bounds for extents {extents}"
+        )
+    at = source.locate(rows)
+    known = at >= 0
+    out = np.empty(len(rows))
+    out[known] = source.values_array()[at[known]]
+    total = model.scaling.log_sums(rows[~known])
+    out[~known] = list(map(math.exp, (-total).tolist()))
+    return out
+
+
 def round_to_scale(raw: float, low: float, high: float) -> float:
     """Clamp and round a raw prediction onto a discrete rating scale.
 
@@ -141,5 +188,10 @@ def complete_all(model: CompletionModel) -> SparseTensor:
         raise CapacityError(
             f"extent box has {box} cells, above the complete_all cap {cap}"
         )
-    filled = {idx: predict(model, idx) for idx in all_indices(model.source.extents)}
-    return SparseTensor(model.source.extents, filled)
+    source = model.source
+    blocks = list(source.missing_blocks())
+    coords = np.concatenate([source.coords_array(), *blocks])
+    values = np.concatenate([source.values_array(), *(predict_many(model, b) for b in blocks)])
+    order = np.lexsort(coords.T)  # flat-index order, as all_indices walks the box
+    filled = dict(zip(map(tuple, coords[order].tolist()), values[order].tolist()))
+    return SparseTensor(source.extents, filled)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import support as _support
 from .canonical_scaling import ScalingFamily, apply_scaling, csa
-from .completion import CompletionModel, tca
+from .completion import CompletionModel, predict_many, tca
 from .errors import OrderingSpecError
 from .lcsp_oracle import gauge_check
 from .sparse_tensor import Index, SparseTensor, all_indices
@@ -121,24 +121,24 @@ def check_unit_consistency(
     rng = np.random.default_rng(seed)
     base = tca(tensor, k)
     missing = list(itertools.islice(tensor.missing_indices(), missing_cap))
-    supported = [idx for idx in missing if _support.witness(tensor, idx) is not None]
+    supported = list(_support.supported(tensor, missing))
     excluded = len(missing) - len(supported)
     notes = [f"{excluded} unsupported missing indices excluded"] if excluded else []
+    cells = np.array(supported, dtype=np.int64).reshape(len(supported), tensor.d)
+    base_preds = predict_many(base, cells)
     worst = 0.0
     violations: list[str] = []
     for trial in range(trials):
         family = random_scaling_family(rng, tensor, k)
         scaled_model = tca(apply_scaling(tensor, family), k)
-        for idx in supported:
-            expected = base.predict(idx) * float(np.exp(family.log_sum_at(idx)))
-            actual = scaled_model.predict(idx)
-            dev = abs(actual / expected - 1.0)
+        expected = (base_preds * np.exp(family.log_sums(cells))).tolist()
+        actual = predict_many(scaled_model, cells).tolist()
+        for idx, want, got in zip(supported, expected, actual):
+            dev = abs(got / want - 1.0)
             if dev > worst:
                 worst = dev
             if dev > tolerance:
-                violations.append(
-                    f"trial {trial}: idx {idx} expected {expected!r} got {actual!r}"
-                )
+                violations.append(f"trial {trial}: idx {idx} expected {want!r} got {got!r}")
     return PropertyReport(
         name="unit_consistency",
         instances=trials,
@@ -293,37 +293,35 @@ def check_scale_fairness(
     )
     after = tca(scaled, tensor.d - 1)
 
-    worst = 0.0
-    violations: list[str] = []
-    rank_before: dict[int, list[tuple[float, Index]]] = {}
-    rank_after: dict[int, list[tuple[float, Index]]] = {}
-    checked = 0
-    for idx in tensor.missing_indices():
-        checked += 1
-        p_before = before.predict(idx)
-        p_after = after.predict(idx)
-        if in_slice(idx):
-            dev = abs(p_after / (p_before * factor) - 1.0)
-            kind = "in-slice"
-        else:
-            dev = abs(p_after / p_before - 1.0)
-            kind = "other-slice"
-            coord = idx[dim - 1]
-            rank_before.setdefault(coord, []).append((-p_before, idx))
-            rank_after.setdefault(coord, []).append((-p_after, idx))
-        worst = max(worst, dev)
-        if dev > tolerance:
-            violations.append(f"{kind} prediction moved at {idx}: dev {dev:.3e}")
+    cells = np.concatenate([*tensor.missing_blocks(), np.empty((0, tensor.d), np.int64)])
+    p_before = predict_many(before, cells)
+    p_after = predict_many(after, cells)
+    inside = cells[:, dim - 1] == slice_index
+    devs = np.abs(p_after / np.where(inside, p_before * factor, p_before) - 1.0)
+    worst = float(devs.max()) if len(devs) else 0.0
+    violations = [
+        f"{'in-slice' if inside[i] else 'other-slice'} prediction moved at "
+        f"{tuple(cells[i].tolist())}: dev {devs[i]:.3e}"
+        for i in np.flatnonzero(devs > tolerance)
+    ]
 
-    for coord in sorted(rank_before):
-        top1 = [idx for _, idx in sorted(rank_before[coord])[:top_n]]
-        top2 = [idx for _, idx in sorted(rank_after[coord])[:top_n]]
-        if top1 != top2:
+    # per slice of `dim` outside the scaled one, the missing cells by
+    # descending prediction, ties by index: the top-N lists to compare
+    others = cells[~inside]
+    slices = others[:, dim - 1]
+    ranked = [
+        others[np.lexsort((*others[:, ::-1].T, -preds[~inside], slices))]
+        for preds in (p_before, p_after)
+    ]
+    coords, starts, sizes = np.unique(np.sort(slices), return_index=True, return_counts=True)
+    for coord, start, size in zip(coords.tolist(), starts.tolist(), sizes.tolist()):
+        top = slice(start, start + min(size, top_n))
+        if not np.array_equal(ranked[0][top], ranked[1][top]):
             violations.append(f"top-{top_n} list changed for slice {coord} of dim {dim}")
 
     return PropertyReport(
         name="scale_fairness",
-        instances=checked,
+        instances=len(cells),
         max_deviation=worst,
         violations=violations,
         passed=not violations and worst <= tolerance,
@@ -377,14 +375,13 @@ def check_gauge_uniqueness(
                 f"orders {i} and {j} are not gauge-equivalent: {gauge_dev:.3e}"
             )
 
-    supported = [
-        idx
-        for idx in itertools.islice(tensor.missing_indices(), missing_cap)
-        if _support.witness(tensor, idx) is not None
-    ]
-    for idx in supported:
-        preds = [m.predict(idx) for m in models]
-        dev = max(abs(p / preds[0] - 1.0) for p in preds)
+    supported = list(
+        _support.supported(tensor, itertools.islice(tensor.missing_indices(), missing_cap))
+    )
+    cells = np.array(supported, dtype=np.int64).reshape(len(supported), tensor.d)
+    preds = np.array([predict_many(m, cells) for m in models])
+    devs = np.abs(preds / preds[0] - 1.0).max(axis=0).tolist()
+    for idx, dev in zip(supported, devs):
         worst = max(worst, dev)
         if dev > tolerance:
             violations.append(f"predictions diverge at {idx}: {dev:.3e}")

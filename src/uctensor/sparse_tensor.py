@@ -19,6 +19,7 @@ mixed-radix linearization :func:`flat_index`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -26,6 +27,36 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 Index = tuple[int, ...]
+
+# Cells per flat-index range that SparseTensor.missing_blocks scans at a
+# time: large enough to amortize numpy's per-call cost, small enough that a
+# block's arrays (64 KiB for d = 2) stay under the allocator's mmap
+# threshold; 16,384-cell blocks raised a serving process's peak RSS by
+# about 1.5 MB, and were no faster.
+MISSING_BLOCK = 4_096
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _radix_keys(coords: np.ndarray, radices: tuple[int, ...]) -> np.ndarray:
+    """Mixed-radix keys of 1-based coordinate rows, the last column fastest.
+
+    Keys ascend with the rows' lexicographic order.  They are int64 when
+    every key over ``radices`` fits in one, Python ints otherwise.
+    """
+    dtype = np.int64 if math.prod(radices) <= _INT64_MAX else object
+    keys = np.zeros(len(coords), dtype=dtype)
+    for column, n in zip(coords.T, radices):
+        keys = keys * n + (column.astype(dtype) - 1)
+    return keys
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in the ascending ``sorted_keys``; -1 where absent."""
+    pos = np.searchsorted(sorted_keys, keys)
+    hit = pos < len(sorted_keys)
+    hit[hit] = sorted_keys[pos[hit]] == keys[hit]
+    return np.where(hit, pos, -1)
 
 
 class SubtensorId(NamedTuple):
@@ -59,7 +90,10 @@ class SubtensorGroup:
     ids: list[SubtensorId]
     labels: np.ndarray
     counts: np.ndarray
+    # extents of the fixed dimensions, the radices of the ids' keys in slots()
+    extents: tuple[int, ...]
     _slots: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _keys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def slot(self, idx: Index) -> int | None:
         """Position in ``ids`` of the subtensor containing ``idx``; None if it has no id.
@@ -73,6 +107,21 @@ class SubtensorGroup:
             self._slots = (key, {c: pos for pos, c in enumerate(coords)})
         key, positions = self._slots
         return positions.get(key(idx))
+
+    def slots(self, coords: np.ndarray) -> np.ndarray:
+        """:meth:`slot` of each row of an (n, d) array of in-bounds indices; -1 for no id.
+
+        With one fixed dimension every slice has an id, at its coordinate
+        minus one.  Otherwise the ids are occupied combinations in the
+        ascending order ``np.unique`` gives them, searched by their keys.
+        """
+        fixed = coords[:, [dim - 1 for dim in self.fixed_dims]]
+        if len(self.fixed_dims) == 1:
+            return fixed[:, 0] - 1
+        if self._keys is None:
+            own = np.array([sid.fixed_coords for sid in self.ids], dtype=np.int64)
+            self._keys = _radix_keys(own.reshape(len(self.ids), len(self.extents)), self.extents)
+        return _find(self._keys, _radix_keys(fixed, self.extents))
 
 
 def flat_index(idx: Index, extents: tuple[int, ...]) -> int:
@@ -119,7 +168,7 @@ class SparseTensor:
         the caller's index tuples, in the caller's order.
     """
 
-    __slots__ = ("extents", "entries", "_known", "_coords", "_values", "_groups")
+    __slots__ = ("extents", "entries", "_known", "_coords", "_values", "_groups", "_flat")
 
     def __init__(
         self,
@@ -167,6 +216,7 @@ class SparseTensor:
         self._coords = coords[order]
         self._values = values[order]
         self._groups: dict[int, list[SubtensorGroup]] = {}
+        self._flat: np.ndarray | None = None
 
     # -- basic access ----------------------------------------------------
 
@@ -196,9 +246,44 @@ class SparseTensor:
 
     def missing_indices(self) -> Iterator[Index]:
         """Iterate the complement of the known set, ascending by flat index."""
-        for idx in all_indices(self.extents):
-            if idx not in self.entries:
-                yield idx
+        for block in self.missing_blocks():
+            yield from map(tuple, block.tolist())
+
+    def missing_blocks(self) -> Iterator[np.ndarray]:
+        """The complement of the known set as (m, d) int arrays, ascending by flat index.
+
+        Scans the box one range of ``MISSING_BLOCK`` flat indices at a
+        time, so memory stays bounded by the block whatever the box size;
+        a range with no missing cell yields nothing.
+        """
+        known = self._flat_keys()
+        box = self.box_size
+        for start in range(0, box, MISSING_BLOCK):
+            stop = min(start + MISSING_BLOCK, box)
+            lo, hi = np.searchsorted(known, [start, stop])
+            free = np.ones(stop - start, dtype=bool)
+            free[(known[lo:hi] - start).astype(np.int64)] = False
+            flat = np.arange(start, stop, dtype=known.dtype)[free]
+            if not flat.size:
+                continue
+            columns = []
+            for n in self.extents:  # the first dimension varies fastest
+                columns.append(flat % n + 1)
+                flat = flat // n
+            yield np.column_stack(columns).astype(np.int64)
+
+    def locate(self, coords: np.ndarray) -> np.ndarray:
+        """Row of :meth:`coords_array` holding each row of ``coords``; -1 where missing.
+
+        ``coords`` is an (n, d) int array of in-bounds 1-based indices.
+        """
+        return _find(self._flat_keys(), _radix_keys(coords[:, ::-1], self.extents[::-1]))
+
+    def _flat_keys(self) -> np.ndarray:
+        """0-based flat indices of the known entries, ascending; built on first use."""
+        if self._flat is None:
+            self._flat = _radix_keys(self._coords[:, ::-1], self.extents[::-1])
+        return self._flat
 
     def coords_array(self) -> np.ndarray:
         """Known indices as an (N, d) int array, rows in flat-index order."""
@@ -233,6 +318,7 @@ class SparseTensor:
         out = []
         for fixed in itertools.combinations(range(self.d), self.d - k):
             dims = tuple(f + 1 for f in fixed)
+            radices = tuple(self.extents[f] for f in fixed)
             if len(fixed) == 1:
                 n = self.extents[fixed[0]]
                 labels = coords[:, fixed[0]] - 1
@@ -250,7 +336,7 @@ class SparseTensor:
                     SubtensorId(dims, tuple(int(c) for c in row)) for row in uniq
                 ]
                 counts = np.bincount(labels, minlength=len(ids))
-            out.append(SubtensorGroup(dims, ids, labels, counts))
+            out.append(SubtensorGroup(dims, ids, labels, counts, radices))
         return out
 
 

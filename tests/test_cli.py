@@ -1,9 +1,14 @@
+import io
 import json
 import math
 
 import pytest
 
-from uctensor.cli import load_model, main, save_model
+from uctensor import sparse_tensor
+from uctensor.cli import Emitter, load_model, main, save_model
+from uctensor.completion import round_to_scale
+from uctensor.errors import UnknownIdError
+from uctensor.sparse_tensor import all_indices
 
 DEMO = "u1,p1,1\nu1,p2,2\nu2,p1,3\n"
 
@@ -131,6 +136,65 @@ class TestPredict:
         assert [r["raw"] for r in preds] == [model.predict(i) for i in missing]
         assert not any(r["known"] for r in preds)
 
+    @pytest.mark.parametrize("fmt", ["human", "jsonl"])
+    @pytest.mark.parametrize("extra", [[], ["--round", "2,4"]])
+    def test_predict_all_output_matches_per_cell_records(
+        self, tmp_path, capsys, monkeypatch, fmt, extra
+    ):
+        # ids that JSON escapes, a 3x4 box with 5 missing cells streamed in
+        # blocks of 2 flat indices, and explicit queries (known, missing,
+        # unknown) after the --all sweep
+        monkeypatch.setattr(sparse_tensor, "MISSING_BLOCK", 2)
+        ratings = tmp_path / "odd.csv"
+        ratings.write_text(
+            'u"1,p\\1,1\nu"1,pü,2\nu2,pü,3\nu2,p3,4\nu3,p\\1,5\nu3,p3,2\nu3,p4,1.5\n'
+        )
+        out = str(tmp_path / "model.json")
+        assert main(["complete", str(ratings), "-o", out]) == 0
+        capsys.readouterr()
+        queries = ["u2,pü", "u1,p4", 'u"1,p3', "u3,p4"]
+        code = main(["predict", out, *queries, "--all", "--format", fmt, *extra])
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+
+        model, idmap, _ = load_model(out)
+        bounds = (2.0, 4.0) if extra else None
+        reference = io.StringIO()
+        emitter = Emitter(fmt, reference)
+
+        def emit_prediction(ids, idx):
+            raw = model.predict(idx)
+            rec = {"record": "prediction", "ids": list(ids), "raw": raw,
+                   "known": idx in model.source.entries}
+            if bounds:
+                rec["rounded"] = round_to_scale(raw, *bounds)
+            if fmt == "jsonl":
+                reference.write(json.dumps(rec, sort_keys=True) + "\n")
+                return
+            line = f"{','.join(ids)} -> {raw!r}"
+            if bounds:
+                line += f" (rounded {rec['rounded']})"
+            if rec["known"]:
+                line += " [known]"
+            reference.write(line + "\n")
+
+        for idx in all_indices(model.source.extents):
+            if idx not in model.source.entries:
+                emit_prediction(idmap.unresolve(idx), idx)
+        for q in queries:
+            ids = tuple(q.split(","))
+            try:
+                idx = idmap.resolve(ids)
+            except UnknownIdError as exc:
+                emitter.emit({"record": "error", "query": list(ids), "message": str(exc)})
+                continue
+            emit_prediction(ids, idx)
+        assert code == 0 and model.source.box_size - len(model.source) == 5
+        assert "".join(lines[1:]) == reference.getvalue()
+
+    def test_round_bounds_must_be_ordered(self, demo_model, capsys):
+        assert main(["predict", demo_model, "--all", "--round", "5,1"]) == 2
+        assert capsys.readouterr().out.startswith("error: --round expects")
+
     def test_rounding(self, demo_model, capsys):
         code, records = run_jsonl(
             capsys, ["predict", demo_model, "u2,p2", "--round", "1,5"]
@@ -157,6 +221,9 @@ class TestPredict:
             "nested vector": variant(log_coeffs=[[rows], cols]),
             "vector not a list": variant(log_coeffs=[{"dims": 1}, cols]),
             "entries missing": json.dumps({k: v for k, v in good.items() if k != "entries"}),
+            "non-finite coefficient": variant(log_coeffs=[[float("nan"), rows[1]], cols]),
+            "id map shorter than extents": variant(idmap={"dimensions": [["u1"], ["p1", "p2"]]}),
+            "id map with a repeated id": variant(idmap={"dimensions": [["u1", "u1"], ["p1", "p2"]]}),
             "version 1": variant(version=1, log_coeffs=[
                 {"dims": 1, "coords": [1], "s": 0.0},
             ]),

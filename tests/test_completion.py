@@ -6,6 +6,7 @@ from uctensor.completion import (
     complete_all,
     mca,
     predict,
+    predict_many,
     tca,
 )
 from uctensor.errors import CapacityError
@@ -87,7 +88,68 @@ class TestTcaGeneral:
                 assert abs(model.predict(idx) / value - 1.0) < 1e-12
 
 
+def _sparse_tensor(rng, extents, density):
+    entries = {
+        idx: float(np.exp(rng.uniform(-1.0, 1.0)))
+        for idx in all_indices(extents)
+        if rng.random() < density
+    }
+    return SparseTensor(extents, entries)
+
+
+class TestPredictMany:
+    @pytest.mark.parametrize("extents,k", [((7, 5), 1), ((4, 5, 3), 2), ((4, 5, 3), 1)])
+    def test_bit_identical_to_predict_over_the_box(self, extents, k):
+        rng = np.random.default_rng(11)
+        tensor = _sparse_tensor(rng, extents, 0.35)
+        model = tca(tensor, k)
+        cells = list(all_indices(extents))
+        expected = [model.predict(idx) for idx in cells]
+        assert predict_many(model, np.array(cells)).tolist() == expected
+        assert predict_many(model, cells[::-1]).tolist() == expected[::-1]
+        assert any(idx in tensor.entries for idx in cells)
+        assert any(idx not in tensor.entries for idx in cells)
+        if k < len(extents) - 1:  # some cells sit in subtensors without an id
+            assert any(
+                group.slot(idx) is None for group in model.scaling.groups for idx in cells
+            )
+
+    def test_known_cells_return_stored_values(self, golden_matrix):
+        model = tca(golden_matrix, 1)
+        got = predict_many(model, [(1, 2), (2, 1), (1, 1), (1, 2)])
+        assert got.tolist() == [2.0, 3.0, 1.0, 2.0]
+
+    def test_empty_query(self, golden_matrix):
+        model = tca(golden_matrix, 1)
+        assert predict_many(model, np.empty((0, 2), dtype=np.int64)).shape == (0,)
+        assert predict_many(model, []).shape == (0,)
+
+    def test_bad_rows_raise_index_error(self, golden_matrix):
+        model = tca(golden_matrix, 1)
+        with pytest.raises(IndexError, match="row 2"):
+            predict_many(model, [(1, 1), (2, 2), (3, 1)])
+        with pytest.raises(IndexError, match="row 1"):
+            predict_many(model, [(1, 1), (0, 2)])
+        with pytest.raises(IndexError):
+            predict_many(model, [(1, 1, 1)])
+        with pytest.raises(IndexError):
+            predict_many(model, [(1, 1), (1, 1, 1)])
+        with pytest.raises(IndexError):
+            predict_many(model, (1, 1))
+        with pytest.raises(TypeError):
+            predict_many(model, [(1.0, 2.0)])
+
+
 class TestCompleteAll:
+    def test_same_as_predict_per_cell(self):
+        rng = np.random.default_rng(3)
+        for extents, k in (((6, 4), 1), ((3, 4, 3), 2), ((3, 4, 3), 1)):
+            model = tca(_sparse_tensor(rng, extents, 0.5), k)
+            filled = complete_all(model)
+            expected = {idx: predict(model, idx) for idx in all_indices(extents)}
+            assert list(filled.entries.items()) == list(expected.items())
+
+
     def test_golden_box(self, golden_matrix):
         model = tca(golden_matrix, 1)
         filled = complete_all(model)

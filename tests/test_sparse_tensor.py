@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uctensor import sparse_tensor
 from uctensor.sparse_tensor import (
     SparseTensor,
     SubtensorId,
@@ -115,6 +117,35 @@ class TestConstruction:
         assert t.coords_array().shape == (0, 2)
         assert t.values_array().shape == (0,)
         assert list(t.missing_indices()) == list(all_indices((2, 3)))
+
+    def test_missing_blocks_cross_block_edges(self, monkeypatch):
+        monkeypatch.setattr(sparse_tensor, "MISSING_BLOCK", 7)
+        rng = np.random.default_rng(9)
+        for extents in ((5, 6), (3, 4, 5), (2, 2)):
+            cells = list(all_indices(extents))
+            t = SparseTensor(extents, {idx: 1.0 for idx in cells if rng.random() < 0.4})
+            blocks = list(t.missing_blocks())
+            assert all(b.dtype == np.int64 and len(b) <= 7 for b in blocks)
+            flat = [tuple(row) for b in blocks for row in b.tolist()]
+            assert flat == list(t.missing_indices())
+            assert flat == [idx for idx in cells if idx not in t.entries]
+        full = SparseTensor((3, 3), {idx: 1.0 for idx in all_indices((3, 3))})
+        assert list(full.missing_blocks()) == []
+
+    def test_missing_cells_of_a_box_beyond_int64(self):
+        n = 2**40
+        t = SparseTensor((n, n), {(1, 1): 1.0, (3, 1): 2.0, (n, n): 3.0})
+        first = list(itertools.islice(t.missing_indices(), 3))
+        assert first == [(2, 1), (4, 1), (5, 1)]
+        rows = np.array([(3, 1), (2, 1), (n, n), (1, n)])
+        assert t.locate(rows).tolist() == [1, -1, 2, -1]
+
+    def test_locate(self):
+        t = SparseTensor((3, 2), {(2, 1): 1.0, (1, 2): 2.0, (3, 2): 3.0})
+        rows = np.array(list(all_indices((3, 2))))
+        expected = [t.known_indices().index(tuple(r)) if tuple(r) in t.entries else -1
+                    for r in rows.tolist()]
+        assert t.locate(rows).tolist() == expected
 
     def test_rejects_bad_extents(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from uctensor.errors import CapacityError
 from uctensor.sparse_tensor import SparseTensor, all_indices
-from uctensor.support import is_fully_supported, witness
+from uctensor.support import is_fully_supported, supported, witness
 
 from conftest import make_golden
 
@@ -83,6 +83,24 @@ class TestWitness:
 
     def test_deterministic(self, golden_matrix):
         assert witness(golden_matrix, (2, 2)) == witness(golden_matrix, (2, 2))
+
+
+class TestSupported:
+    def test_same_cells_as_filtering_by_witness(self):
+        rng = np.random.default_rng(4)
+        for extents in ((6, 5), (4, 3, 3)):
+            entries = {idx: 1.0 for idx in all_indices(extents) if rng.random() < 0.5}
+            tensor = SparseTensor(extents, entries)
+            missing = list(tensor.missing_indices())
+            expected = [idx for idx in missing if witness(tensor, idx) is not None]
+            assert 0 < len(expected) < len(missing)
+            assert list(supported(tensor, missing)) == expected
+
+    def test_rejects_known_and_out_of_bounds_cells(self, golden_matrix):
+        with pytest.raises(ValueError):
+            list(supported(golden_matrix, [(2, 2), (1, 1)]))
+        with pytest.raises(IndexError):
+            list(supported(golden_matrix, [(3, 1)]))
 
 
 class TestIsFullySupported:
