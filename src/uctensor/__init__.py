@@ -52,15 +52,7 @@ from .properties import (
     check_unit_consistency,
     find_consensus_sets,
 )
-from .sparse_tensor import (
-    SparseTensor,
-    SubtensorId,
-    flat_index,
-    members,
-    membership,
-    subtensor_ids,
-    unflatten_index,
-)
+from .sparse_tensor import SparseTensor, flat_index
 from .support import SupportWitness, is_fully_supported, supported, witness
 
 __version__ = "0.1.0"
@@ -84,7 +76,6 @@ __all__ = [
     "ScalingState",
     "Schema",
     "SparseTensor",
-    "SubtensorId",
     "SupportWitness",
     "UnknownIdError",
     "apply_scaling",
@@ -100,19 +91,15 @@ __all__ = [
     "gauge_check",
     "is_fully_supported",
     "mca",
-    "members",
-    "membership",
     "oracle_complete",
     "parse_ratings",
     "predict",
     "predict_many",
     "residual",
     "solve_lcsp",
-    "subtensor_ids",
     "supported",
     "sweep",
     "tca",
-    "unflatten_index",
     "witness",
     "write_idmap",
     "write_ratings",

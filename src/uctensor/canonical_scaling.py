@@ -74,8 +74,8 @@ class ScalingFamily:
     """Log scaling coefficients of a tensor's k-dimensional subtensors.
 
     One float vector per subtensor group, as the sweep keeps them:
-    ``coeffs[g][p]`` belongs to ``groups[g].ids[p]``.  Empty subtensors
-    have coefficient 0, and so do those without an id (for k < d-1 only
+    ``coeffs[g][p]`` belongs to ``groups[g].fixed[p]``.  Empty subtensors
+    have coefficient 0, and so do those without a row (for k < d-1 only
     occupied subtensors are enumerated).
     """
 
@@ -86,8 +86,11 @@ class ScalingFamily:
     @property
     def log_coeffs(self) -> dict[SubtensorId, float]:
         """The coefficients keyed by subtensor id, rebuilt on every access."""
-        pairs = zip(self.groups, self.coeffs)
-        return {sid: s for g, vec in pairs for sid, s in zip(g.ids, vec.tolist())}
+        return {
+            SubtensorId(g.fixed_dims, tuple(row)): s
+            for g, vec in zip(self.groups, self.coeffs)
+            for row, s in zip(g.fixed.tolist(), vec.tolist())
+        }
 
     def log_sum_at(self, idx: Index) -> float:
         """Sum of coefficients over the subtensors containing ``idx``."""
@@ -106,7 +109,7 @@ class ScalingFamily:
         total = np.zeros(len(coords))
         for group, vec in zip(self.groups, self.coeffs):
             pos = group.slots(coords)
-            found = pos >= 0  # log_sum_at skips subtensors without an id
+            found = pos >= 0  # log_sum_at skips subtensors without a row
             total[found] += vec[pos[found]]
         return total
 
@@ -150,7 +153,7 @@ class ScalingState:
                 )
         self.log_values = np.log(tensor.values_array())
         # one flat vector, so a whole-system step can update every group at once
-        self.offsets = np.cumsum([0] + [len(g.ids) for g in self.groups])
+        self.offsets = np.cumsum([0] + [len(g.counts) for g in self.groups])
         self.coeffs_flat = np.zeros(self.offsets[-1])
         self.log_coeffs = [
             self.coeffs_flat[a:b] for a, b in zip(self.offsets, self.offsets[1:])
@@ -181,7 +184,7 @@ def sweep(state: ScalingState) -> float:
     for gi in state.order:
         group = state.groups[gi]
         sums = np.bincount(
-            group.labels, weights=state.log_values, minlength=len(group.ids)
+            group.labels, weights=state.log_values, minlength=len(group.counts)
         )
         rho = np.where(group.counts > 0, -sums / np.maximum(group.counts, 1), 0.0)
         state.log_values += rho[group.labels]
@@ -212,7 +215,7 @@ def _cg_steps(state: ScalingState) -> Iterator[float]:
 
     def minus_cx() -> np.ndarray:
         return -np.concatenate(
-            [np.bincount(g.labels, weights=x, minlength=len(g.ids)) for g in groups]
+            [np.bincount(g.labels, weights=x, minlength=len(g.counts)) for g in groups]
         )
 
     r = minus_cx()
@@ -256,7 +259,7 @@ def csa(
     """Scale ``tensor`` to canonical form over its k-dimensional subtensors.
 
     Returns ``(x, family, report)``: the canonical log values ``x``
-    (aligned with ``tensor.known_indices()``, zero sum over every
+    (aligned with ``tensor.coords_array()``, zero sum over every
     non-empty subtensor), the scaling family realizing them, and the
     convergence report.  ``apply_scaling(tensor, family)`` gives the
     canonical tensor.  The input tensor is not modified.
@@ -314,7 +317,7 @@ def residual(tensor: SparseTensor, k: int) -> float:
 def _worst_sum(groups: Sequence[SubtensorGroup], log_values: np.ndarray) -> float:
     worst = 0.0
     for group in groups:
-        sums = np.bincount(group.labels, weights=log_values, minlength=len(group.ids))
+        sums = np.bincount(group.labels, weights=log_values, minlength=len(group.counts))
         occupied = group.counts > 0
         if occupied.any():
             worst = max(worst, float(np.abs(sums[occupied]).max()))
@@ -330,7 +333,7 @@ def _membership_sums(
     through the group's labels as :func:`sweep` does.
     """
     groups = tensor.groups(k)
-    if [len(c) for c in coeffs] != [len(g.ids) for g in groups]:
+    if [len(c) for c in coeffs] != [len(g.counts) for g in groups]:
         raise ValueError("coefficient vectors do not match the tensor's subtensor groups")
     total = np.zeros(len(tensor))
     for group, vec in zip(groups, coeffs):
@@ -342,4 +345,4 @@ def apply_scaling(tensor: SparseTensor, family: ScalingFamily) -> SparseTensor:
     """Scale every known entry by exp(sum of coefficients containing it)."""
     log_sums = _membership_sums(tensor, family.k, family.coeffs)
     scaled = tensor.values_array() * np.exp(log_sums)
-    return SparseTensor(tensor.extents, dict(zip(tensor.known_indices(), scaled.tolist())))
+    return SparseTensor.from_arrays(tensor.extents, tensor.coords_array(), scaled)

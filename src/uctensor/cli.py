@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -43,6 +44,7 @@ from .lcsp_oracle import SIZE_CAP, build_constraints, oracle_complete, solve_lcs
 from .properties import (
     OrderingSpec,
     PropertyReport,
+    _slice_support,
     check_consensus_ordering,
     check_gauge_uniqueness,
     check_scale_fairness,
@@ -218,11 +220,11 @@ def save_model(path: str, model: CompletionModel, idmap: IdMap, digest: str) -> 
         "converged": model.report.converged,
         "v_trace": model.report.v_trace,
         "source_digest": digest,
-        "entries": [
-            [list(idx), model.source.entries[idx]]
-            for idx in model.source.known_indices()
-        ],
-        # one list per group of source.groups(k), aligned with its ids
+        # [index, value] pairs in flat-index order; the encoder writes tuples as lists
+        "entries": list(zip(
+            model.source.coords_array().tolist(), model.source.values_array().tolist()
+        )),
+        # one list per group of source.groups(k), aligned with its fixed rows
         "log_coeffs": [vec.tolist() for vec in model.scaling.coeffs],
         "idmap": idmap_to_dict(idmap),
     }
@@ -241,16 +243,14 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
         raise ValueError(f"{path} is not a version-{MODEL_VERSION} {MODEL_FORMAT} file")
     try:
         extents = tuple(int(n) for n in payload["extents"])
-        # popped, so the parsed entry lists are freed before the tensor is built
-        entries = {tuple(int(c) for c in idx): float(v) for idx, v in payload.pop("entries")}
-        tensor = SparseTensor(extents, entries)
+        tensor = _stored_tensor(extents, payload.pop("entries"))
         k = int(payload["k"])
         groups = tensor.groups(k)  # ValueError for k outside [1, d-1]
         coeffs = [np.array(row, dtype=np.float64) for row in payload["log_coeffs"]]
-        if [c.shape for c in coeffs] != [(len(g.ids),) for g in groups]:
+        if [c.shape for c in coeffs] != [(len(g.counts),) for g in groups]:
             raise ValueError(
                 f"coefficient vectors of shapes {[c.shape for c in coeffs]} do not fit "
-                f"the {len(groups)} subtensor groups of sizes {[len(g.ids) for g in groups]}"
+                f"the {len(groups)} subtensor groups of sizes {[len(g.counts) for g in groups]}"
             )
         if not all(np.isfinite(c).all() for c in coeffs):
             raise ValueError("coefficient vectors hold non-finite values")
@@ -273,6 +273,22 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
         return model, idmap, payload["source_digest"]
     except (TypeError, IndexError, KeyError, AttributeError) as exc:
         raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
+
+
+def _stored_tensor(extents: tuple[int, ...], pairs: list) -> SparseTensor:
+    """The tensor of an artifact's [index, value] pairs.
+
+    Every coordinate must be a JSON integer: ``from_arrays`` would take a
+    ``true`` mixed with integers as 1.  It refuses the rest, repeated
+    indices included.
+    """
+    indices = list(map(itemgetter(0), pairs))
+    kinds = set(map(type, itertools.chain.from_iterable(indices)))
+    if kinds - {int}:
+        found = sorted(t.__name__ for t in kinds)
+        raise TypeError(f"index coordinates must be integers, found {found}")
+    values = np.array(list(map(itemgetter(1), pairs)), dtype=np.float64)
+    return SparseTensor.from_arrays(extents, indices, values)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -416,12 +432,7 @@ def _parse_consensus_spec(text: str, tensor: SparseTensor, idmap: IdMap) -> Orde
                 f"--consensus-spec id {token.strip()!r} unknown in dimension {dim}"
             )
         gamma.append(coord)
-    support = frozenset(
-        idx[: dim - 1] + idx[dim:]
-        for idx in tensor.entries
-        if idx[dim - 1] == gamma[0]
-    )
-    return OrderingSpec(dim, tuple(gamma), support)
+    return OrderingSpec(dim, tuple(gamma), frozenset(_slice_support(tensor, dim, gamma[0])))
 
 
 def _verify_oracle(tensor, k, emitter, config) -> PropertyReport | None:
@@ -533,9 +544,9 @@ def cmd_verify(args) -> int:
                 rep.notes.append("tensor lacks full support; result is informational")
             reports.append(rep)
         elif name == "scale_fairness":
-            first_dim_occupied = sorted({idx[0] for idx in tensor.entries})
             reports.append(check_scale_fairness(
-                tensor, dim=1, slice_index=first_dim_occupied[0], factor=args.factor,
+                tensor, dim=1, slice_index=int(tensor.coords_array()[:, 0].min()),
+                factor=args.factor,
             ))
         elif name == "consensus_ordering":
             model = tca(tensor, k, CompletionConfig(args.epsilon, args.max_sweeps))
@@ -665,14 +676,9 @@ def experiment_fairness(
     tensor = _random_full_support_matrix(rng, rows, cols, density)
     config = CompletionConfig(epsilon, max_sweeps)
     before = tca(tensor, 1, config)
-    scaled = SparseTensor(
-        tensor.extents,
-        {
-            idx: (val * factor if idx[0] == user else val)
-            for idx, val in tensor.entries.items()
-        },
-    )
-    after = tca(scaled, 1, config)
+    coords, values = tensor.coords_array(), tensor.values_array()
+    scaled = np.where(coords[:, 0] == user, values * factor, values)
+    after = tca(SparseTensor.from_arrays(tensor.extents, coords, scaled), 1, config)
 
     changed_predictions = 0
     per_user_missing: dict[int, list[tuple[float, float, tuple]]] = {}

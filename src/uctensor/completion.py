@@ -65,9 +65,9 @@ class CompletionModel:
         """Whether the prediction at ``idx`` is pinned down by the known set.
 
         Known entries are trivially supported.  For missing entries this
-        defers to the hypercube-witness search; unsupported predictions
-        are still returned by :meth:`predict` but depend on the gauge the
-        scaling run happened to land in.
+        defers to the hypercube-witness search.  A witness is a sufficient
+        certificate that the prediction is the same in every gauge, not a
+        necessary one: a cell without one may still be gauge-invariant.
         """
         idx = tuple(idx)
         flat_index(idx, self.source.extents)
@@ -192,6 +192,4 @@ def complete_all(model: CompletionModel) -> SparseTensor:
     blocks = list(source.missing_blocks())
     coords = np.concatenate([source.coords_array(), *blocks])
     values = np.concatenate([source.values_array(), *(predict_many(model, b) for b in blocks)])
-    order = np.lexsort(coords.T)  # flat-index order, as all_indices walks the box
-    filled = dict(zip(map(tuple, coords[order].tolist()), values[order].tolist()))
-    return SparseTensor(source.extents, filled)
+    return SparseTensor.from_arrays(source.extents, coords, values)

@@ -232,9 +232,9 @@ def write_ratings(
     Values are written with full round-trip precision, so rewriting the
     parse result reproduces the file bit for bit.
     """
-    for idx in tensor.known_indices():
+    for idx, value in zip(tensor.coords_array().tolist(), tensor.values_array().tolist()):
         ids = idmap.unresolve(idx)
-        target.write(delimiter.join(ids) + delimiter + repr(tensor.entries[idx]) + "\n")
+        target.write(delimiter.join(ids) + delimiter + repr(value) + "\n")
 
 
 def idmap_to_dict(idmap: IdMap) -> dict:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .canonical_scaling import ScalingFamily, _membership_sums
 from .errors import CapacityError
-from .sparse_tensor import Index, SparseTensor, SubtensorId
+from .sparse_tensor import Index, SparseTensor
 
 SIZE_CAP = 2000
 PINV_CUTOFF = 1e-10
@@ -46,7 +46,6 @@ class ConstraintSystem:
     """
 
     k: int
-    row_ids: list[SubtensorId]
     columns: tuple[Index, ...]
     matrix: np.ndarray
     a: np.ndarray
@@ -60,15 +59,13 @@ def build_constraints(tensor: SparseTensor, k: int) -> ConstraintSystem:
     """
     if len(tensor) == 0:
         raise ValueError("cannot build constraints for an empty tensor")
-    row_ids: list[SubtensorId] = []
     rows = []
     for group in tensor.groups(k):
         occupied = np.flatnonzero(group.counts)
-        row_ids.extend(group.ids[i] for i in occupied)
         rows.append(occupied[:, None] == group.labels[None, :])
     matrix = np.vstack(rows).astype(np.float64)
     a = np.log(tensor.values_array())
-    return ConstraintSystem(k, row_ids, tensor.known_indices(), matrix, a)
+    return ConstraintSystem(k, tensor.known_indices(), matrix, a)
 
 
 def solve_lcsp(
@@ -113,9 +110,10 @@ def oracle_complete(
 ) -> float:
     """Completion value at a missing index from the direct solve.
 
-    Under full support the value is gauge-invariant; without it a value
-    is still returned but depends on the particular coefficients the
-    solve produced (pair with the support module to tell these apart).
+    Under full support the value is gauge-invariant.  For one cell, a
+    hypercube witness (the support module) certifies that; it is
+    sufficient, not necessary, so a cell without one may still have a
+    gauge-invariant value.
     Pass ``presolved``, the family :func:`solve_lcsp` returned, to reuse
     one solve across many queries.
     """

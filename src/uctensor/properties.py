@@ -73,20 +73,15 @@ def _distinct_less(x: float, y: float, slack: float = STRICTNESS_SLACK) -> bool:
     return x < y and (y - x) > slack * max(abs(x), abs(y))
 
 
-def _project(idx: Index, dim: int) -> Index:
-    return idx[: dim - 1] + idx[dim:]
-
-
 def _embed(projected: Index, dim: int, slice_index: int) -> Index:
     return projected[: dim - 1] + (slice_index,) + projected[dim - 1:]
 
 
 def _slice_support(tensor: SparseTensor, dim: int, slice_index: int) -> dict[Index, float]:
-    return {
-        _project(idx, dim): val
-        for idx, val in tensor.entries.items()
-        if idx[dim - 1] == slice_index
-    }
+    coords = tensor.coords_array()
+    inside = coords[:, dim - 1] == slice_index
+    projected = np.delete(coords[inside], dim - 1, axis=1)
+    return dict(zip(map(tuple, projected.tolist()), tensor.values_array()[inside].tolist()))
 
 
 def random_scaling_family(
@@ -94,11 +89,11 @@ def random_scaling_family(
 ) -> ScalingFamily:
     """Positive scaling family for ``tensor``, one log-uniform coefficient per subtensor.
 
-    One vector per subtensor group, covering every id of the group, with
+    One vector per subtensor group, covering every row of the group, with
     logs uniform in [-spread, spread].
     """
     groups = tensor.groups(k)
-    return ScalingFamily(k, groups, [rng.uniform(-spread, spread, len(g.ids)) for g in groups])
+    return ScalingFamily(k, groups, [rng.uniform(-spread, spread, len(g.counts)) for g in groups])
 
 
 def check_unit_consistency(
@@ -114,9 +109,11 @@ def check_unit_consistency(
     For each trial draws a family T, completes both the original and the
     T-scaled tensor, and compares the scaled predictions against the
     predictions of the scaled tensor on every supported missing index
-    (up to ``missing_cap`` missing indices scanned).  Predictions at
-    unsupported missing indices are gauge-dependent and carry no
-    rescaling guarantee, so they are excluded, with a note.
+    (up to ``missing_cap`` missing indices scanned).  Indices without a
+    hypercube witness are excluded, with a note: a witness certifies that
+    the prediction is the same in every gauge (it is sufficient, not
+    necessary), and without that certificate a deviation could come from
+    the gauge alone.
     """
     rng = np.random.default_rng(seed)
     base = tca(tensor, k)
@@ -279,19 +276,14 @@ def check_scale_fairness(
     """
     if not factor > 0:
         raise ValueError(f"factor must be positive, got {factor}")
-    in_slice = lambda idx: idx[dim - 1] == slice_index  # noqa: E731
-    if not any(in_slice(idx) for idx in tensor.entries):
+    coords, values = tensor.coords_array(), tensor.values_array()
+    in_slice = coords[:, dim - 1] == slice_index
+    if not in_slice.any():
         raise ValueError(f"slice {slice_index} of dimension {dim} has no known entries")
 
     before = tca(tensor, tensor.d - 1)
-    scaled = SparseTensor(
-        tensor.extents,
-        {
-            idx: (val * factor if in_slice(idx) else val)
-            for idx, val in tensor.entries.items()
-        },
-    )
-    after = tca(scaled, tensor.d - 1)
+    scaled_values = np.where(in_slice, values * factor, values)
+    after = tca(SparseTensor.from_arrays(tensor.extents, coords, scaled_values), tensor.d - 1)
 
     cells = np.concatenate([*tensor.missing_blocks(), np.empty((0, tensor.d), np.int64)])
     p_before = predict_many(before, cells)

@@ -1,19 +1,28 @@
 """Sparse positive d-dimensional tensors and their subtensor combinatorics.
 
-A :class:`SparseTensor` stores only its known entries, keyed by 1-based
-index vectors (plain tuples of ints).  All values are strictly positive;
-zero is reserved to mean "absent".  Tensors are immutable after
-construction, so concurrent read access is safe.
+A :class:`SparseTensor` keeps its known entries as two arrays: an (N, d)
+int array of 1-based index vectors, rows ascending by the mixed-radix
+linearization :func:`flat_index`, and the N values aligned with them.
+:meth:`SparseTensor.from_arrays` builds one from such arrays, rows in any
+order; the constructor takes a mapping from index tuples to values, or
+(index, value) pairs, and converts them to arrays.  ``entries``, the
+values keyed by index tuple in flat-index order, is a dict view built on
+first use, for scalar lookups.  All values are strictly positive; zero is
+reserved to mean "absent".  Tensors are immutable after construction, so
+concurrent read access is safe.
 
 A k-dimensional subtensor is identified by the set of dimensions it fixes
-and the coordinates it fixes them at (:class:`SubtensorId`).  For the
-common case k = d-1 this is a single (dimension, slice) pair — a row or
-column of a matrix, a slab of a 3-d tensor.  Every known entry belongs to
-exactly C(d, k) subtensors.
+and the coordinates it fixes them at.  For the common case k = d-1 this
+is a single (dimension, slice) pair — a row or column of a matrix, a
+slab of a 3-d tensor.  Every known entry belongs to exactly C(d, k)
+subtensors.  :meth:`SparseTensor.groups` gathers them by fixed-dimension
+subset into :class:`SubtensorGroup` arrays: row p of a group's ``fixed``
+holds the coordinates of its p-th subtensor, and a scaling family's
+``coeffs[g][p]`` belongs to ``groups[g].fixed[p]``.
 
 Iteration order is deterministic everywhere: fixed-dimension subsets
-ascend lexicographically, slices ascend, and entries ascend by their
-mixed-radix linearization :func:`flat_index`.
+ascend lexicographically, slices ascend, and entries ascend by flat
+index.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 class SubtensorId(NamedTuple):
-    """Identifies one k-dimensional subtensor by its fixed coordinates.
+    """Names one k-dimensional subtensor: the key type of ``ScalingFamily.log_coeffs``.
 
     ``fixed_dims`` are the 1-based dimensions held constant (d-k of them,
     ascending); ``fixed_coords`` are the coordinates they are held at.
@@ -80,47 +89,51 @@ class SubtensorId(NamedTuple):
 class SubtensorGroup:
     """All subtensors sharing one fixed-dimension subset, in array form.
 
-    ``labels[t]`` gives, for the t-th known entry (in flat-index order),
-    the position in ``ids`` of the one subtensor of this group containing
-    it.  ``counts`` are known-entry counts per id; a zero count marks an
-    empty subtensor.
+    ``fixed`` is an (n, d-k) int array: row p holds the coordinates that
+    subtensor p fixes its dimensions at.  ``labels[t]`` gives, for the
+    t-th known entry (in flat-index order), the row of ``fixed`` of the
+    one subtensor of this group containing it.  ``counts`` are
+    known-entry counts per subtensor; a zero count marks an empty one.
     """
 
     fixed_dims: tuple[int, ...]
-    ids: list[SubtensorId]
+    fixed: np.ndarray
     labels: np.ndarray
     counts: np.ndarray
-    # extents of the fixed dimensions, the radices of the ids' keys in slots()
+    # extents of the fixed dimensions, the radices of the rows' keys in slots()
     extents: tuple[int, ...]
     _slots: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _keys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def slot(self, idx: Index) -> int | None:
-        """Position in ``ids`` of the subtensor containing ``idx``; None if it has no id.
+        """Row of ``fixed`` of the subtensor containing ``idx``; None if it has none.
 
-        The map from fixed coordinates to positions is built on first use.
+        With one fixed dimension every slice is a row, at its coordinate
+        minus one.  Otherwise the map from fixed coordinates to rows is
+        built on first use.
         """
+        if len(self.fixed_dims) == 1:
+            c = idx[self.fixed_dims[0] - 1]
+            return c - 1 if 1 <= c <= self.extents[0] else None
         if self._slots is None:
-            bare = len(self.fixed_dims) == 1  # itemgetter of one item returns it bare
-            coords = [sid.fixed_coords[0] if bare else sid.fixed_coords for sid in self.ids]
             key = itemgetter(*(dim - 1 for dim in self.fixed_dims))
-            self._slots = (key, {c: pos for pos, c in enumerate(coords)})
+            rows = map(tuple, self.fixed.tolist())
+            self._slots = (key, {c: pos for pos, c in enumerate(rows)})
         key, positions = self._slots
         return positions.get(key(idx))
 
     def slots(self, coords: np.ndarray) -> np.ndarray:
-        """:meth:`slot` of each row of an (n, d) array of in-bounds indices; -1 for no id.
+        """:meth:`slot` of each row of an (n, d) array of in-bounds indices; -1 for none.
 
-        With one fixed dimension every slice has an id, at its coordinate
-        minus one.  Otherwise the ids are occupied combinations in the
-        ascending order ``np.unique`` gives them, searched by their keys.
+        With one fixed dimension the row is the coordinate minus one.
+        Otherwise the rows are occupied combinations in the ascending
+        order ``np.unique`` gives them, searched by their keys.
         """
         fixed = coords[:, [dim - 1 for dim in self.fixed_dims]]
         if len(self.fixed_dims) == 1:
             return fixed[:, 0] - 1
         if self._keys is None:
-            own = np.array([sid.fixed_coords for sid in self.ids], dtype=np.int64)
-            self._keys = _radix_keys(own.reshape(len(self.ids), len(self.extents)), self.extents)
+            self._keys = _radix_keys(self.fixed, self.extents)
         return _find(self._keys, _radix_keys(fixed, self.extents))
 
 
@@ -142,18 +155,6 @@ def flat_index(idx: Index, extents: tuple[int, ...]) -> int:
     return j
 
 
-def unflatten_index(j: int, extents: tuple[int, ...]) -> Index:
-    """Inverse of :func:`flat_index`."""
-    if not 1 <= j <= int(np.prod(extents)):
-        raise IndexError(f"flat index {j} out of range for extents {extents}")
-    j -= 1
-    coords = []
-    for n in extents:
-        coords.append(j % n + 1)
-        j //= n
-    return tuple(coords)
-
-
 class SparseTensor:
     """Immutable sparse tensor with strictly positive known entries.
 
@@ -164,59 +165,93 @@ class SparseTensor:
     entries:
         Mapping from 1-based index tuples of ints to positive values, or
         an iterable of (index, value) pairs.  Iterables with repeated keys
-        are rejected rather than silently collapsed.  ``entries`` keeps
-        the caller's index tuples, in the caller's order.
+        are rejected rather than silently collapsed.  Both are converted
+        to arrays and go through :meth:`from_arrays`.
     """
 
-    __slots__ = ("extents", "entries", "_known", "_coords", "_values", "_groups", "_flat")
+    __slots__ = ("extents", "_coords", "_values", "_groups", "_flat", "_entries")
 
     def __init__(
         self,
         extents: Iterable[int],
         entries: Mapping[Index, float] | Iterable[tuple[Index, float]],
     ):
-        self.extents = tuple(int(n) for n in extents)
-        if not self.extents or any(n < 1 for n in self.extents):
-            raise ValueError(f"extents must be positive, got {self.extents}")
-
         if isinstance(entries, Mapping):
-            store = {idx: float(val) for idx, val in entries.items()}
+            keys = list(entries)
+            values = np.fromiter(entries.values(), dtype=np.float64, count=len(keys))
         else:
-            store = {}
-            for idx, val in entries:
-                idx = tuple(idx)
-                if idx in store:
-                    raise ValueError(f"duplicate entry at {idx}")
-                store[idx] = float(val)
-        wrong = next((idx for idx in store if len(idx) != self.d), None)
-        if wrong is not None:
-            raise IndexError(f"index {wrong} has wrong length for extents {self.extents}")
-        keys = list(store)
-        coords = np.array(keys).reshape(len(keys), self.d)
-        if keys and coords.dtype.kind not in "iu":
-            raise TypeError(f"index coordinates must be 64-bit ints, got {coords.dtype} values")
-        coords = coords.astype(np.int64, copy=False)
-        outside = np.flatnonzero(((coords < 1) | (coords > self.extents)).any(axis=1))
+            pairs = list(entries)
+            keys = list(map(itemgetter(0), pairs))
+            values = np.fromiter(map(itemgetter(1), pairs), dtype=np.float64, count=len(pairs))
+        self._adopt(extents, keys, values)
+
+    @classmethod
+    def from_arrays(cls, extents: Iterable[int], coords, values) -> "SparseTensor":
+        """Tensor from an (N, d) int array of 1-based indices and N values, rows in any order.
+
+        Raises
+        ------
+        ValueError
+            Non-positive extents, a value that is not positive and finite,
+            a repeated index, or a count of values other than of indices.
+        IndexError
+            An index of the wrong length or out of bounds.
+        TypeError
+            Coordinates that are not integers.
+
+        Each message names the first offending index.
+        """
+        tensor = cls.__new__(cls)
+        tensor._adopt(extents, coords, values)
+        return tensor
+
+    def _adopt(self, extents: Iterable[int], coords, values) -> None:
+        """Validate ``coords`` and ``values``, then keep them sorted into flat order."""
+        self.extents = extents = tuple(int(n) for n in extents)
+        if not extents or any(n < 1 for n in extents):
+            raise ValueError(f"extents must be positive, got {extents}")
+        d = len(extents)
+        try:
+            rows = np.asarray(coords)
+        except ValueError:  # rows of differing lengths
+            wrong = next((tuple(r) for r in coords if len(r) != d), None)
+            if wrong is None:
+                raise TypeError("index coordinates must be ints") from None
+            raise IndexError(f"index {wrong} has wrong length for extents {extents}") from None
+        if not len(rows):
+            rows = np.empty((0, d), dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != d:
+            first = tuple(np.atleast_1d(rows[0]).tolist())
+            raise IndexError(f"index {first} has wrong length for extents {extents}")
+        if rows.dtype.kind not in "iu":
+            raise TypeError(f"index coordinates must be ints, got {rows.dtype} values")
+        outside = np.flatnonzero(((rows < 1) | (rows > extents)).any(axis=1))
         if outside.size:
-            raise IndexError(
-                f"index {keys[outside[0]]} out of bounds for extents {self.extents}"
-            )
-        values = np.fromiter(store.values(), dtype=np.float64, count=len(keys))
+            first = tuple(rows[outside[0]].tolist())
+            raise IndexError(f"index {first} out of bounds for extents {extents}")
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (len(rows),):
+            raise ValueError(f"{values.size} values for {len(rows)} indices")
         invalid = np.flatnonzero(~((values > 0.0) & np.isfinite(values)))
         if invalid.size:
-            idx = keys[invalid[0]]
-            raise ValueError(f"entry {idx} has non-positive value {store[idx]!r}")
+            t = invalid[0]
+            raise ValueError(
+                f"entry {tuple(rows[t].tolist())} has value {values[t].item()!r}, "
+                "not a positive finite number"
+            )
 
         # lexsort's last key is its primary one, and the last dimension
         # varies slowest in flat_index: columns in order give flat order
-        order = np.lexsort(coords.T)
-        self.entries = store
-        # reorder the caller's own tuples: rebuilding them costs 8x the memory
-        self._known = tuple(np.fromiter(keys, dtype=object, count=len(keys))[order])
-        self._coords = coords[order]
+        order = np.lexsort(rows.T)
+        rows = rows[order].astype(np.int64, copy=False)
+        repeated = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+        if repeated.size:
+            raise ValueError(f"duplicate entry at {tuple(rows[repeated[0]].tolist())}")
+        self._coords = rows
         self._values = values[order]
         self._groups: dict[int, list[SubtensorGroup]] = {}
         self._flat: np.ndarray | None = None
+        self._entries: dict[Index, float] | None = None
 
     # -- basic access ----------------------------------------------------
 
@@ -229,7 +264,7 @@ class SparseTensor:
         return int(np.prod(self.extents, dtype=object))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._values)
 
     def __contains__(self, idx: Index) -> bool:
         return tuple(idx) in self.entries
@@ -240,9 +275,20 @@ class SparseTensor:
         flat_index(idx, self.extents)
         return self.entries.get(idx)
 
+    @property
+    def entries(self) -> dict[Index, float]:
+        """Known values keyed by index tuple, in flat-index order.
+
+        A view of the arrays for scalar lookups, built on first use.
+        """
+        if self._entries is None:
+            keys = map(tuple, self._coords.tolist())
+            self._entries = dict(zip(keys, self._values.tolist()))
+        return self._entries
+
     def known_indices(self) -> tuple[Index, ...]:
         """All known index vectors, ascending by :func:`flat_index`."""
-        return self._known
+        return tuple(self.entries)
 
     def missing_indices(self) -> Iterator[Index]:
         """Iterate the complement of the known set, ascending by flat index."""
@@ -294,7 +340,7 @@ class SparseTensor:
         return self._values
 
     def __repr__(self) -> str:
-        return f"SparseTensor(extents={self.extents}, known={len(self.entries)})"
+        return f"SparseTensor(extents={self.extents}, known={len(self)})"
 
     # -- subtensor combinatorics ------------------------------------------
 
@@ -305,7 +351,7 @@ class SparseTensor:
         lexicographically.  For k = d-1 each group covers every slice of
         its dimension (empty slices included, flagged by a zero count);
         for smaller k only coordinate combinations occupied by at least
-        one known entry get an id.
+        one known entry get a row.
         """
         if not 1 <= k <= self.d - 1:
             raise ValueError(f"k must be in [1, {self.d - 1}], got {k}")
@@ -321,66 +367,17 @@ class SparseTensor:
             radices = tuple(self.extents[f] for f in fixed)
             if len(fixed) == 1:
                 n = self.extents[fixed[0]]
+                rows = np.arange(1, n + 1, dtype=np.int64)[:, None]
                 labels = coords[:, fixed[0]] - 1
-                ids = [SubtensorId(dims, (j,)) for j in range(1, n + 1)]
-                counts = np.bincount(labels, minlength=n)
+            elif len(coords):
+                rows, labels = np.unique(coords[:, list(fixed)], axis=0, return_inverse=True)
+                labels = labels.ravel()
             else:
-                sub = coords[:, list(fixed)]
-                if len(sub):
-                    uniq, labels = np.unique(sub, axis=0, return_inverse=True)
-                    labels = labels.ravel()
-                else:
-                    uniq = np.empty((0, len(fixed)), dtype=np.int64)
-                    labels = np.empty(0, dtype=np.int64)
-                ids = [
-                    SubtensorId(dims, tuple(int(c) for c in row)) for row in uniq
-                ]
-                counts = np.bincount(labels, minlength=len(ids))
-            out.append(SubtensorGroup(dims, ids, labels, counts, radices))
+                rows = np.empty((0, len(fixed)), dtype=np.int64)
+                labels = np.empty(0, dtype=np.int64)
+            counts = np.bincount(labels, minlength=len(rows))
+            out.append(SubtensorGroup(dims, rows, labels, counts, radices))
         return out
-
-
-def subtensor_ids(tensor: SparseTensor, k: int) -> list[SubtensorId]:
-    """All subtensor ids of dimensionality k, in deterministic order.
-
-    For k = d-1 this is every (dimension, slice) pair, count sum(n_i),
-    empty slices included; for smaller k, only occupied ids.
-    """
-    return [sid for g in tensor.groups(k) for sid in g.ids]
-
-
-def members(tensor: SparseTensor, sid: SubtensorId) -> list[Index]:
-    """Known entries lying in the given subtensor, ascending by flat index."""
-    dims = tuple(sid.fixed_dims)
-    coords = tuple(sid.fixed_coords)
-    if len(dims) != len(coords) or not dims:
-        raise ValueError(f"malformed subtensor id {sid}")
-    for dim, c in zip(dims, coords):
-        if not 1 <= dim <= tensor.d:
-            raise ValueError(f"id {sid} names dimension {dim} of a {tensor.d}-d tensor")
-        if not 1 <= c <= tensor.extents[dim - 1]:
-            raise ValueError(f"id {sid} fixes dimension {dim} outside its extent")
-    return [
-        idx
-        for idx in tensor.known_indices()
-        if all(idx[dim - 1] == c for dim, c in zip(dims, coords))
-    ]
-
-
-def membership(idx: Index, k: int, d: int) -> list[SubtensorId]:
-    """The C(d, k) subtensor ids containing ``idx``.
-
-    For k = d-1 these are the d ids ((i,), (alpha_i,)); in general one id
-    per fixed-dimension subset of size d-k.
-    """
-    if len(idx) != d:
-        raise ValueError(f"index {idx} is not {d}-dimensional")
-    if not 1 <= k <= d - 1:
-        raise ValueError(f"k must be in [1, {d - 1}], got {k}")
-    return [
-        SubtensorId(tuple(f + 1 for f in fixed), tuple(idx[f] for f in fixed))
-        for fixed in itertools.combinations(range(d), d - k)
-    ]
 
 
 def all_indices(extents: tuple[int, ...]) -> Iterator[Index]:

@@ -8,7 +8,7 @@ from uctensor import sparse_tensor
 from uctensor.cli import Emitter, load_model, main, save_model
 from uctensor.completion import round_to_scale
 from uctensor.errors import UnknownIdError
-from uctensor.sparse_tensor import all_indices
+from uctensor.sparse_tensor import SparseTensor, all_indices
 
 DEMO = "u1,p1,1\nu1,p2,2\nu2,p1,3\n"
 
@@ -209,6 +209,7 @@ class TestPredict:
             return json.dumps({**good, **changes})
 
         rows, cols = good["log_coeffs"]
+        first, second, *rest = good["entries"]
         payloads = {
             "empty object": "{}",
             "top-level list": json.dumps([good]),
@@ -221,6 +222,9 @@ class TestPredict:
             "nested vector": variant(log_coeffs=[[rows], cols]),
             "vector not a list": variant(log_coeffs=[{"dims": 1}, cols]),
             "entries missing": json.dumps({k: v for k, v in good.items() if k != "entries"}),
+            "entry repeated": variant(entries=good["entries"] + [[[1, 1], 99.0]]),
+            "fractional coordinate": variant(entries=[first, [[2.7, 1], second[1]], *rest]),
+            "boolean coordinate": variant(entries=[[[True, 1], first[1]], second, *rest]),
             "non-finite coefficient": variant(log_coeffs=[[float("nan"), rows[1]], cols]),
             "id map shorter than extents": variant(idmap={"dimensions": [["u1"], ["p1", "p2"]]}),
             "id map with a repeated id": variant(idmap={"dimensions": [["u1", "u1"], ["p1", "p2"]]}),
@@ -238,6 +242,14 @@ class TestPredict:
 
 
 class TestArtifact:
+    def test_complete_never_builds_entries(self, demo_file, tmp_path, monkeypatch):
+        # parse, tca and save_model work on the arrays; the dict view stays unbuilt
+        def refuse(tensor):
+            raise AssertionError("SparseTensor.entries was built")
+
+        monkeypatch.setattr(SparseTensor, "entries", property(refuse))
+        assert main(["complete", demo_file, "-o", str(tmp_path / "m.json")]) == 0
+
     def test_round_trip_is_bit_identical(self, demo_model, tmp_path):
         model1, idmap1, digest1 = load_model(demo_model)
         resaved = str(tmp_path / "resaved.json")

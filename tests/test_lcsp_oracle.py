@@ -11,14 +11,24 @@ from uctensor.lcsp_oracle import (
     oracle_complete,
     solve_lcsp,
 )
-from uctensor.sparse_tensor import SparseTensor, SubtensorId, all_indices
+from uctensor.sparse_tensor import SparseTensor, all_indices
 from uctensor.support import witness
 
-from conftest import random_full_support, rank1_tensor
+from conftest import random_full_support, rank1_tensor, reference_members
 
 
 def dense(extents, value=1.0):
     return SparseTensor(extents, {idx: value for idx in all_indices(extents)})
+
+
+def occupied_rows(tensor, k):
+    """The non-empty subtensors as (fixed_dims, fixed_coords), group by group."""
+    return [
+        (g.fixed_dims, tuple(row))
+        for g in tensor.groups(k)
+        for row, n in zip(g.fixed.tolist(), g.counts.tolist())
+        if n
+    ]
 
 
 def row_coefficients(family):
@@ -33,11 +43,11 @@ class TestBuildConstraints:
         system = build_constraints(golden_matrix, 1)
         # columns ascend by flat index: (1,1), (2,1), (1,2)
         assert system.columns == ((1, 1), (2, 1), (1, 2))
-        assert system.row_ids == [
-            SubtensorId((1,), (1,)),
-            SubtensorId((1,), (2,)),
-            SubtensorId((2,), (1,)),
-            SubtensorId((2,), (2,)),
+        assert occupied_rows(golden_matrix, 1) == [
+            ((1,), (1,)),
+            ((1,), (2,)),
+            ((2,), (1,)),
+            ((2,), (2,)),
         ]
         expected = np.array(
             [
@@ -62,16 +72,16 @@ class TestBuildConstraints:
     def test_rows_cover_only_nonempty_subtensors(self, golden_matrix):
         padded = SparseTensor((3, 2), golden_matrix.entries)  # row 3 empty
         system = build_constraints(padded, 1)
-        assert SubtensorId((1,), (3,)) not in system.row_ids
-        assert len(system.row_ids) == 4
+        assert ((1,), (3,)) not in occupied_rows(padded, 1)
+        assert system.matrix.shape == (4, 3)
 
     def test_row_support_matches_members(self, golden_matrix):
-        from uctensor.sparse_tensor import members
-
         system = build_constraints(golden_matrix, 1)
-        for row, sid in zip(system.matrix, system.row_ids):
+        rows = occupied_rows(golden_matrix, 1)
+        assert len(system.matrix) == len(rows)
+        for row, (dims, coords) in zip(system.matrix, rows):
             cols = [system.columns[t] for t in np.flatnonzero(row)]
-            assert cols == members(golden_matrix, sid)
+            assert cols == reference_members(system.columns, dims, coords)
 
 
 class TestSolveLcsp:
@@ -84,7 +94,7 @@ class TestSolveLcsp:
         system = build_constraints(golden_matrix, 1)
         x, family = solve_lcsp(golden_matrix, 1, system)
         s = row_coefficients(family)
-        assert len(s) == len(system.row_ids)
+        assert len(s) == len(system.matrix)
         assert np.allclose(x, 0.0, atol=1e-12)
         assert np.allclose(system.a + system.matrix.T @ s, x, atol=1e-12)
         assert float(np.abs(system.matrix @ x).max()) < 1e-12

@@ -8,16 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uctensor import sparse_tensor
-from uctensor.sparse_tensor import (
-    SparseTensor,
-    SubtensorId,
-    all_indices,
-    flat_index,
-    members,
-    membership,
-    subtensor_ids,
-    unflatten_index,
-)
+from uctensor.sparse_tensor import SparseTensor, all_indices, flat_index
 
 from conftest import (
     reference_flat_index,
@@ -59,57 +50,90 @@ class TestFlatIndex:
         seen = [flat_index(idx, extents) for idx in all_indices(extents)]
         assert sorted(seen) == list(range(1, box + 1))
         assert seen == list(range(1, box + 1))  # enumeration is in flat order
-        for j in (1, box):
-            assert flat_index(unflatten_index(j, extents), extents) == j
 
-    def test_unflatten_round_trip(self):
-        extents = (3, 4, 2)
-        for j in range(1, 25):
-            assert flat_index(unflatten_index(j, extents), extents) == j
-        with pytest.raises(IndexError):
-            unflatten_index(25, extents)
+
+def _from_arrays(extents, pairs):
+    """``SparseTensor.from_arrays`` on the coordinates and values of ``pairs``."""
+    return SparseTensor.from_arrays(
+        extents, [idx for idx, _ in pairs], np.array([v for _, v in pairs])
+    )
+
+
+# each constructor, fed the same (index, value) pairs
+BUILDERS = (
+    lambda extents, pairs: SparseTensor(extents, dict(pairs)),
+    lambda extents, pairs: SparseTensor(extents, pairs),
+    _from_arrays,
+)
 
 
 class TestConstruction:
     def test_rejects_nonpositive_values(self):
-        with pytest.raises(ValueError, match=r"\(1, 1\)"):
-            SparseTensor((2, 2), {(1, 1): 0.0})
-        with pytest.raises(ValueError, match=r"\(2, 1\)"):
-            SparseTensor((2, 2), {(1, 1): 1.0, (2, 1): -1.5})
-        with pytest.raises(ValueError):
-            SparseTensor((2, 2), {(1, 1): float("nan")})
-        with pytest.raises(ValueError):
-            SparseTensor((2, 2), {(1, 1): float("inf")})
+        for build in BUILDERS:
+            with pytest.raises(ValueError, match=r"\(1, 1\)"):
+                build((2, 2), [((1, 1), 0.0)])
+            with pytest.raises(ValueError, match=r"\(2, 1\)"):
+                build((2, 2), [((1, 1), 1.0), ((2, 1), -1.5)])
+            with pytest.raises(ValueError, match=r"\(1, 1\)"):
+                build((2, 2), [((1, 1), float("nan"))])
+            with pytest.raises(ValueError, match=r"\(1, 2\)"):
+                build((2, 2), [((1, 1), 1.0), ((1, 2), float("inf"))])
 
     def test_rejects_duplicate_pairs(self):
-        with pytest.raises(ValueError, match=r"\(1, 1\)"):
-            SparseTensor((2, 2), [((1, 1), 1.0), ((1, 1), 2.0)])
+        for build in BUILDERS[1:]:  # a mapping cannot repeat a key
+            with pytest.raises(ValueError, match=r"\(1, 1\)"):
+                build((2, 2), [((1, 1), 1.0), ((1, 1), 2.0)])
+            with pytest.raises(ValueError, match=r"\(2, 3\)"):
+                build((3, 3), [((2, 3), 1.0), ((1, 1), 1.0), ((3, 1), 1.0), ((2, 3), 1.0)])
 
     def test_rejects_out_of_bounds_entries(self):
-        with pytest.raises(IndexError, match=r"\(3, 1\)"):
-            SparseTensor((2, 2), {(1, 1): 1.0, (3, 1): 1.0})
-        with pytest.raises(IndexError, match=r"\(1, 0\)"):
-            SparseTensor((2, 2), {(1, 0): 1.0})
-        for wrong_length in ((1,), (1, 1, 1)):
-            with pytest.raises(IndexError, match=re.escape(str(wrong_length))):
-                SparseTensor((2, 2), {(1, 1): 1.0, wrong_length: 1.0})
+        for build in BUILDERS:
+            with pytest.raises(IndexError, match=r"\(3, 1\)"):
+                build((2, 2), [((1, 1), 1.0), ((3, 1), 1.0)])
+            with pytest.raises(IndexError, match=r"\(1, 0\)"):
+                build((2, 2), [((1, 0), 1.0)])
+            for wrong_length in ((1,), (1, 1, 1)):
+                with pytest.raises(IndexError, match=re.escape(str(wrong_length))):
+                    build((2, 2), [((1, 1), 1.0), (wrong_length, 1.0)])
+                with pytest.raises(IndexError, match=re.escape(str(wrong_length))):
+                    build((2, 2), [(wrong_length, 1.0)])
 
     def test_rejects_non_integer_coordinates(self):
-        with pytest.raises(TypeError):
-            SparseTensor((2, 2), {(1, 1): 1.0, (1.5, 1): 2.0})
+        for build in BUILDERS:
+            with pytest.raises(TypeError):
+                build((2, 2), [((1, 1), 1.0), ((1.5, 1), 2.0)])
+            with pytest.raises(TypeError):
+                build((2, 2), [((True, False), 1.0)])
 
-    def test_known_order_is_flat_and_keeps_caller_tuples(self):
+    def test_from_arrays_rejects_a_value_count_off_the_index_count(self):
+        with pytest.raises(ValueError):
+            SparseTensor.from_arrays((2, 2), np.array([[1, 1], [2, 1]]), np.array([1.0]))
+
+    def test_constructors_agree_on_shuffled_input(self):
+        rng = np.random.default_rng(11)
+        extents = (4, 3, 2)
+        cells = np.array([idx for idx in all_indices(extents) if rng.random() < 0.6])
+        values = rng.uniform(0.5, 2.0, len(cells))
+        order = rng.permutation(len(cells))
+        mapped = SparseTensor(extents, dict(zip(map(tuple, cells[order].tolist()), values[order])))
+        arrays = SparseTensor.from_arrays(extents, cells[order], values[order])
+        assert np.array_equal(mapped.coords_array(), arrays.coords_array())
+        assert np.array_equal(mapped.values_array(), arrays.values_array())
+        assert list(mapped.entries.items()) == list(arrays.entries.items())
+
+    def test_known_order_is_flat(self):
+        # caller insertion order and the caller's tuples are not kept
         rng = np.random.default_rng(5)
         extents = (4, 3, 2)
         cells = [idx for idx in all_indices(extents) if rng.random() < 0.6]
         keys = [cells[t] for t in rng.permutation(len(cells))]
         t = SparseTensor(extents, {idx: float(n + 1) for n, idx in enumerate(keys)})
-        known = t.known_indices()
-        assert list(t.entries) == keys  # insertion order kept
-        assert list(known) == sorted(keys, key=lambda i: flat_index(i, extents))
-        assert {id(i) for i in known} == {id(i) for i in keys}
-        assert t.coords_array().tolist() == [list(i) for i in known]
-        assert t.values_array().tolist() == [t.entries[i] for i in known]
+        flat = sorted(keys, key=lambda i: flat_index(i, extents))
+        assert list(t.entries) == flat
+        assert t.known_indices() == tuple(flat)
+        assert all(type(c) is int for idx in t.entries for c in idx)
+        assert t.coords_array().tolist() == [list(i) for i in flat]
+        assert t.values_array().tolist() == [t.entries[i] for i in flat]
 
     def test_empty_tensor(self):
         t = SparseTensor((2, 3), {})
@@ -166,74 +190,80 @@ class TestGet:
             golden_matrix.get((3, 1))
 
 
+def subtensors(tensor, k):
+    """Every (fixed_dims, fixed_coords) row of ``tensor.groups(k)``, in group order."""
+    return [
+        (g.fixed_dims, tuple(row)) for g in tensor.groups(k) for row in g.fixed.tolist()
+    ]
+
+
+def members_of(tensor, k, fixed_dims, fixed_coords):
+    """Known entries that the group labels place in one subtensor, in flat order."""
+    group = next(g for g in tensor.groups(k) if g.fixed_dims == fixed_dims)
+    (row,) = np.flatnonzero((group.fixed == fixed_coords).all(axis=1))
+    known = tensor.known_indices()
+    return [known[t] for t in np.flatnonzero(group.labels == row)]
+
+
+def containing(tensor, k, idx):
+    """The C(d, k) subtensors the group labels put the known entry ``idx`` in."""
+    (t,) = tensor.locate(np.array([idx]))
+    return [(g.fixed_dims, tuple(g.fixed[g.labels[t]].tolist())) for g in tensor.groups(k)]
+
+
 class TestSubtensorIds:
     def test_matrix_lines(self):
         dense = SparseTensor((2, 2), {idx: 1.0 for idx in all_indices((2, 2))})
-        ids = subtensor_ids(dense, 1)
-        assert ids == [
-            SubtensorId((1,), (1,)),
-            SubtensorId((1,), (2,)),
-            SubtensorId((2,), (1,)),
-            SubtensorId((2,), (2,)),
-        ]
+        assert subtensors(dense, 1) == [((1,), (1,)), ((1,), (2,)), ((2,), (1,)), ((2,), (2,))]
 
     def test_cube_slices(self):
         dense = SparseTensor((2, 2, 2), {idx: 1.0 for idx in all_indices((2, 2, 2))})
-        assert len(subtensor_ids(dense, 2)) == 6
+        assert len(subtensors(dense, 2)) == 6
 
     def test_cube_lines_match_brute_force(self):
         dense = SparseTensor((2, 2, 2), {idx: 1.0 for idx in all_indices((2, 2, 2))})
-        got = {(sid.fixed_dims, sid.fixed_coords) for sid in subtensor_ids(dense, 1)}
+        got = set(subtensors(dense, 1))
         assert got == set(reference_subtensors((2, 2, 2), 1))
         assert len(got) == 12
 
     def test_sparse_general_k_only_occupied(self):
         # single entry: one occupied line per fixed-dim pair
         t = SparseTensor((2, 2, 2), {(1, 2, 2): 1.0})
-        ids = subtensor_ids(t, 1)
-        assert ids == [
-            SubtensorId((1, 2), (1, 2)),
-            SubtensorId((1, 3), (1, 2)),
-            SubtensorId((2, 3), (2, 2)),
-        ]
+        assert subtensors(t, 1) == [((1, 2), (1, 2)), ((1, 3), (1, 2)), ((2, 3), (2, 2))]
+        assert all(g.fixed.shape == (1, 2) and g.fixed.dtype == np.int64 for g in t.groups(1))
 
     def test_line_ids_include_empty_slices(self, golden_matrix):
-        # row 2 has entries, but a 3-row tensor's empty row 3 still gets an id
+        # row 2 has entries, but a 3-row tensor's empty row 3 still gets a row
         t = SparseTensor((3, 2), golden_matrix.entries)
-        ids = subtensor_ids(t, 1)
-        assert SubtensorId((1,), (3,)) in ids
+        assert ((1,), (3,)) in subtensors(t, 1)
         group = t.groups(1)[0]
+        assert group.fixed.tolist() == [[1], [2], [3]]
         assert group.counts[2] == 0
 
     def test_k_out_of_range(self, golden_matrix):
         with pytest.raises(ValueError):
-            subtensor_ids(golden_matrix, 0)
+            golden_matrix.groups(0)
         with pytest.raises(ValueError):
-            subtensor_ids(golden_matrix, 2)
+            golden_matrix.groups(2)
 
 
 class TestMembers:
     def test_row_one(self, golden_matrix):
-        assert members(golden_matrix, SubtensorId.line(1, 1)) == [(1, 1), (1, 2)]
+        assert members_of(golden_matrix, 1, (1,), (1,)) == [(1, 1), (1, 2)]
 
     def test_column_two(self, golden_matrix):
-        assert members(golden_matrix, SubtensorId.line(2, 2)) == [(1, 2)]
+        assert members_of(golden_matrix, 1, (2,), (2,)) == [(1, 2)]
 
     def test_row_two(self, golden_matrix):
-        assert members(golden_matrix, SubtensorId.line(1, 2)) == [(2, 1)]
-
-    def test_invalid_id(self, golden_matrix):
-        with pytest.raises(ValueError):
-            members(golden_matrix, SubtensorId((3,), (1,)))
-        with pytest.raises(ValueError):
-            members(golden_matrix, SubtensorId((1,), (5,)))
+        assert members_of(golden_matrix, 1, (1,), (2,)) == [(2, 1)]
 
     def test_order_independent_of_insertion(self):
         pairs = [((2, 1), 3.0), ((1, 2), 2.0), ((1, 1), 1.0)]
         t1 = SparseTensor((2, 2), pairs)
         t2 = SparseTensor((2, 2), list(reversed(pairs)))
-        for sid in subtensor_ids(t1, 1):
-            assert members(t1, sid) == members(t2, sid)
+        for g1, g2 in zip(t1.groups(1), t2.groups(1), strict=True):
+            assert np.array_equal(g1.fixed, g2.fixed)
+            assert np.array_equal(g1.labels, g2.labels)
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(42)
@@ -246,48 +276,37 @@ class TestMembers:
                 continue
             t = SparseTensor(extents, entries)
             for k in (1, 2):
-                for sid in subtensor_ids(t, k):
+                for dims, coords in subtensors(t, k):
                     expected = sorted(
-                        reference_members(entries, sid.fixed_dims, sid.fixed_coords),
+                        reference_members(entries, dims, coords),
                         key=lambda i: flat_index(i, extents),
                     )
-                    assert members(t, sid) == expected
+                    assert members_of(t, k, dims, coords) == expected
 
 
 class TestMembership:
     def test_matrix_entry(self):
-        assert membership((2, 3), 1, 2) == [
-            SubtensorId((1,), (2,)),
-            SubtensorId((2,), (3,)),
-        ]
+        t = SparseTensor((2, 3), {(2, 3): 1.0, (1, 1): 1.0})
+        assert containing(t, 1, (2, 3)) == [((1,), (2,)), ((2,), (3,))]
 
     def test_cube_slices(self):
-        ids = membership((1, 2, 2), 2, 3)
-        assert ids == [
-            SubtensorId((1,), (1,)),
-            SubtensorId((2,), (2,)),
-            SubtensorId((3,), (2,)),
-        ]
+        dense = SparseTensor((2, 2, 2), {idx: 1.0 for idx in all_indices((2, 2, 2))})
+        assert containing(dense, 2, (1, 2, 2)) == [((1,), (1,)), ((2,), (2,)), ((3,), (2,))]
 
     def test_cube_lines_against_brute_force(self):
-        ids = membership((1, 2, 2), 1, 3)
-        assert len(ids) == 3
+        dense = SparseTensor((2, 2, 2), {idx: 1.0 for idx in all_indices((2, 2, 2))})
+        got = containing(dense, 1, (1, 2, 2))
+        assert len(got) == 3
         expected = {
             (fixed, coords)
             for fixed, coords in reference_subtensors((2, 2, 2), 1)
             if all((1, 2, 2)[dim - 1] == c for dim, c in zip(fixed, coords))
         }
-        assert {(sid.fixed_dims, sid.fixed_coords) for sid in ids} == expected
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            membership((1, 2), 1, 3)
-        with pytest.raises(ValueError):
-            membership((1, 2), 2, 2)
+        assert set(got) == expected
 
 
 class TestCoverage:
-    """Each known entry appears in exactly C(d, k) member lists."""
+    """Each known entry appears in exactly C(d, k) subtensors' member lists."""
 
     @pytest.mark.parametrize("extents,k", [((3, 4), 1), ((3, 3, 2), 2), ((3, 3, 2), 1)])
     def test_member_lists_cover_each_entry_choose_dk_times(self, extents, k):
@@ -295,11 +314,24 @@ class TestCoverage:
         entries = {idx: 1.0 for idx in all_indices(extents) if rng.random() < 0.6}
         entries[(1,) * len(extents)] = 1.0
         t = SparseTensor(extents, entries)
+        known = t.known_indices()
         counts = {idx: 0 for idx in entries}
-        for sid in subtensor_ids(t, k):
-            for idx in members(t, sid):
-                counts[idx] += 1
+        occupied = []
+        for g in t.groups(k):
+            for row, fixed in enumerate(g.fixed.tolist()):
+                members = reference_members(known, g.fixed_dims, fixed)
+                assert [known[i] for i in np.flatnonzero(g.labels == row)] == members
+                assert g.counts[row] == len(members)
+                if members:
+                    occupied.append((g.fixed_dims, tuple(fixed)))
+                for idx in members:
+                    counts[idx] += 1
         expected = math.comb(len(extents), k)
         assert all(c == expected for c in counts.values())
-        for idx in entries:
-            assert len(membership(idx, k, len(extents))) == expected
+        # the occupied subtensors, in group order, are those of a full scan
+        scan = [
+            (dims, coords)
+            for dims, coords in reference_subtensors(extents, k)
+            if reference_members(entries, dims, coords)
+        ]
+        assert occupied == scan
