@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import itertools
 import json
 import sys
@@ -39,7 +38,14 @@ from .errors import (
     OrderingSpecError,
     UnknownIdError,
 )
-from .ingest import IdMap, Schema, idmap_from_dict, idmap_to_dict, parse_ratings
+from .ingest import (
+    IdMap,
+    Schema,
+    decode_text,
+    idmap_from_dict,
+    idmap_to_dict,
+    parse_ratings,
+)
 from .lcsp_oracle import SIZE_CAP, build_constraints, oracle_complete, solve_lcsp
 from .properties import (
     OrderingSpec,
@@ -201,7 +207,7 @@ def load_ratings(path: str, schema: Schema, dedupe: str | None):
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    tensor, idmap = parse_ratings(io.StringIO(raw.decode("utf-8")), schema, dedupe)
+    tensor, idmap = parse_ratings(decode_text(raw), schema, dedupe)
     return tensor, idmap, digest
 
 
@@ -323,7 +329,11 @@ def cmd_complete(args) -> int:
         emitter.emit({"record": "error", "message": str(exc)})
         return 2
     elapsed = time.perf_counter() - started
-    save_model(args.output, model, idmap, digest)
+    try:
+        save_model(args.output, model, idmap, digest)
+    except OSError as exc:
+        emitter.emit({"record": "error", "message": f"cannot write model: {exc}"})
+        return 2
     emitter.emit({
         **_convergence_record(model.report),
         "seconds": round(elapsed, 6), "model": args.output,

@@ -13,16 +13,30 @@ rating, and silently aggregating would corrupt the line products the
 scaler relies on.  An explicit dedupe policy ("last" or "mean-log",
 geometric mean) can be opted into.
 
+Parsing takes the whole text at once.  A regular file, where every
+record has the same column count, every value parses and is positive
+after the transform, every id is known and no key repeats, is read in
+a few passes over whole columns: one split into lines, one flat split
+of the fields, ``float`` over the value column, ``str.strip`` and
+first-seen interning over each key column, and
+:meth:`SparseTensor.from_arrays` for the tensor.  Any irregular record
+sends the same text through the line-by-line loop, which is the one
+place that raises a record's error, naming its line, and that applies a
+dedupe policy; so errors and dedupe results do not depend on the path.
+
 The canonical output format is a sorted CSV (rows ascending by flat
 index) plus a sidecar id-map file; parse/serialize round-trips are exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable
+
+import numpy as np
 
 from .errors import DuplicateRecordError, ParseError, RecordError, UnknownIdError
 from .sparse_tensor import Index, SparseTensor
@@ -57,6 +71,11 @@ class Schema:
     @property
     def d(self) -> int:
         return len(self.key_columns)
+
+    @property
+    def needed(self) -> int:
+        """Fewest columns a record may have."""
+        return max(max(self.key_columns), self.value_column) + 1
 
     def apply_transform(self, value: float) -> float:
         if self.transform is None:
@@ -114,20 +133,48 @@ class IdMap:
         return tuple(len(ids) for ids in self.to_id)
 
 
-def _iter_lines(source: IO | Iterable[str]) -> Iterable[str]:
-    for raw in source:
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        yield raw
+def decode_text(raw: bytes) -> str:
+    """UTF-8 text of a file's bytes, without a leading byte-order mark.
+
+    Raises
+    ------
+    ParseError
+        The bytes are not UTF-8; names the line and byte offset of the
+        first bad byte.
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"line {lineno}: byte 0x{raw[exc.start]:02x} at offset {exc.start} "
+            "is not valid UTF-8",
+            line=lineno,
+        ) from None
+    return text.removeprefix("\ufeff")
+
+
+def _read_text(source: str | bytes | IO) -> str:
+    if hasattr(source, "read"):
+        source = source.read()
+    if isinstance(source, (bytes, bytearray)):
+        return decode_text(source)
+    if not isinstance(source, str):
+        raise TypeError(f"expected str, bytes or a file object, got {type(source).__name__}")
+    return source
 
 
 def parse_ratings(
-    source: IO | Iterable[str],
+    source: str | bytes | IO,
     schema: Schema = Schema(),
     dedupe: str | None = None,
     idmap: IdMap | None = None,
 ) -> tuple[SparseTensor, IdMap]:
     """Read a delimited rating file into a tensor plus its id map.
+
+    ``source`` is the file's text, its bytes (UTF-8, an optional leading
+    byte-order mark dropped) or a file object to read whole.  Lines end
+    at ``"\n"`` only; trailing ``"\r"`` is dropped.
 
     ``dedupe`` is ``None`` (duplicates are errors), ``"last"`` (later
     record wins) or ``"mean-log"`` (geometric mean of all records for the
@@ -142,29 +189,106 @@ def parse_ratings(
     Raises
     ------
     ParseError
-        Line does not split into enough columns, or a number fails to
-        parse.  Carries the 1-based line number.
+        Line does not split into enough columns, a number fails to
+        parse, or bytes are not UTF-8.  Carries the 1-based line number.
     RecordError
         Transformed value is not strictly positive.
     DuplicateRecordError
         Repeated key tuple without a dedupe policy; names the later line.
     UnknownIdError
         An id is missing from a caller-provided ``idmap``.
+    TypeError
+        ``source`` is not text, bytes or a file object.
     """
     if dedupe not in (None, "last", "mean-log"):
         raise ValueError(f"unknown dedupe policy {dedupe!r}")
-    fixed_map = idmap is not None
-    if idmap is None:
-        idmap = IdMap(schema.d)
-    elif idmap.d != schema.d:
+    if idmap is not None and idmap.d != schema.d:
         raise ValueError(
             f"idmap covers {idmap.d} dimensions but the schema has {schema.d} keys"
         )
+    text = _read_text(source)
+    return _parse_regular(text, schema, idmap) or _parse_lines(
+        text.split("\n"), schema, dedupe, idmap
+    )
+
+
+def _parse_regular(
+    text: str, schema: Schema, idmap: IdMap | None
+) -> tuple[SparseTensor, IdMap] | None:
+    """The whole-text parse: the result, or None when any record is irregular.
+
+    Irregular means no records, lines of differing column counts or too
+    few columns, a value that does not parse, a transformed value that
+    is not positive and finite, an id outside a fixed ``idmap``, or a
+    repeated key.  Each pass runs over a whole column in C.
+    """
+    lines = text.split("\n")
+    if schema.header:
+        del lines[:1]
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    lines = list(filter(None, lines))
+    delimiter = schema.delimiter
+    counts = set(map(str.count, lines, itertools.repeat(delimiter)))
+    if len(counts) != 1:
+        return None
+    width = counts.pop() + 1
+    if width < schema.needed:
+        return None
+    n = len(lines)
+    # no field holds "\n", so joining on it keeps a delimiter from matching
+    # across two lines; replace matches as split does, left to right
+    fields = "\n".join(lines).replace(delimiter, "\n").split("\n")
+    del lines
+    try:
+        values = np.fromiter(
+            map(float, fields[schema.value_column::width]), np.float64, count=n
+        )
+    except ValueError:
+        return None
+    if schema.transform is not None:
+        a, b = schema.transform
+        with np.errstate(all="ignore"):  # inf and nan are refused below
+            values = a * values + b
+    fixed_map = idmap is not None
+    if not fixed_map:
+        idmap = IdMap(schema.d)
+    coords = np.empty((n, schema.d), dtype=np.int64)
+    for dim, col in enumerate(schema.key_columns):
+        keys = list(map(str.strip, fields[col::width]))
+        if fixed_map:
+            table = idmap.to_coord[dim]
+        else:  # first-seen order
+            table = dict(zip(dict.fromkeys(keys), itertools.count(1)))
+            idmap.to_coord[dim] = table
+            idmap.to_id[dim] = list(table)
+        try:
+            coords[:, dim] = np.fromiter(map(table.__getitem__, keys), np.int64, count=n)
+        except KeyError:
+            return None
+    try:
+        return SparseTensor.from_arrays(idmap.extents(), coords, values), idmap
+    except ValueError:  # a value not positive and finite, or a repeated key
+        return None
+
+
+def _parse_lines(
+    lines: Iterable[str], schema: Schema, dedupe: str | None, idmap: IdMap | None
+) -> tuple[SparseTensor, IdMap]:
+    """The line-by-line parse behind :func:`parse_ratings`.
+
+    It runs whenever the whole-text parse finds an irregular record, so
+    it is the one place that raises for a bad line, naming its number,
+    and that applies a dedupe policy.
+    """
+    fixed_map = idmap is not None
+    if idmap is None:
+        idmap = IdMap(schema.d)
     cells: dict[Index, float] = {}
     log_acc: dict[Index, list[float]] = {}
-    needed = max(max(schema.key_columns), schema.value_column) + 1
+    needed = schema.needed
 
-    for lineno, line in enumerate(_iter_lines(source), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if schema.header and lineno == 1:
             continue
         line = line.rstrip("\r\n")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -79,6 +80,37 @@ class TestComplete:
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["complete", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["complete", "verify"])
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"u1,p1,4\nu\xff2,p1,3\n")
+        argv = [command, str(bad)]
+        if command == "complete":
+            argv += ["-o", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "error: line 2: byte 0xff at offset 9 is not valid UTF-8\n"
+        assert "Traceback" not in captured.err
+
+    def test_byte_order_mark_is_not_part_of_an_id(self, tmp_path, capsys):
+        raw = b"\xef\xbb\xbfu1,p1,4\nu2,p2,3\nu1,p2,5\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(raw)
+        code, records = run_jsonl(
+            capsys, ["complete", str(path), "-o", str(tmp_path / "m.json")]
+        )
+        assert code == 0
+        assert records[0]["extents"] == [2, 2]
+        assert records[0]["source_digest"] == hashlib.sha256(raw).hexdigest()
+
+    def test_missing_output_directory_is_input_error(self, demo_file, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "m.json"
+        assert main(["complete", demo_file, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1].startswith("error: cannot write model: ")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
     def test_all_equal_ratings_converge_fast(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"

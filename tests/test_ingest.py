@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uctensor import ingest
 from uctensor.errors import (
     DuplicateRecordError,
     ParseError,
@@ -12,6 +13,8 @@ from uctensor.errors import (
 )
 from uctensor.ingest import (
     Schema,
+    decode_text,
+    idmap_from_dict,
     parse_ratings,
     read_idmap,
     write_idmap,
@@ -100,6 +103,171 @@ class TestParseRatings:
     def test_bytes_input(self):
         tensor, _ = parse_ratings(io.BytesIO(b"u1,p1,4\nu2,p1,3\n"))
         assert len(tensor) == 2
+
+    def test_str_and_bytes_sources(self):
+        for source in ("u1,p1,4\nu2,p1,3\n", b"u1,p1,4\nu2,p1,3\n"):
+            tensor, idmap = parse_ratings(source)
+            assert tensor.entries == {(1, 1): 4.0, (2, 1): 3.0}
+            assert idmap.to_id == [["u1", "u2"], ["p1"]]
+
+    def test_bytes_byte_order_mark_dropped(self):
+        raw = b"\xef\xbb\xbfu1,p1,4\nu2,p2,3\nu1,p2,5\n"
+        for source in (raw, io.BytesIO(raw)):
+            tensor, idmap = parse_ratings(source)
+            assert tensor.extents == (2, 2)
+            assert idmap.to_id[0] == ["u1", "u2"]
+
+    def test_non_utf8_bytes_name_line_and_offset(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_ratings(b"u1,p1,4\nu2,p\xff,3\n")
+        assert excinfo.value.line == 2
+        assert str(excinfo.value) == "line 2: byte 0xff at offset 12 is not valid UTF-8"
+        with pytest.raises(ParseError, match="offset 3"):
+            decode_text(b"\xef\xbb\xbf\xff")  # offsets count the mark
+
+    def test_lines_end_at_newline_only(self):
+        # splitlines would also break at \x0b, \x1c, \x85 and \u2028
+        text = "u\x0b1,p\x1c1,4\nu\x852,p\u20281,3\r\n"
+        _, idmap = parse(text)
+        assert idmap.to_id == [["u\x0b1", "u\x852"], ["p\x1c1", "p\u20281"]]
+
+    def test_padded_keys_stripped(self):
+        tensor, idmap = parse(" u1 ,\x85p1\u2028,4\nu2,p1 ,5\n")
+        assert idmap.to_id == [["u1", "u2"], ["p1"]]
+        assert len(tensor) == 2
+
+    def test_other_source_types_rejected(self):
+        with pytest.raises(TypeError):
+            parse_ratings(["u1,p1,4\n"])
+
+
+# -- the whole-text parse against the line loop --------------------------------
+
+IDS = ["a", "b", "c", "u\x0bv", "x\x1cy", "\u00e9\x85z", "m\u2028n", "r\rs"]
+PADS = ["", "", " ", "\x0b", "\x85", "\u2028"]
+VALUES = ["4", "2.5", "1e-3", " 3 ", "1_0", "7\x0b", "0.1"]
+BAD_VALUES = ["0", "-2", "nan", "inf", "x", ""]
+
+
+@st.composite
+def rating_files(draw):
+    """A rating file, its source, the arguments to parse it, and whether its
+    records all have one column count and distinct keys."""
+    d = draw(st.sampled_from([2, 3]))
+    extra = draw(st.sampled_from([0, 0, 1, 2]))
+    order = draw(st.permutations(range(d + 1 + extra)))
+    schema = Schema(
+        key_columns=tuple(order[:d]),
+        value_column=order[d],
+        delimiter=draw(st.sampled_from([",", "::", "\t"])),
+        header=draw(st.booleans()),
+        # the last two make some or all values non-positive or infinite
+        transform=draw(st.sampled_from([None, None, None, (1.0, 1.0), (2.0, 0.5), (0.5, 0.0),
+                                        (-1.0, 6.0), (1e308, 1e308)])),
+    )
+    pool = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=len(IDS), unique=True))
+    keys = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * d), min_size=1, max_size=12))
+    if draw(st.integers(0, 3)):
+        keys = list(dict.fromkeys(keys))  # no repeated key
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["user::item\tvalue,x"] if schema.header else []
+    uniform = len(set(keys)) == len(keys)
+    for key in keys:
+        fields = ["e"] * (d + 1 + extra)
+        for col, external in zip(schema.key_columns, key):
+            fields[col] = draw(st.sampled_from(PADS)) + external + draw(st.sampled_from(PADS))
+        bad = draw(st.integers(0, 29)) == 0
+        fields[schema.value_column] = draw(st.sampled_from(BAD_VALUES if bad else VALUES))
+        ragged = draw(st.integers(0, 29))
+        if ragged == 0:
+            fields.pop()
+        elif ragged == 1:
+            fields.append("extra")
+        uniform = uniform and ragged > 1
+        lines.append(schema.delimiter.join(fields))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "\r"])))
+    text = "".join(line + newline for line in lines)
+    if text and draw(st.booleans()):
+        text = text[: -len(newline)]  # no newline at the end
+    idmap = None
+    if draw(st.booleans()):
+        known = [draw(st.permutations(pool)) for _ in range(d)]
+        if draw(st.integers(0, 5)) == 0:
+            known[0] = known[0][1:]  # some ids unknown
+        idmap = idmap_from_dict({"dimensions": known})
+    dedupe = draw(st.sampled_from([None, "last", "mean-log"]))
+    source = text.encode("utf-8") if draw(st.booleans()) else text
+    return text, source, schema, dedupe, idmap, uniform
+
+
+def outcome(call):
+    try:
+        tensor, idmap = call()
+    except (ValueError, LookupError) as exc:
+        return "error", type(exc), str(exc), getattr(exc, "line", None)
+    return (
+        "parsed",
+        tensor.extents,
+        tensor.coords_array().tolist(),
+        tensor.values_array().tobytes(),
+        idmap.to_id,
+        idmap.to_coord,
+    )
+
+
+class TestWholeTextParse:
+    @given(rating_files())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_line_loop(self, case):
+        text, source, schema, dedupe, idmap, uniform = case
+        expected = outcome(
+            lambda: ingest._parse_lines(io.StringIO(text), schema, dedupe, idmap)
+        )
+        assert outcome(lambda: parse_ratings(source, schema, dedupe, idmap)) == expected
+        regular = ingest._parse_regular(text, schema, idmap)
+        if regular is not None:
+            assert outcome(lambda: regular) == expected
+        elif uniform:  # only a record the line loop refuses sends such a file there
+            assert expected[0] == "error"
+
+    def test_well_formed_file_skips_line_loop(self, monkeypatch):
+        def line_loop(*args):
+            raise AssertionError("the line loop ran on a well-formed file")
+
+        monkeypatch.setattr(ingest, "_parse_lines", line_loop)
+        schema = Schema(
+            key_columns=(2, 0, 1), value_column=3, delimiter="::", header=True,
+            transform=(2.0, 1.0),
+        )
+        text = (
+            "h\r\n\r\n p1::week\x0bday:: u\x851 ::4::x\r\n"
+            "p\u20282::week\x1cend::u\x851::0.5::y\r\n\n"
+        )
+        for source in (text, text.encode("utf-8"), io.StringIO(text)):
+            tensor, idmap = parse_ratings(source, schema, dedupe="mean-log")
+            assert tensor.entries == {(1, 1, 1): 9.0, (1, 2, 2): 2.0}
+            assert idmap.to_id == [["u\x851"], ["p1", "p\u20282"], ["week\x0bday", "week\x1cend"]]
+            again, _ = parse_ratings(text, schema, idmap=idmap)
+            assert again.entries == tensor.entries
+
+    @pytest.mark.parametrize(
+        "text, error, line",
+        [
+            ("u1,p1,4\nu2,p2\n", ParseError, 2),
+            ("u1,p1,4\nu2,p2,x\n", ParseError, 2),
+            ("u1,p1,4\nu2,p2,0\n", RecordError, 2),
+            ("u1,p1,4\nu2,p2,3\nu1,p1,4\n", DuplicateRecordError, 3),
+            ("\n\n", RecordError, None),
+        ],
+    )
+    def test_irregular_files_raise_from_line_loop(self, text, error, line):
+        with pytest.raises(error) as excinfo:
+            parse_ratings(text)
+        assert excinfo.value.line == line
+        with pytest.raises(error) as reference:
+            ingest._parse_lines(io.StringIO(text), Schema(), None, None)
+        assert str(excinfo.value) == str(reference.value)
 
 
 class TestIdMap:

@@ -147,6 +147,11 @@ class TestOracleComplete:
         with pytest.raises(ValueError):
             oracle_complete(golden_matrix, 1, (1, 1))
 
+    @pytest.mark.parametrize("idx", [(3, 1), (0, 5)])
+    def test_out_of_bounds_index_rejected(self, golden_matrix, idx):
+        with pytest.raises(IndexError):
+            oracle_complete(golden_matrix, 1, idx)
+
     def test_unsupported_index_still_returns_value(self):
         tensor = SparseTensor((2, 2), {(1, 1): 1.0, (1, 2): 2.0})
         value = oracle_complete(tensor, 1, (2, 1))
