@@ -123,10 +123,10 @@ class ConvergenceReport:
     epsilon: float
     converged: bool
     # Why the run ended: "floor", "stagnation" or "budget".  residual is the
-    # worst |sum of canonical log values| over a subtensor at the end.  A
-    # report read back from a model artifact records neither (None).
-    stop_reason: str | None
-    residual: float | None
+    # worst |sum of canonical log values| over a subtensor at the end.  The
+    # model artifact stores both, so a reloaded report carries them too.
+    stop_reason: str
+    residual: float
 
 
 class ScalingState:
@@ -175,6 +175,16 @@ class ScalingState:
         )
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two 1-d float arrays, summed in one order whatever the thread count.
+
+    ``a @ b`` calls BLAS, which splits long vectors across its threads and
+    so rounds differently under a different thread count; the fitted
+    coefficients, and the artifact's bytes, would follow it.
+    """
+    return float(np.einsum("i,i", a, b))
+
+
 def sweep(state: ScalingState) -> float:
     """One full pass over all non-empty subtensors; returns this pass's v.
 
@@ -189,7 +199,7 @@ def sweep(state: ScalingState) -> float:
         rho = np.where(group.counts > 0, -sums / np.maximum(group.counts, 1), 0.0)
         state.log_values += rho[group.labels]
         state.log_coeffs[gi] += rho
-        v += float(rho @ rho)
+        v += _dot(rho, rho)
     state.v_trace.append(v)
     return v
 
@@ -209,31 +219,42 @@ def _cg_steps(state: ScalingState) -> Iterator[float]:
     """
     yield sweep(state)
     groups, x, s = state.groups, state.log_values, state.coeffs_flat
-    spans = list(zip(state.offsets, state.offsets[1:]))
+    first, *others = [
+        (g.labels, slice(a, b)) for g, a, b in zip(groups, state.offsets, state.offsets[1:])
+    ]
     counts = np.concatenate([g.counts for g in groups])
     inv_counts = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
+    # r and z are the rows of one array, so that one reduction gives r·z and
+    # z·z: each reduction without BLAS costs more per call than a BLAS dot
+    rows = np.empty((2, len(counts)))
+    r, z = rows
 
-    def minus_cx() -> np.ndarray:
-        return -np.concatenate(
-            [np.bincount(g.labels, weights=x, minlength=len(g.counts)) for g in groups]
+    def update_residual() -> tuple[float, float]:
+        """Set ``r = −C x`` and ``z = r / counts`` in place; return ``r·z`` and ``z·z``."""
+        np.concatenate(
+            [np.bincount(g.labels, weights=x, minlength=len(g.counts)) for g in groups],
+            out=r,
         )
+        np.negative(r, out=r)
+        np.multiply(r, inv_counts, out=z)
+        rz, zz = np.einsum("ij,j->i", rows, z).tolist()  # not BLAS: see _dot
+        return rz, zz
 
-    r = minus_cx()
-    z = r * inv_counts
-    rz = float(r @ z)
-    p = z
+    rz, _ = update_residual()
+    p = z.copy()
     while True:
-        w = sum(p[a:b][g.labels] for g, (a, b) in zip(groups, spans))
-        ww = float(w @ w)
+        labels, span = first
+        w = p[span][labels]
+        for labels, span in others:
+            w += p[span][labels]
+        ww = _dot(w, w)
         alpha = rz / ww if ww > 0 else 0.0  # w = 0 only once r is exactly 0
         s += alpha * p
         x += alpha * w
-        r = minus_cx()
-        z = r * inv_counts
-        v = float(z @ z)
+        rz_old = rz
+        rz, v = update_residual()
         state.v_trace.append(v)
         yield v
-        rz, rz_old = float(r @ z), rz
         p = z + (rz / rz_old) * p
 
 

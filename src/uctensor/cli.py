@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -60,7 +59,7 @@ from .properties import (
 from .sparse_tensor import SparseTensor
 
 MODEL_FORMAT = "uctensor-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 ALL_PROPERTIES = (
     "full_support",
@@ -215,21 +214,24 @@ def load_ratings(path: str, schema: Schema, dedupe: str | None):
 
 
 def save_model(path: str, model: CompletionModel, idmap: IdMap, digest: str) -> None:
+    report = model.report
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "k": model.k,
         "extents": list(model.source.extents),
-        "epsilon": model.report.epsilon,
+        "epsilon": report.epsilon,
         "max_sweeps": model.config.max_sweeps,
-        "sweeps": model.report.sweeps,
-        "converged": model.report.converged,
-        "v_trace": model.report.v_trace,
+        "sweeps": report.sweeps,
+        "converged": report.converged,
+        "v_trace": report.v_trace,
+        "stop_reason": report.stop_reason,
+        "residual": report.residual,
         "source_digest": digest,
-        # [index, value] pairs in flat-index order; the encoder writes tuples as lists
-        "entries": list(zip(
-            model.source.coords_array().tolist(), model.source.values_array().tolist()
-        )),
+        # the known set as columns: one coordinate list per dimension and the
+        # values, all in flat-index order
+        "coords": [column.tolist() for column in model.source.coords_array().T],
+        "values": model.source.values_array().tolist(),
         # one list per group of source.groups(k), aligned with its fixed rows
         "log_coeffs": [vec.tolist() for vec in model.scaling.coeffs],
         "idmap": idmap_to_dict(idmap),
@@ -245,29 +247,37 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     found = (payload.get("format"), payload.get("version")) if isinstance(payload, dict) else None
-    if found != (MODEL_FORMAT, MODEL_VERSION):
-        raise ValueError(f"{path} is not a version-{MODEL_VERSION} {MODEL_FORMAT} file")
+    if found is None or found[0] != MODEL_FORMAT:
+        raise ValueError(f"{path} is not a {MODEL_FORMAT} file")
+    if found[1] != MODEL_VERSION:
+        raise ValueError(
+            f"{path} is a {MODEL_FORMAT} file of version {found[1]!r}, and this "
+            f"uctensor reads version {MODEL_VERSION} only; rerun `uctensor complete` "
+            "on the ratings to rebuild it"
+        )
     try:
         extents = tuple(int(n) for n in payload["extents"])
-        tensor = _stored_tensor(extents, payload.pop("entries"))
+        tensor = _stored_tensor(extents, payload.pop("coords"), payload.pop("values"))
         k = int(payload["k"])
         groups = tensor.groups(k)  # ValueError for k outside [1, d-1]
-        coeffs = [np.array(row, dtype=np.float64) for row in payload["log_coeffs"]]
-        if [c.shape for c in coeffs] != [(len(g.counts),) for g in groups]:
+        coeffs = [_numbers(row, "coefficients") for row in payload["log_coeffs"]]
+        if [len(c) for c in coeffs] != [len(g.counts) for g in groups]:
             raise ValueError(
-                f"coefficient vectors of shapes {[c.shape for c in coeffs]} do not fit "
+                f"coefficient vectors of lengths {[len(c) for c in coeffs]} do not fit "
                 f"the {len(groups)} subtensor groups of sizes {[len(g.counts) for g in groups]}"
             )
         if not all(np.isfinite(c).all() for c in coeffs):
             raise ValueError("coefficient vectors hold non-finite values")
         family = ScalingFamily(k, groups, coeffs)
+        if not isinstance(payload["stop_reason"], str):
+            raise TypeError(f"stop_reason must be a string, got {payload['stop_reason']!r}")
         report = ConvergenceReport(
             sweeps=int(payload["sweeps"]),
             v_trace=[float(v) for v in payload["v_trace"]],
             epsilon=float(payload["epsilon"]),
             converged=bool(payload["converged"]),
-            stop_reason=None,
-            residual=None,
+            stop_reason=payload["stop_reason"],
+            residual=float(payload["residual"]),
         )
         config = CompletionConfig(
             epsilon=float(payload["epsilon"]), max_sweeps=int(payload["max_sweeps"])
@@ -277,24 +287,44 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
         if idmap.extents() != extents:
             raise ValueError(f"id map of extents {idmap.extents()} does not fit extents {extents}")
         return model, idmap, payload["source_digest"]
-    except (TypeError, IndexError, KeyError, AttributeError) as exc:
+    except (TypeError, IndexError, KeyError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
 
 
-def _stored_tensor(extents: tuple[int, ...], pairs: list) -> SparseTensor:
-    """The tensor of an artifact's [index, value] pairs.
+def _stored_tensor(extents: tuple[int, ...], columns, values) -> SparseTensor:
+    """The tensor of an artifact's coordinate columns and values.
 
-    Every coordinate must be a JSON integer: ``from_arrays`` would take a
-    ``true`` mixed with integers as 1.  It refuses the rest, repeated
-    indices included.
+    There must be one column per dimension, as long as the values, and
+    every coordinate must be a JSON integer: numpy would take a ``true``
+    mixed with integers as 1.  ``from_arrays`` refuses the rest:
+    out-of-bounds or repeated indices, and values that are not positive
+    and finite.
     """
-    indices = list(map(itemgetter(0), pairs))
-    kinds = set(map(type, itertools.chain.from_iterable(indices)))
-    if kinds - {int}:
-        found = sorted(t.__name__ for t in kinds)
-        raise TypeError(f"index coordinates must be integers, found {found}")
-    values = np.array(list(map(itemgetter(1), pairs)), dtype=np.float64)
-    return SparseTensor.from_arrays(extents, indices, values)
+    if not isinstance(columns, list) or len(columns) != len(extents):
+        raise ValueError(f"coords must hold {len(extents)} columns, one per dimension")
+    columns = [_numbers(column, "index coordinates", (int,), np.int64) for column in columns]
+    values = _numbers(values, "values")
+    if any(len(column) != len(values) for column in columns):
+        raise ValueError(
+            f"coordinate columns of lengths {[len(c) for c in columns]} "
+            f"do not match the {len(values)} values"
+        )
+    return SparseTensor.from_arrays(extents, np.column_stack(columns), values)
+
+
+def _numbers(items, what: str, kinds=(int, float), dtype=np.float64) -> np.ndarray:
+    """A JSON list as a 1-d array, refusing any element not of one of ``kinds``.
+
+    ``np.array`` alone would turn a string ``"1.0"`` or a ``true`` into a
+    number; ``bool`` is not in ``kinds``, as it is a type of its own.
+    """
+    if not isinstance(items, list):
+        raise TypeError(f"{what} must be a list, got {type(items).__name__}")
+    wrong = set(map(type, items)).difference(kinds)
+    if wrong:
+        allowed = " or ".join(t.__name__ for t in kinds)
+        raise TypeError(f"{what} must be {allowed}, found {sorted(t.__name__ for t in wrong)}")
+    return np.array(items, dtype=dtype)
 
 
 # -- subcommands ------------------------------------------------------------

@@ -2,13 +2,23 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import uctensor
 from uctensor import sparse_tensor
 from uctensor.cli import Emitter, load_model, main, save_model
-from uctensor.completion import round_to_scale
+from uctensor.completion import predict_many, round_to_scale, tca
 from uctensor.errors import UnknownIdError
+from uctensor.ingest import IdMap
 from uctensor.sparse_tensor import SparseTensor, all_indices
 
 DEMO = "u1,p1,1\nu1,p2,2\nu2,p1,3\n"
@@ -240,8 +250,12 @@ class TestPredict:
         def variant(**changes):
             return json.dumps({**good, **changes})
 
+        def without(key):
+            return json.dumps({k: v for k, v in good.items() if k != key})
+
         rows, cols = good["log_coeffs"]
-        first, second, *rest = good["entries"]
+        users, items = good["coords"]  # (1, 1), (2, 1), (1, 2) in flat order
+        values = good["values"]
         payloads = {
             "empty object": "{}",
             "top-level list": json.dumps([good]),
@@ -253,16 +267,40 @@ class TestPredict:
             "vector too long": variant(log_coeffs=[rows + [0.0], cols]),
             "nested vector": variant(log_coeffs=[[rows], cols]),
             "vector not a list": variant(log_coeffs=[{"dims": 1}, cols]),
-            "entries missing": json.dumps({k: v for k, v in good.items() if k != "entries"}),
-            "entry repeated": variant(entries=good["entries"] + [[[1, 1], 99.0]]),
-            "fractional coordinate": variant(entries=[first, [[2.7, 1], second[1]], *rest]),
-            "boolean coordinate": variant(entries=[[[True, 1], first[1]], second, *rest]),
+            "vectors not a list": variant(log_coeffs={"rows": rows}),
+            "coords missing": without("coords"),
+            "values missing": without("values"),
+            "entry repeated": variant(
+                coords=[users + [1], items + [1]], values=values + [99.0]
+            ),
+            "fractional coordinate": variant(coords=[[users[0], 2.7, users[2]], items]),
+            "boolean coordinate": variant(coords=[[True, *users[1:]], items]),
+            "coordinate out of bounds": variant(coords=[users, [*items[:2], 3]]),
+            "coordinate column not a list": variant(coords=[users, {"items": items}]),
+            "columns of unequal length": variant(coords=[users, items[:2]]),
+            "fewer values than coordinates": variant(values=values[:2]),
+            "too many coordinate columns": variant(coords=[users, items, items]),
+            "too few coordinate columns": variant(coords=[users]),
+            "coords not a list": variant(coords={"users": users, "items": items}),
+            "string value": variant(values=[str(values[0]), *values[1:]]),
+            "boolean value": variant(values=[values[0], True, values[2]]),
+            "non-positive value": variant(values=[values[0], 0.0, values[2]]),
+            "string coefficient": variant(log_coeffs=[[str(rows[0]), rows[1]], cols]),
+            "boolean coefficient": variant(log_coeffs=[rows, [cols[0], False]]),
             "non-finite coefficient": variant(log_coeffs=[[float("nan"), rows[1]], cols]),
+            "stop reason not a string": variant(stop_reason=1),
+            "residual missing": without("residual"),
             "id map shorter than extents": variant(idmap={"dimensions": [["u1"], ["p1", "p2"]]}),
             "id map with a repeated id": variant(idmap={"dimensions": [["u1", "u1"], ["p1", "p2"]]}),
             "version 1": variant(version=1, log_coeffs=[
                 {"dims": 1, "coords": [1], "s": 0.0},
             ]),
+            "version 2": json.dumps({
+                **{k: v for k, v in good.items()
+                   if k not in ("coords", "values", "stop_reason", "residual")},
+                "version": 2,
+                "entries": [[list(idx), v] for idx, v in zip(zip(users, items), values)],
+            }),
         }
         for name, text in payloads.items():
             bad = tmp_path / "not-a-model.json"
@@ -271,6 +309,16 @@ class TestPredict:
             captured = capsys.readouterr()
             assert captured.out.startswith("error: cannot load model: "), name
             assert "Traceback" not in captured.err, name
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_artifact_names_its_version(self, demo_model, tmp_path, capsys, version):
+        payload = json.loads(open(demo_model).read())
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**payload, "version": version}))
+        assert main(["predict", str(old), "u1,p1"]) == 2
+        message = capsys.readouterr().out
+        assert f"of version {version}," in message
+        assert "rerun `uctensor complete`" in message
 
 
 class TestArtifact:
@@ -299,8 +347,12 @@ class TestArtifact:
     def test_artifact_stores_log_coefficients(self, demo_model):
         payload = json.loads(open(demo_model).read())
         assert payload["format"] == "uctensor-model"
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["v_trace"]
+        # the known set as columns in flat-index order: (1,1), (2,1), (1,2)
+        assert payload["coords"] == [[1, 2, 1], [1, 1, 2]]
+        assert payload["values"] == [1.0, 3.0, 2.0]
+        assert "entries" not in payload
         # one list per subtensor group: the two rows, then the two columns
         assert [len(vec) for vec in payload["log_coeffs"]] == [2, 2]
         assert payload["source_digest"]
@@ -334,6 +386,74 @@ class TestArtifact:
         _, vec_xz, vec_yz = model.scaling.coeffs
         expected = math.exp(-(0 + vec_xz[xz.slot(idx)] + vec_yz[yz.slot(idx)]))
         assert model.predict(idx) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_save_load_round_trip_is_bit_exact(self, data):
+        d = data.draw(st.sampled_from([2, 3]), label="d")
+        k = data.draw(st.integers(1, d - 1), label="k")
+        extents = tuple(data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+        cells = list(all_indices(extents))
+        known = data.draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+        values = data.draw(st.lists(
+            st.floats(1e-3, 1e3), min_size=len(known), max_size=len(known)
+        ))
+        model = tca(SparseTensor.from_arrays(extents, known, values), k)
+        idmap = IdMap(d)
+        for dim, n in enumerate(extents):
+            for i in range(n):
+                idmap.intern(dim, f"d{dim}-{i}")
+
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+            save_model(str(first), model, idmap, "digest")
+            loaded, loaded_idmap, digest = load_model(str(first))
+            save_model(str(second), loaded, loaded_idmap, digest)
+            assert second.read_bytes() == first.read_bytes()
+
+        def same(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        assert loaded.k == k and loaded_idmap.to_id == idmap.to_id
+        assert same(loaded.source.coords_array(), model.source.coords_array())
+        assert same(loaded.source.values_array(), model.source.values_array())
+        assert len(loaded.scaling.coeffs) == len(model.scaling.coeffs)
+        for got, want in zip(loaded.scaling.coeffs, model.scaling.coeffs):
+            assert same(got, want)
+        box = np.array(cells)
+        assert same(predict_many(loaded, box), predict_many(model, box))
+        for field in ("sweeps", "v_trace", "converged", "stop_reason", "residual"):
+            assert getattr(loaded.report, field) == getattr(model.report, field), field
+
+    def test_artifact_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS splits a dot product across threads above 10,000
+        # elements, so both the entries (36,000) and the subtensors (15,000 rows
+        # and columns) are past that size
+        rng = np.random.default_rng(7)
+        users, items = 12_000, 3_000
+        first = rng.integers(0, items, size=users)
+        step = rng.integers(1, items // 3, size=users)
+        rated = (first[:, None] + np.arange(3) * step[:, None]) % items
+        stars = rng.uniform(0.5, 5.0, size=rated.shape)
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("".join(
+            f"u{u},i{i},{v:.3f}\n"
+            for u, row, vals in zip(range(users), rated.tolist(), stars.tolist())
+            for i, v in zip(row, vals)
+        ))
+        src = str(Path(uctensor.__file__).parents[1])
+        artifacts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"model-{threads}.json"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run(
+                [sys.executable, "-m", "uctensor", "complete", str(ratings), "-o", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stdout + done.stderr
+            artifacts.append(out.read_bytes())
+        assert artifacts[0] == artifacts[1]
 
 
 class TestVerify:
