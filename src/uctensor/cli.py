@@ -9,8 +9,8 @@ codes: 0 success, 1 property or convergence failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
-import itertools
 import json
 import sys
 import time
@@ -29,7 +29,14 @@ from .canonical_scaling import (
     csa,
     sweep,
 )
-from .completion import CompletionConfig, CompletionModel, predict_many, round_to_scale, tca
+from .completion import (
+    COMPLETE_ALL_CAP,
+    CompletionConfig,
+    CompletionModel,
+    predict_many,
+    round_to_scale,
+    tca,
+)
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -47,9 +54,13 @@ from .ingest import (
 )
 from .lcsp_oracle import SIZE_CAP, build_constraints, oracle_complete, solve_lcsp
 from .properties import (
+    MISSING_CAP,
     OrderingSpec,
     PropertyReport,
+    _first_rank_changes,
+    _rescaled_predictions,
     _slice_support,
+    checked_cells,
     check_consensus_ordering,
     check_gauge_uniqueness,
     check_scale_fairness,
@@ -81,7 +92,6 @@ class RunConfig:
     seed: int = 0
     fmt: str = "human"
     oracle_cap: int = 500
-    missing_cap: int = 20_000
 
     def as_record(self, command: str, **extra) -> dict:
         rec = {
@@ -93,7 +103,7 @@ class RunConfig:
             "seed": self.seed,
             "format": self.fmt,
             "oracle_cap": self.oracle_cap,
-            "missing_cap": self.missing_cap,
+            "missing_cap": MISSING_CAP,
         }
         rec.update(extra)
         return rec
@@ -332,10 +342,7 @@ def _numbers(items, what: str, kinds=(int, float), dtype=np.float64) -> np.ndarr
 
 def cmd_complete(args) -> int:
     emitter = Emitter(args.format)
-    config = RunConfig(
-        k=args.k, epsilon=args.epsilon, max_sweeps=args.max_sweeps,
-        seed=args.seed, fmt=args.format,
-    )
+    config = RunConfig(k=args.k, epsilon=args.epsilon, max_sweeps=args.max_sweeps, fmt=args.format)
     try:
         schema = schema_from_args(args)
         tensor, idmap, digest = load_ratings(args.ratings, schema, args.dedupe)
@@ -351,10 +358,6 @@ def cmd_complete(args) -> int:
     started = time.perf_counter()
     try:
         model = tca(tensor, k, CompletionConfig(args.epsilon, args.max_sweeps))
-    except ConvergenceError as exc:
-        report = exc.report
-        emitter.emit(_convergence_record(report))
-        return 1
     except ValueError as exc:
         emitter.emit({"record": "error", "message": str(exc)})
         return 2
@@ -400,15 +403,15 @@ def cmd_predict(args) -> int:
         bounds = (lo, hi)
     emitter.emit(RunConfig(
         k=model.k, epsilon=model.report.epsilon, max_sweeps=model.config.max_sweeps,
-        seed=args.seed, fmt=args.format,
+        fmt=args.format,
     ).as_record("predict", model=args.model, source_digest=digest, all=args.all))
 
-    if args.all and model.source.box_size > model.config.complete_all_cap:
+    if args.all and model.source.box_size > COMPLETE_ALL_CAP:
         emitter.emit({
             "record": "error",
             "message": (
                 f"extent box has {model.source.box_size} cells, above the "
-                f"cap {model.config.complete_all_cap}; query per cell instead"
+                f"cap {COMPLETE_ALL_CAP}; query per cell instead"
             ),
         })
         return 2
@@ -471,12 +474,18 @@ def _parse_consensus_spec(text: str, tensor: SparseTensor, idmap: IdMap) -> Orde
             raise IngestError(
                 f"--consensus-spec id {token.strip()!r} unknown in dimension {dim}"
             )
+        if coord in gamma:
+            raise IngestError(f"--consensus-spec repeats id {token.strip()!r}")
         gamma.append(coord)
     return OrderingSpec(dim, tuple(gamma), frozenset(_slice_support(tensor, dim, gamma[0])))
 
 
-def _verify_oracle(tensor, k, emitter, config) -> PropertyReport | None:
-    """Direct-solve cross-check; None when the instance is over the cap."""
+def _verify_oracle(tensor, k, emitter, config, compared) -> PropertyReport | None:
+    """Direct-solve cross-check; None when the instance is over the cap.
+
+    ``compared()`` returns the cells to compare predictions on; it is
+    called only when the check runs.
+    """
     n_rows = sum(int((g.counts > 0).sum()) for g in tensor.groups(k))
     if len(tensor) > config.oracle_cap or n_rows > SIZE_CAP:
         emitter.emit({
@@ -488,16 +497,12 @@ def _verify_oracle(tensor, k, emitter, config) -> PropertyReport | None:
         })
         return None
     x, oracle = solve_lcsp(tensor, k, build_constraints(tensor, k))
-    x_csa, family, report = csa(tensor, k, config.epsilon, config.max_sweeps)
+    x_csa, family, report = csa(tensor, k)
     dev_canonical = float(np.abs(x_csa - x).max())
-    model = CompletionModel(tensor, family, report, k)
-    cells = list(itertools.islice(
-        _support.supported(tensor, tensor.missing_indices()), config.missing_cap
-    ))
-    checked = len(cells)
-    preds = predict_many(model, np.array(cells, dtype=np.int64).reshape(checked, tensor.d))
+    cells = compared()
+    preds = predict_many(CompletionModel(tensor, family, report, k), cells)
     dev_pred = 0.0
-    for idx, pred in zip(cells, preds.tolist()):
+    for idx, pred in zip(map(tuple, cells.tolist()), preds.tolist()):
         reference = oracle_complete(tensor, k, idx, presolved=oracle)
         dev_pred = max(dev_pred, abs(pred / reference - 1.0))
     violations = []
@@ -507,7 +512,7 @@ def _verify_oracle(tensor, k, emitter, config) -> PropertyReport | None:
         violations.append(f"predictions diverge from direct solve: {dev_pred:.3e}")
     return PropertyReport(
         name="oracle_equivalence",
-        instances=checked,
+        instances=len(cells),
         max_deviation=max(dev_canonical, dev_pred),
         violations=violations,
         passed=not violations,
@@ -517,10 +522,7 @@ def _verify_oracle(tensor, k, emitter, config) -> PropertyReport | None:
 
 def cmd_verify(args) -> int:
     emitter = Emitter(args.format)
-    config = RunConfig(
-        k=args.k, epsilon=args.epsilon, max_sweeps=args.max_sweeps,
-        seed=args.seed, fmt=args.format, oracle_cap=args.oracle_cap,
-    )
+    config = RunConfig(k=args.k, seed=args.seed, fmt=args.format, oracle_cap=args.oracle_cap)
     try:
         schema = schema_from_args(args)
         tensor, idmap, digest = load_ratings(args.ratings, schema, args.dedupe)
@@ -530,10 +532,13 @@ def cmd_verify(args) -> int:
     k = args.k if args.k is not None else tensor.d - 1
     wanted = [p.strip() for p in args.properties.split(",")] if args.properties else list(ALL_PROPERTIES)
     unknown = [p for p in wanted if p not in ALL_PROPERTIES]
-    if unknown:
-        emitter.emit({"record": "error", "message": f"unknown properties: {unknown}"})
-        return 2
     try:
+        if unknown:
+            raise IngestError(f"unknown properties: {unknown}")
+        if not 1 <= k <= tensor.d - 1:
+            raise IngestError(f"--k {k} is outside 1..{tensor.d - 1} for a {tensor.d}-d tensor")
+        if not 0 < args.factor < float("inf"):
+            raise IngestError(f"--factor must be positive and finite, got {args.factor}")
         declared_specs = [
             _parse_consensus_spec(text, tensor, idmap)
             for text in (args.consensus_spec or [])
@@ -546,6 +551,8 @@ def cmd_verify(args) -> int:
         extents=list(tensor.extents), known=len(tensor), source_digest=digest,
     ))
 
+    # the one witness search for the cells the checks compare, on first use
+    compared = functools.cache(lambda: checked_cells(tensor))
     fully_supported = None
     spec_error = False
     reports: list[PropertyReport] = []
@@ -571,13 +578,11 @@ def cmd_verify(args) -> int:
             ))
         elif name == "unit_consistency":
             reports.append(check_unit_consistency(
-                tensor, k, trials=args.trials, seed=args.seed,
-                missing_cap=config.missing_cap,
+                tensor, k, trials=args.trials, seed=args.seed, cells=compared(),
             ))
         elif name == "gauge_uniqueness":
             rep = check_gauge_uniqueness(
-                tensor, k, orderings=args.orderings, seed=args.seed,
-                missing_cap=config.missing_cap,
+                tensor, k, orderings=args.orderings, seed=args.seed, cells=compared(),
             )
             if fully_supported is False:
                 rep.informational = True
@@ -589,7 +594,7 @@ def cmd_verify(args) -> int:
                 factor=args.factor,
             ))
         elif name == "consensus_ordering":
-            model = tca(tensor, k, CompletionConfig(args.epsilon, args.max_sweeps))
+            model = tca(tensor, k)
             if declared_specs:
                 specs = declared_specs
             else:
@@ -617,7 +622,7 @@ def cmd_verify(args) -> int:
                 rep.notes.append(f"dim {ospec.dim}, slices {list(ospec.gamma)}")
                 reports.append(rep)
         elif name == "oracle_equivalence":
-            rep = _verify_oracle(tensor, k, emitter, config)
+            rep = _verify_oracle(tensor, k, emitter, config, compared)
             if rep is not None:
                 reports.append(rep)
 
@@ -649,11 +654,7 @@ def _random_full_support_matrix(rng, rows, cols, density):
 
 
 def experiment_consensus(
-    users: int = 50,
-    base_products: int = 40,
-    seed: int = 0,
-    epsilon: float = DEFAULT_EPSILON,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    users: int = 50, base_products: int = 40, seed: int = 0
 ) -> tuple[dict, list[tuple]]:
     """Planted unanimous ranking: half the users rate three extra products
     3 > 2 > 1; control users' predictions must reproduce that order."""
@@ -670,7 +671,7 @@ def experiment_consensus(
         entries[(u, mid)] = 2.0
         entries[(u, worst)] = 1.0
     tensor = SparseTensor((users, cols), entries)
-    model = tca(tensor, 1, CompletionConfig(epsilon, max_sweeps))
+    model = tca(tensor, 1)
     spec = OrderingSpec(
         dim=2,
         gamma=(worst, mid, best),
@@ -706,37 +707,18 @@ def experiment_fairness(
     factor: float = 1.25,
     top_n: int = 10,
     seed: int = 0,
-    epsilon: float = DEFAULT_EPSILON,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
     tolerance: float = 1e-9,
 ) -> tuple[dict, list[tuple]]:
     """One user rescales all their ratings; nobody else's predictions or
     top-N lists may move."""
     rng = np.random.default_rng(seed)
     tensor = _random_full_support_matrix(rng, rows, cols, density)
-    config = CompletionConfig(epsilon, max_sweeps)
-    before = tca(tensor, 1, config)
-    coords, values = tensor.coords_array(), tensor.values_array()
-    scaled = np.where(coords[:, 0] == user, values * factor, values)
-    after = tca(SparseTensor.from_arrays(tensor.extents, coords, scaled), 1, config)
-
-    changed_predictions = 0
-    per_user_missing: dict[int, list[tuple[float, float, tuple]]] = {}
-    for idx in tensor.missing_indices():
-        if idx[0] == user:
-            continue
-        p1, p2 = before.predict(idx), after.predict(idx)
-        if abs(p2 / p1 - 1.0) > tolerance:
-            changed_predictions += 1
-        per_user_missing.setdefault(idx[0], []).append((p1, p2, idx))
-
-    changed_by_n = {n: 0 for n in range(1, top_n + 1)}
-    for u, triples in sorted(per_user_missing.items()):
-        order1 = [t[2] for t in sorted(triples, key=lambda t: (-t[0], t[2]))]
-        order2 = [t[2] for t in sorted(triples, key=lambda t: (-t[1], t[2]))]
-        for n in changed_by_n:
-            if order1[:n] != order2[:n]:
-                changed_by_n[n] += 1
+    cells, inside, p_before, p_after = _rescaled_predictions(tensor, 1, user, factor)
+    others = ~inside
+    changed_predictions = int((np.abs(p_after[others] / p_before[others] - 1.0) > tolerance).sum())
+    _, first = _first_rank_changes(cells[others], 1, p_before[others], p_after[others])
+    # users whose top-n list changed: those whose ranking first changes below rank n
+    changed_by_n = {n: int((first < n).sum()) for n in range(1, top_n + 1)}
     summary = {
         "record": "experiment",
         "name": "fairness",
@@ -811,21 +793,16 @@ def experiment_scaling(
 
 def cmd_experiment(args) -> int:
     emitter = Emitter(args.format)
-    config = RunConfig(
-        epsilon=args.epsilon, max_sweeps=args.max_sweeps, seed=args.seed,
-        fmt=args.format,
-    )
+    config = RunConfig(seed=args.seed, fmt=args.format)
     emitter.emit(config.as_record("experiment", name=args.name))
     if args.name == "consensus":
         summary, data = experiment_consensus(
             users=args.users, base_products=args.base_products, seed=args.seed,
-            epsilon=args.epsilon, max_sweeps=args.max_sweeps,
         )
     elif args.name == "fairness":
         summary, data = experiment_fairness(
             rows=args.rows, cols=args.cols, density=args.density, user=args.user,
             factor=args.factor, top_n=args.top_n, seed=args.seed,
-            epsilon=args.epsilon, max_sweeps=args.max_sweeps,
         )
     else:
         summary, data = experiment_scaling(
@@ -867,10 +844,6 @@ def _add_schema_flags(p: argparse.ArgumentParser) -> None:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None,
                    help="subtensor dimensionality (default d-1)")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS,
-                   help="cap on sweeps or CG iterations per fit")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="human", choices=("human", "jsonl"))
 
 
@@ -886,6 +859,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default="model.json")
     _add_schema_flags(p)
     _add_config_flags(p)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS,
+                   help="cap on sweeps or CG iterations per fit")
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("predict", help="query a saved model")
@@ -896,7 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delimiter", default=",")
     p.add_argument("--round", default=None, metavar="lo,hi",
                    help="also emit the prediction rounded and clamped to [lo, hi]")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="human", choices=("human", "jsonl"))
     p.set_defaults(func=cmd_predict)
 
@@ -917,6 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(ids in ascending preference); repeatable")
     _add_schema_flags(p)
     _add_config_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("experiment", help="run a synthetic experiment")
@@ -933,9 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweeps-per-measure", type=int, default=8,
                    help="fewest sweeps per timed repeat; each also runs >= 10 ms")
     p.add_argument("--data", default=None, help="write the plot-ready table here")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS,
-                   help="cap on sweeps or CG iterations per fit")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="human", choices=("human", "jsonl"))
     p.set_defaults(func=cmd_experiment)
@@ -950,7 +923,11 @@ def main(argv: list[str] | None = None) -> int:
             args.rows = 30 if args.name == "fairness" else 32
         if args.cols is None:
             args.cols = 20 if args.name == "fairness" else 32
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConvergenceError as exc:  # a fit that ran its budget out, in any command
+        Emitter(args.format).emit(_convergence_record(exc.report))
+        return 1
 
 
 def main_entry() -> None:

@@ -33,16 +33,15 @@ from .canonical_scaling import (
 from .errors import CapacityError
 from .sparse_tensor import Index, SparseTensor, flat_index
 
-DEFAULT_BOX_CAP = 10_000_000
+COMPLETE_ALL_CAP = 10_000_000  # largest extent box complete_all and predict --all fill
 
 
 @dataclass(frozen=True)
 class CompletionConfig:
-    """Knobs for fitting and bulk completion."""
+    """Knobs for fitting."""
 
     epsilon: float = DEFAULT_EPSILON
     max_sweeps: int = DEFAULT_MAX_SWEEPS
-    complete_all_cap: int = DEFAULT_BOX_CAP
 
 
 @dataclass
@@ -179,14 +178,13 @@ def round_to_scale(raw: float, low: float, high: float) -> float:
 def complete_all(model: CompletionModel) -> SparseTensor:
     """Dense-in-box tensor combining known entries and predictions.
 
-    Refuses boxes larger than the configured cap; use :func:`predict` per
-    query instead for large index spaces.
+    Refuses boxes larger than ``COMPLETE_ALL_CAP`` cells; use
+    :func:`predict` per query instead for large index spaces.
     """
     box = model.source.box_size
-    cap = model.config.complete_all_cap
-    if box > cap:
+    if box > COMPLETE_ALL_CAP:
         raise CapacityError(
-            f"extent box has {box} cells, above the complete_all cap {cap}"
+            f"extent box has {box} cells, above the complete_all cap {COMPLETE_ALL_CAP}"
         )
     source = model.source
     blocks = list(source.missing_blocks())

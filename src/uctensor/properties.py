@@ -19,9 +19,10 @@ from .canonical_scaling import ScalingFamily, apply_scaling, csa
 from .completion import CompletionModel, predict_many, tca
 from .errors import OrderingSpecError
 from .lcsp_oracle import gauge_check
-from .sparse_tensor import Index, SparseTensor, all_indices
+from .sparse_tensor import Index, SparseTensor
 
 STRICTNESS_SLACK = 1e-12
+MISSING_CAP = 20_000  # missing cells, in flat order, that checked_cells scans
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,12 @@ class PropertyReport:
         }
 
 
-def _distinct_less(x: float, y: float, slack: float = STRICTNESS_SLACK) -> bool:
-    """x strictly below y by more than a relative slack (roundoff guard)."""
-    return x < y and (y - x) > slack * max(abs(x), abs(y))
+def _distinct_less(x, y, slack: float = STRICTNESS_SLACK):
+    """x strictly below y by more than a relative slack (roundoff guard).
 
-
-def _embed(projected: Index, dim: int, slice_index: int) -> Index:
-    return projected[: dim - 1] + (slice_index,) + projected[dim - 1:]
+    Takes two floats, or two arrays of the same shape, compared elementwise.
+    """
+    return (x < y) & ((y - x) > slack * np.maximum(abs(x), abs(y)))
 
 
 def _slice_support(tensor: SparseTensor, dim: int, slice_index: int) -> dict[Index, float]:
@@ -96,32 +96,42 @@ def random_scaling_family(
     return ScalingFamily(k, groups, [rng.uniform(-spread, spread, len(g.counts)) for g in groups])
 
 
+def checked_cells(tensor: SparseTensor) -> np.ndarray:
+    """The missing cells the checks compare predictions on, as an (m, d) int array.
+
+    These are the cells among the first ``MISSING_CAP`` missing ones, in
+    flat order, that have a hypercube witness.  A witness certifies that
+    the prediction is the same in every gauge (it is sufficient, not
+    necessary), and without that certificate a deviation could come from
+    the gauge alone.
+    """
+    first = itertools.islice(tensor.missing_indices(), MISSING_CAP)
+    found = list(_support.supported(tensor, first))
+    return np.array(found, dtype=np.int64).reshape(len(found), tensor.d)
+
+
 def check_unit_consistency(
     tensor: SparseTensor,
     k: int,
     trials: int = 100,
     tolerance: float = 1e-6,
     seed: int = 0,
-    missing_cap: int = 20_000,
+    cells: np.ndarray | None = None,
 ) -> PropertyReport:
     """Rescaling inputs by a random positive family rescales predictions.
 
     For each trial draws a family T, completes both the original and the
     T-scaled tensor, and compares the scaled predictions against the
-    predictions of the scaled tensor on every supported missing index
-    (up to ``missing_cap`` missing indices scanned).  Indices without a
-    hypercube witness are excluded, with a note: a witness certifies that
-    the prediction is the same in every gauge (it is sufficient, not
-    necessary), and without that certificate a deviation could come from
-    the gauge alone.
+    predictions of the scaled tensor on ``cells``, by default
+    :func:`checked_cells`.  A note counts the first ``MISSING_CAP``
+    missing cells left out of ``cells`` (which must be among them).
     """
     rng = np.random.default_rng(seed)
     base = tca(tensor, k)
-    missing = list(itertools.islice(tensor.missing_indices(), missing_cap))
-    supported = list(_support.supported(tensor, missing))
-    excluded = len(missing) - len(supported)
+    if cells is None:
+        cells = checked_cells(tensor)
+    excluded = min(MISSING_CAP, tensor.box_size - len(tensor)) - len(cells)
     notes = [f"{excluded} unsupported missing indices excluded"] if excluded else []
-    cells = np.array(supported, dtype=np.int64).reshape(len(supported), tensor.d)
     base_preds = predict_many(base, cells)
     worst = 0.0
     violations: list[str] = []
@@ -130,7 +140,7 @@ def check_unit_consistency(
         scaled_model = tca(apply_scaling(tensor, family), k)
         expected = (base_preds * np.exp(family.log_sums(cells))).tolist()
         actual = predict_many(scaled_model, cells).tolist()
-        for idx, want, got in zip(supported, expected, actual):
+        for idx, want, got in zip(map(tuple, cells.tolist()), expected, actual):
             dev = abs(got / want - 1.0)
             if dev > worst:
                 worst = dev
@@ -148,17 +158,13 @@ def check_unit_consistency(
     )
 
 
-def validate_ordering_spec(
-    tensor: SparseTensor, spec: OrderingSpec, relaxed: bool = False
-) -> frozenset[Index]:
+def validate_ordering_spec(tensor: SparseTensor, spec: OrderingSpec) -> frozenset[Index]:
     """Check both clauses of an ordering spec against a tensor.
 
     Returns the support set the ordering was verified on.  Raises
     :class:`OrderingSpecError` with ``clause="support"`` when the slices'
     known sets disagree (or the common set is empty), ``clause="ordering"``
     when the known values are not strictly increasing along ``gamma``.
-    In relaxed mode, support equality is not required and the ordering is
-    checked on the intersection only.
     """
     if not 1 <= spec.dim <= tensor.d:
         raise ValueError(f"dimension {spec.dim} invalid for a {tensor.d}-d tensor")
@@ -169,27 +175,20 @@ def validate_ordering_spec(
             raise ValueError(f"slice {g} outside extent of dimension {spec.dim}")
 
     supports = [_slice_support(tensor, spec.dim, g) for g in spec.gamma]
-    if relaxed:
-        common = frozenset.intersection(*(frozenset(s) for s in supports))
-        if not common:
+    common = frozenset(supports[0])
+    for g, sup in zip(spec.gamma, supports):
+        if frozenset(sup) != common:
             raise OrderingSpecError(
-                "slices share no known entries", clause="support"
-            )
-    else:
-        common = frozenset(supports[0])
-        for g, sup in zip(spec.gamma, supports):
-            if frozenset(sup) != common:
-                raise OrderingSpecError(
-                    f"slice {g} has a different known set than slice {spec.gamma[0]}",
-                    clause="support",
-                )
-        if common != spec.common_support:
-            raise OrderingSpecError(
-                "declared common support does not match the tensor",
+                f"slice {g} has a different known set than slice {spec.gamma[0]}",
                 clause="support",
             )
-        if not common:
-            raise OrderingSpecError("common support is empty", clause="support")
+    if common != spec.common_support:
+        raise OrderingSpecError(
+            "declared common support does not match the tensor",
+            clause="support",
+        )
+    if not common:
+        raise OrderingSpecError("common support is empty", clause="support")
 
     for a in range(len(spec.gamma) - 1):
         lo, hi = supports[a], supports[a + 1]
@@ -203,59 +202,89 @@ def validate_ordering_spec(
     return common
 
 
-def check_consensus_ordering(
-    model: CompletionModel, spec: OrderingSpec, relaxed: bool = False
-) -> PropertyReport:
+def check_consensus_ordering(model: CompletionModel, spec: OrderingSpec) -> PropertyReport:
     """Predictions preserve a unanimous ranking of slices.
 
     For every index pattern missing from all slices in ``gamma``, asserts
     the predicted values are strictly increasing along ``gamma``.  The
-    relaxed mode (intersection support instead of identical support) is
-    informational only: the guarantee is proven for identical supports.
+    patterns are the cells of the other dimensions' box, in flat order;
+    all of their cells along ``gamma`` are predicted in one batch.
     """
     tensor = model.source
-    common = validate_ordering_spec(tensor, spec, relaxed=relaxed)
-    dim = spec.dim
-
-    other_extents = tuple(
-        n for i, n in enumerate(tensor.extents) if i != dim - 1
+    validate_ordering_spec(tensor, spec)
+    dim, gamma = spec.dim, np.array(spec.gamma)
+    other_extents = tuple(n for i, n in enumerate(tensor.extents) if i != dim - 1)
+    patterns = np.indices(other_extents).reshape(len(other_extents), -1, order="F").T + 1
+    # the slices share one known set, so a pattern is missing from all of
+    # them when it is missing from the first
+    first = np.insert(patterns, dim - 1, gamma[0], axis=1)
+    patterns = patterns[tensor.locate(first) < 0]
+    cells = np.insert(
+        np.repeat(patterns, len(gamma), axis=0), dim - 1, np.tile(gamma, len(patterns)), axis=1
     )
-    if relaxed:
-        slice_supports = [
-            frozenset(_slice_support(tensor, dim, g)) for g in spec.gamma
-        ]
-        absent = lambda p: all(p not in s for s in slice_supports)  # noqa: E731
-    else:
-        absent = lambda p: p not in common  # noqa: E731
+    preds = predict_many(model, cells).reshape(len(patterns), len(gamma))
+    ordered = _distinct_less(preds[:, :-1], preds[:, 1:])
 
     worst = 0.0
     violations: list[str] = []
-    checked = 0
-    for projected in all_indices(other_extents):
-        if not absent(projected):
-            continue
-        checked += 1
-        preds = [
-            model.predict(_embed(projected, dim, g)) for g in spec.gamma
-        ]
-        for a in range(len(spec.gamma) - 1):
-            lo, hi = preds[a], preds[a + 1]
-            if not _distinct_less(lo, hi):
-                margin = (lo - hi) / max(abs(hi), 1e-300)
-                worst = max(worst, margin)
-                violations.append(
-                    f"pattern {projected}: slice {spec.gamma[a]} predicted {lo!r} "
-                    f"not below slice {spec.gamma[a + 1]} at {hi!r}"
-                )
+    for p, a in np.argwhere(~ordered).tolist():  # pattern by pattern, as in flat order
+        low, high = preds[p, a].item(), preds[p, a + 1].item()
+        worst = max(worst, (low - high) / max(abs(high), 1e-300))
+        violations.append(
+            f"pattern {tuple(patterns[p].tolist())}: slice {spec.gamma[a]} predicted {low!r} "
+            f"not below slice {spec.gamma[a + 1]} at {high!r}"
+        )
     return PropertyReport(
         name="consensus_ordering",
-        instances=checked,
+        instances=len(patterns),
         max_deviation=worst,
         violations=violations,
         passed=not violations,
         tolerance=0.0,
-        informational=relaxed,
     )
+
+
+def _rescaled_predictions(
+    tensor: SparseTensor, dim: int, slice_index: int, factor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Predictions at the missing cells before and after one slice is rescaled.
+
+    Fits ``tensor`` at k = d-1, and again with every known entry of slice
+    ``slice_index`` along ``dim`` multiplied by ``factor``.  Returns the
+    missing cells as an (m, d) int array in flat order, the mask of those
+    inside the slice, and the two fits' predictions at them.
+    """
+    coords, values = tensor.coords_array(), tensor.values_array()
+    scaled_values = np.where(coords[:, dim - 1] == slice_index, values * factor, values)
+    before = tca(tensor, tensor.d - 1)
+    after = tca(SparseTensor.from_arrays(tensor.extents, coords, scaled_values), tensor.d - 1)
+    cells = np.concatenate([*tensor.missing_blocks(), np.empty((0, tensor.d), np.int64)])
+    inside = cells[:, dim - 1] == slice_index
+    return cells, inside, predict_many(before, cells), predict_many(after, cells)
+
+
+def _first_rank_changes(
+    cells: np.ndarray, dim: int, p_before: np.ndarray, p_after: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per slice of ``dim``, the first rank at which its ranking of ``cells`` changes.
+
+    Ranks each slice's cells by descending prediction, ties by index,
+    once under ``p_before`` and once under ``p_after``.  Returns the slice
+    coordinates present in ``cells``, ascending, and for each the 0-based
+    rank of the first cell the two rankings disagree on, as a float, or
+    infinity when they agree.  A slice's top-n list changed exactly when
+    its first change is below n.
+    """
+    slices = cells[:, dim - 1]
+    ranked = [
+        cells[np.lexsort((*cells[:, ::-1].T, -preds, slices))] for preds in (p_before, p_after)
+    ]
+    coords, starts, sizes = np.unique(np.sort(slices), return_index=True, return_counts=True)
+    # positions where the rankings disagree, plus one past the end, so that
+    # each slice finds one at or after its start
+    differ = np.flatnonzero(np.append((ranked[0] != ranked[1]).any(axis=1), True))
+    first = differ[np.searchsorted(differ, starts)] - starts
+    return coords, np.where(first < sizes, first, np.inf)
 
 
 def check_scale_fairness(
@@ -276,19 +305,10 @@ def check_scale_fairness(
     """
     if not factor > 0:
         raise ValueError(f"factor must be positive, got {factor}")
-    coords, values = tensor.coords_array(), tensor.values_array()
-    in_slice = coords[:, dim - 1] == slice_index
-    if not in_slice.any():
+    if not (tensor.coords_array()[:, dim - 1] == slice_index).any():
         raise ValueError(f"slice {slice_index} of dimension {dim} has no known entries")
 
-    before = tca(tensor, tensor.d - 1)
-    scaled_values = np.where(in_slice, values * factor, values)
-    after = tca(SparseTensor.from_arrays(tensor.extents, coords, scaled_values), tensor.d - 1)
-
-    cells = np.concatenate([*tensor.missing_blocks(), np.empty((0, tensor.d), np.int64)])
-    p_before = predict_many(before, cells)
-    p_after = predict_many(after, cells)
-    inside = cells[:, dim - 1] == slice_index
+    cells, inside, p_before, p_after = _rescaled_predictions(tensor, dim, slice_index, factor)
     devs = np.abs(p_after / np.where(inside, p_before * factor, p_before) - 1.0)
     worst = float(devs.max()) if len(devs) else 0.0
     violations = [
@@ -296,21 +316,13 @@ def check_scale_fairness(
         f"{tuple(cells[i].tolist())}: dev {devs[i]:.3e}"
         for i in np.flatnonzero(devs > tolerance)
     ]
-
-    # per slice of `dim` outside the scaled one, the missing cells by
-    # descending prediction, ties by index: the top-N lists to compare
-    others = cells[~inside]
-    slices = others[:, dim - 1]
-    ranked = [
-        others[np.lexsort((*others[:, ::-1].T, -preds[~inside], slices))]
-        for preds in (p_before, p_after)
-    ]
-    coords, starts, sizes = np.unique(np.sort(slices), return_index=True, return_counts=True)
-    for coord, start, size in zip(coords.tolist(), starts.tolist(), sizes.tolist()):
-        top = slice(start, start + min(size, top_n))
-        if not np.array_equal(ranked[0][top], ranked[1][top]):
-            violations.append(f"top-{top_n} list changed for slice {coord} of dim {dim}")
-
+    coords, first = _first_rank_changes(
+        cells[~inside], dim, p_before[~inside], p_after[~inside]
+    )
+    violations.extend(
+        f"top-{top_n} list changed for slice {coord} of dim {dim}"
+        for coord in coords[first < top_n].tolist()
+    )
     return PropertyReport(
         name="scale_fairness",
         instances=len(cells),
@@ -327,15 +339,17 @@ def check_gauge_uniqueness(
     orderings: int = 5,
     seed: int = 0,
     tolerance: float = 1e-8,
-    missing_cap: int = 20_000,
+    cells: np.ndarray | None = None,
 ) -> PropertyReport:
     """Warm-sweep order changes the coefficients but nothing observable.
 
     Runs the scaler in group order and under random permutations of the
-    order its warm sweep processes the groups in, and asserts (a) canonical log values agree, (b) every pair of
-    scaling families differs by a pure gauge, (c) predictions agree on
-    supported missing indices.  On tensors without full support the
-    prediction clause is restricted to the indices that are supported.
+    order its warm sweep processes the groups in, and asserts (a) canonical
+    log values agree, (b) every pair of scaling families differs by a pure
+    gauge, (c) predictions agree on ``cells``, by default
+    :func:`checked_cells`: supported missing cells only, so on tensors
+    without full support the prediction clause skips the cells without a
+    witness.
     """
     rng = np.random.default_rng(seed)
     n_groups = len(tensor.groups(k))
@@ -367,13 +381,11 @@ def check_gauge_uniqueness(
                 f"orders {i} and {j} are not gauge-equivalent: {gauge_dev:.3e}"
             )
 
-    supported = list(
-        _support.supported(tensor, itertools.islice(tensor.missing_indices(), missing_cap))
-    )
-    cells = np.array(supported, dtype=np.int64).reshape(len(supported), tensor.d)
+    if cells is None:
+        cells = checked_cells(tensor)
     preds = np.array([predict_many(m, cells) for m in models])
     devs = np.abs(preds / preds[0] - 1.0).max(axis=0).tolist()
-    for idx, dev in zip(supported, devs):
+    for idx, dev in zip(map(tuple, cells.tolist()), devs):
         worst = max(worst, dev)
         if dev > tolerance:
             violations.append(f"predictions diverge at {idx}: {dev:.3e}")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import uctensor
 from uctensor import sparse_tensor
-from uctensor.cli import Emitter, load_model, main, save_model
+from uctensor.cli import ALL_PROPERTIES, Emitter, load_model, main, save_model
 from uctensor.completion import predict_many, round_to_scale, tca
 from uctensor.errors import UnknownIdError
 from uctensor.ingest import IdMap
@@ -534,6 +534,77 @@ class TestVerify:
         names = [r["name"] for r in records if r["record"] == "property"]
         assert "oracle_equivalence" not in names
         assert "unit_consistency" in names
+
+    @pytest.mark.parametrize("flags", [
+        ["--k", "5"],
+        ["--factor", "0"],
+        ["--factor", "-1"],
+        ["--consensus-spec", "2:p1,p1"],
+    ])
+    def test_bad_input_is_one_error_record(self, demo_file, flags):
+        src = str(Path(uctensor.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-m", "uctensor", "verify", demo_file, *flags, "--format", "jsonl"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert done.stderr == ""
+        records = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [r["record"] for r in records] == ["error"]
+
+    def test_fit_failing_in_a_check_is_a_convergence_record(
+        self, demo_file, capsys, monkeypatch
+    ):
+        from uctensor import properties
+        from uctensor.completion import CompletionConfig
+
+        monkeypatch.setattr(
+            properties, "tca", lambda tensor, k: tca(tensor, k, CompletionConfig(max_sweeps=1))
+        )
+        code, records = run_jsonl(
+            capsys, ["verify", demo_file, "--properties", "unit_consistency"]
+        )
+        assert code == 1
+        assert [r["record"] for r in records] == ["config", "convergence"]
+        assert records[1]["converged"] is False
+        assert capsys.readouterr().err == ""
+
+    def test_one_witness_search_for_the_compared_cells(self, demo_file, capsys, monkeypatch):
+        from uctensor import support
+
+        calls = []
+        scan = support.supported
+
+        def counted(tensor, cells):
+            calls.append(1)
+            return scan(tensor, cells)
+
+        monkeypatch.setattr(support, "supported", counted)
+        code, records = run_jsonl(capsys, ["verify", demo_file])
+        assert code == 0
+        assert {r["name"] for r in records if r["record"] == "property"} == set(ALL_PROPERTIES)
+        assert len(calls) == 1
+
+    def test_oracle_compares_the_unit_consistency_cells(self, tmp_path, capsys, monkeypatch):
+        from uctensor import properties
+
+        # a staircase plus a disjoint 2x2 block; of the first 5 missing cells
+        # in flat order, (2,1) and (3,2) have a witness and (3,1), (4,1) and
+        # (5,1) do not, and (1,3) further on has one too
+        path = tmp_path / "partial.csv"
+        stair = ["r1,c1", "r1,c2", "r2,c2", "r2,c3", "r3,c3"]
+        block = [f"r{a},c{b}" for a in (4, 5) for b in (4, 5)]
+        path.write_text("".join(f"{key},{1 + n / 4}\n" for n, key in enumerate(stair + block)))
+        monkeypatch.setattr(properties, "MISSING_CAP", 5)
+        code, records = run_jsonl(
+            capsys, ["verify", str(path), "--trials", "2",
+                     "--properties", "unit_consistency,oracle_equivalence"]
+        )
+        assert code == 0
+        props = {r["name"]: r for r in records if r["record"] == "property"}
+        assert props["unit_consistency"]["notes"] == ["3 unsupported missing indices excluded"]
+        assert props["oracle_equivalence"]["instances"] == 2
 
 
 class TestExperiment:

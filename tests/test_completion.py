@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from uctensor import completion
 from uctensor.completion import (
-    CompletionConfig,
     complete_all,
     mca,
     predict,
@@ -174,9 +174,9 @@ class TestCompleteAll:
         assert filled.entries[(2, 3)] == pytest.approx(4.0, rel=1e-9)
         assert oracle_complete(tensor, 1, (2, 3)) == pytest.approx(4.0, rel=1e-9)
 
-    def test_box_cap(self, golden_matrix):
-        config = CompletionConfig(complete_all_cap=3)
-        model = tca(golden_matrix, 1, config)
+    def test_box_cap(self, golden_matrix, monkeypatch):
+        monkeypatch.setattr(completion, "COMPLETE_ALL_CAP", 3)
+        model = tca(golden_matrix, 1)
         with pytest.raises(CapacityError):
             complete_all(model)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uctensor import properties
 from uctensor.completion import tca
 from uctensor.errors import OrderingSpecError
 from uctensor.lcsp_oracle import oracle_complete
@@ -133,15 +134,37 @@ class TestConsensusOrdering:
         report = check_consensus_ordering(model, spec)
         assert report.passed and report.violations == []
 
-    def test_relaxed_mode_is_informational(self):
-        tensor = SparseTensor(
-            (3, 2),
-            {(1, 1): 1.0, (1, 2): 2.0, (2, 1): 3.0, (2, 2): 6.0, (3, 2): 9.0},
-        )
-        model = tca(tensor, 1)
-        spec = OrderingSpec(dim=2, gamma=(1, 2), common_support=frozenset())
-        report = check_consensus_ordering(model, spec, relaxed=True)
-        assert report.informational
+    def test_violations_match_a_per_pattern_reference(self):
+        # slices 1-3 of dim 2 of a 5x3x4 box share a known set and rise
+        # along it; a random scaling family in place of the fitted one
+        # breaks that order at some patterns, and the batched check must
+        # report what a scalar loop over the patterns finds, in its order
+        from uctensor.completion import CompletionModel
+        from uctensor.properties import _distinct_less, random_scaling_family
+        from uctensor.sparse_tensor import all_indices
+
+        rng = np.random.default_rng(3)
+        shared = [(1, 1), (2, 3), (4, 2), (5, 4)]
+        entries = {
+            (i, g, l): g * float(rng.uniform(1, 2)) ** g for i, l in shared for g in (1, 2, 3)
+        }
+        tensor = SparseTensor((5, 3, 4), entries)
+        spec = OrderingSpec(dim=2, gamma=(1, 2, 3), common_support=frozenset(shared))
+        fitted = tca(tensor, 2)
+        model = CompletionModel(tensor, random_scaling_family(rng, tensor, 2), fitted.report, 2)
+        want = []
+        patterns = [p for p in all_indices((5, 4)) if p not in spec.common_support]
+        for p in patterns:
+            preds = [model.predict((p[0], g, p[1])) for g in spec.gamma]
+            want.extend(
+                f"pattern {p}: slice {spec.gamma[a]} predicted {preds[a]!r} "
+                f"not below slice {spec.gamma[a + 1]} at {preds[a + 1]!r}"
+                for a in range(2) if not _distinct_less(preds[a], preds[a + 1])
+            )
+        report = check_consensus_ordering(model, spec)
+        assert report.instances == len(patterns) == 16
+        assert 0 < len(want) < 32 and report.violations == want
+        assert check_consensus_ordering(fitted, spec).violations == []
 
 
 class TestScaleFairness:
@@ -184,6 +207,46 @@ class TestScaleFairness:
             check_scale_fairness(golden_matrix, dim=1, slice_index=1, factor=0.0)
 
 
+class TestFirstRankChanges:
+    def test_matches_sorted_reference_at_every_n(self):
+        # made-up predictions for five slices of dim 1; slice 4 has a tie
+        # that stays, slice 5 gains one that the index breaks the other way
+        sizes = {1: 6, 2: 5, 3: 6, 4: 3, 5: 2}
+        cells = np.array([(i, j) for i, n in sizes.items() for j in range(1, n + 1)])
+        rng = np.random.default_rng(5)
+        before = rng.permutation(len(cells)) + 1.0
+        at = {tuple(c): r for r, c in enumerate(cells.tolist())}
+        before[at[4, 2]] = before[at[4, 1]]
+        before[at[5, 1]], before[at[5, 2]] = 1.0, 2.0
+
+        def ranked(preds, i):
+            rows = [at[i, j] for j in range(1, sizes[i] + 1)]
+            return sorted(rows, key=lambda r: (-preds[r], tuple(cells[r])))
+
+        after = before.copy()
+        for i, a, b in ((1, 0, 4), (2, 2, 3), (3, 4, 5)):  # swap ranks a and b
+            order = ranked(before, i)
+            after[order[a]], after[order[b]] = before[order[b]], before[order[a]]
+        after[[at[4, j] for j in (1, 2, 3)]] *= 2.0
+        after[at[5, 1]] = 2.0
+
+        shuffle = rng.permutation(len(cells))  # any row order
+        coords, first = properties._first_rank_changes(
+            cells[shuffle], 1, before[shuffle], after[shuffle]
+        )
+        assert coords.tolist() == [1, 2, 3, 4, 5]
+        assert first.tolist() == [0, 2, 4, np.inf, 0]
+        for n in range(1, 8):
+            changed = [ranked(before, i)[:n] != ranked(after, i)[:n] for i in sizes]
+            assert (first < n).tolist() == changed, n
+
+    def test_no_cells(self):
+        coords, first = properties._first_rank_changes(
+            np.empty((0, 3), np.int64), 2, np.empty(0), np.empty(0)
+        )
+        assert coords.size == 0 and first.size == 0
+
+
 class TestGaugeUniqueness:
     def test_symmetric_dense_matrix(self):
         tensor = SparseTensor(
@@ -224,11 +287,12 @@ class TestGaugeUniqueness:
         report = check_gauge_uniqueness(tensor, 2, orderings=5, seed=7)
         assert report.passed, report.violations[:1]
 
-    def test_staircase(self):
+    def test_staircase(self, monkeypatch):
         # a chain ran the sweep budget out before csa solved with CG; every
         # warm order must now fit, with the same x and gauge-equal families
+        monkeypatch.setattr(properties, "MISSING_CAP", 200)
         tensor = staircase(np.random.default_rng(100), 100)
-        report = check_gauge_uniqueness(tensor, 1, orderings=5, seed=0, missing_cap=200)
+        report = check_gauge_uniqueness(tensor, 1, orderings=5, seed=0)
         assert report.passed, report.violations[:1]
         assert report.instances == 6 and report.max_deviation < 1e-8
 
