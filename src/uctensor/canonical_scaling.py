@@ -29,13 +29,15 @@ The same projection solves the linear system ``C Cᵀ s = −C a``, with
 ``C`` the 0/1 membership matrix of known entries (columns) in non-empty
 subtensors (rows) and ``a`` the known log values; then ``x = a + Cᵀs``.
 :func:`csa` runs one warm sweep and then Jacobi-preconditioned conjugate
-gradients on that system, built from the sweep's gather and bincount over
-group labels.  Gauss-Seidel contracts slowly on poorly connected patterns
-(a chain of length L needs on the order of L² sweeps, CG about 2L
-iterations); :func:`sweep` stays available to drive the paper's iteration
-one pass at a time.  For a CG iteration ``v`` is the squared norm of the
-centering steps every subtensor would take at once, the same kind of
-measure as a sweep's, one value per step.
+gradients on that system.  Every use of ``C`` goes through one ``C x``,
+:func:`_subtensor_sums`, and one ``Cᵀ s``, :func:`_entry_sums`: a bincount
+over, and a gather through, the group labels.  Gauss-Seidel contracts
+slowly on poorly connected patterns (a chain of length L needs on the
+order of L² sweeps, CG about 2L iterations); :func:`sweep` stays
+available to drive the paper's iteration one pass at a time.  For a CG
+iteration ``v`` is the squared norm of the centering steps every
+subtensor would take at once, the same kind of measure as a sweep's, one
+value per step.
 
 Once v is below epsilon, a run stops when v reaches the floating-point
 floor, ``n_occupied · (ε_mach · max(1, max |log value|))²`` over the
@@ -153,11 +155,9 @@ class ScalingState:
                 )
         self.log_values = np.log(tensor.values_array())
         # one flat vector, so a whole-system step can update every group at once
-        self.offsets = np.cumsum([0] + [len(g.counts) for g in self.groups])
-        self.coeffs_flat = np.zeros(self.offsets[-1])
-        self.log_coeffs = [
-            self.coeffs_flat[a:b] for a, b in zip(self.offsets, self.offsets[1:])
-        ]
+        sizes = [len(g.counts) for g in self.groups]
+        self.coeffs_flat = np.zeros(sum(sizes))
+        self.log_coeffs = np.split(self.coeffs_flat, np.cumsum(sizes)[:-1])
         self.v_trace: list[float] = []
 
     @property
@@ -219,9 +219,6 @@ def _cg_steps(state: ScalingState) -> Iterator[float]:
     """
     yield sweep(state)
     groups, x, s = state.groups, state.log_values, state.coeffs_flat
-    first, *others = [
-        (g.labels, slice(a, b)) for g, a, b in zip(groups, state.offsets, state.offsets[1:])
-    ]
     counts = np.concatenate([g.counts for g in groups])
     inv_counts = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
     # r and z are the rows of one array, so that one reduction gives r·z and
@@ -231,10 +228,7 @@ def _cg_steps(state: ScalingState) -> Iterator[float]:
 
     def update_residual() -> tuple[float, float]:
         """Set ``r = −C x`` and ``z = r / counts`` in place; return ``r·z`` and ``z·z``."""
-        np.concatenate(
-            [np.bincount(g.labels, weights=x, minlength=len(g.counts)) for g in groups],
-            out=r,
-        )
+        _subtensor_sums(groups, x, out=r)
         np.negative(r, out=r)
         np.multiply(r, inv_counts, out=z)
         rz, zz = np.einsum("ij,j->i", rows, z).tolist()  # not BLAS: see _dot
@@ -242,11 +236,10 @@ def _cg_steps(state: ScalingState) -> Iterator[float]:
 
     rz, _ = update_residual()
     p = z.copy()
+    # per-group views into p, which is therefore updated in place below
+    p_groups = np.split(p, np.cumsum([len(g.counts) for g in groups])[:-1])
     while True:
-        labels, span = first
-        w = p[span][labels]
-        for labels, span in others:
-            w += p[span][labels]
+        w = _entry_sums(groups, p_groups)
         ww = _dot(w, w)
         alpha = rz / ww if ww > 0 else 0.0  # w = 0 only once r is exactly 0
         s += alpha * p
@@ -255,7 +248,8 @@ def _cg_steps(state: ScalingState) -> Iterator[float]:
         rz, v = update_residual()
         state.v_trace.append(v)
         yield v
-        p = z + (rz / rz_old) * p
+        p *= rz / rz_old
+        p += z
 
 
 def _run_until_stop(steps: Iterable[float], epsilon: float, floor: float) -> str:
@@ -335,14 +329,24 @@ def residual(tensor: SparseTensor, k: int) -> float:
     return _worst_sum(tensor.groups(k), np.log(tensor.values_array()))
 
 
+def _subtensor_sums(groups: Sequence[SubtensorGroup], x: np.ndarray, out=None) -> np.ndarray:
+    """``C x``: the sum of ``x`` over each subtensor, laid out as ``coeffs_flat``; 0 if empty."""
+    return np.concatenate(
+        [np.bincount(g.labels, weights=x, minlength=len(g.counts)) for g in groups], out=out
+    )
+
+
+def _entry_sums(groups: Sequence[SubtensorGroup], coeffs: Sequence[np.ndarray]) -> np.ndarray:
+    """``Cᵀ s``: each known entry's sum of ``coeffs``, one vector per group, in group order."""
+    total = coeffs[0][groups[0].labels]
+    for group, vec in zip(groups[1:], coeffs[1:]):
+        total += vec[group.labels]
+    return total
+
+
 def _worst_sum(groups: Sequence[SubtensorGroup], log_values: np.ndarray) -> float:
-    worst = 0.0
-    for group in groups:
-        sums = np.bincount(group.labels, weights=log_values, minlength=len(group.counts))
-        occupied = group.counts > 0
-        if occupied.any():
-            worst = max(worst, float(np.abs(sums[occupied]).max()))
-    return worst
+    occupied = np.concatenate([g.counts for g in groups]) > 0
+    return float(np.abs(_subtensor_sums(groups, log_values)[occupied]).max(initial=0.0))
 
 
 def _membership_sums(
@@ -350,16 +354,12 @@ def _membership_sums(
 ) -> np.ndarray:
     """Per known entry, the sum of ``coeffs`` over the subtensors containing it.
 
-    ``coeffs`` holds one vector per group of ``tensor.groups(k)``, gathered
-    through the group's labels as :func:`sweep` does.
+    ``coeffs`` holds one vector per group of ``tensor.groups(k)``.
     """
     groups = tensor.groups(k)
     if [len(c) for c in coeffs] != [len(g.counts) for g in groups]:
         raise ValueError("coefficient vectors do not match the tensor's subtensor groups")
-    total = np.zeros(len(tensor))
-    for group, vec in zip(groups, coeffs):
-        total += vec[group.labels]
-    return total
+    return _entry_sums(groups, coeffs)
 
 
 def apply_scaling(tensor: SparseTensor, family: ScalingFamily) -> SparseTensor:

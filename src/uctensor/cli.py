@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -636,10 +637,16 @@ def cmd_verify(args) -> int:
 # -- experiments ------------------------------------------------------------
 
 MEASURE_SECONDS = 0.01  # shortest timed stretch of sweeps in experiment_scaling
+# random matrices experiment_fairness draws before giving up on full support
+FULL_SUPPORT_DRAWS = 100
 
 
 def _random_full_support_matrix(rng, rows, cols, density):
-    while True:
+    """The first of up to ``FULL_SUPPORT_DRAWS`` random matrices with full support.
+
+    Raises ``IngestError``, naming the shape and density, if none has it.
+    """
+    for _ in range(FULL_SUPPORT_DRAWS):
         entries = {}
         for i in range(1, rows + 1):
             for j in range(1, cols + 1):
@@ -651,6 +658,10 @@ def _random_full_support_matrix(rng, rows, cols, density):
         ok, _ = _support.is_fully_supported(tensor)
         if ok:
             return tensor
+    raise IngestError(
+        f"no {rows}x{cols} matrix of density {density} with full support "
+        f"in {FULL_SUPPORT_DRAWS} draws"
+    )
 
 
 def experiment_consensus(
@@ -791,19 +802,51 @@ def experiment_scaling(
     return summary, data
 
 
+def _check_experiment_args(args) -> None:
+    """Raise ``IngestError`` naming the first size or factor outside its range."""
+    if args.name == "consensus":
+        lowest = {"--users": (args.users, 2), "--base-products": (args.base_products, 1)}
+    elif args.name == "fairness":
+        lowest = {"--rows": (args.rows, 1), "--cols": (args.cols, 1),
+                  "--top-n": (args.top_n, 1), "--user": (args.user, 1)}
+    else:
+        lowest = {"--rows": (args.rows, 1), "--cols": (args.cols, 1),
+                  "--doublings": (args.doublings, 1),
+                  "--sweeps-per-measure": (args.sweeps_per_measure, 1)}
+    for flag, (value, least) in lowest.items():
+        if value < least:
+            raise IngestError(f"{flag} must be at least {least}, got {value}")
+    if args.name == "fairness":
+        if args.user > args.rows:
+            raise IngestError(f"--user {args.user} is outside 1..{args.rows}")
+        if not 0 < args.density <= 1:
+            raise IngestError(f"--density must be in (0, 1], got {args.density}")
+        if not 0 < args.factor < float("inf"):
+            raise IngestError(f"--factor must be positive and finite, got {args.factor}")
+
+
 def cmd_experiment(args) -> int:
     emitter = Emitter(args.format)
     config = RunConfig(seed=args.seed, fmt=args.format)
+    try:
+        _check_experiment_args(args)
+    except IngestError as exc:
+        emitter.emit({"record": "error", "message": str(exc)})
+        return 2
     emitter.emit(config.as_record("experiment", name=args.name))
     if args.name == "consensus":
         summary, data = experiment_consensus(
             users=args.users, base_products=args.base_products, seed=args.seed,
         )
     elif args.name == "fairness":
-        summary, data = experiment_fairness(
-            rows=args.rows, cols=args.cols, density=args.density, user=args.user,
-            factor=args.factor, top_n=args.top_n, seed=args.seed,
-        )
+        try:
+            summary, data = experiment_fairness(
+                rows=args.rows, cols=args.cols, density=args.density, user=args.user,
+                factor=args.factor, top_n=args.top_n, seed=args.seed,
+            )
+        except IngestError as exc:  # no random matrix with full support
+            emitter.emit({"record": "error", "message": str(exc)})
+            return 2
     else:
         summary, data = experiment_scaling(
             base_rows=args.rows, base_cols=args.cols, doublings=args.doublings,
@@ -822,7 +865,9 @@ def cmd_experiment(args) -> int:
         header = data[0]
         for row in data[1:]:
             rec = {"record": "data", "experiment": args.name}
-            rec.update({str(k): v for k, v in zip(header, row)})
+            # NaN is not JSON: a figure with nothing to compare against is null
+            rec.update({str(k): None if isinstance(v, float) and math.isnan(v) else v
+                        for k, v in zip(header, row)})
             emitter.emit(rec)
     return 0 if summary["passed"] else 1
 

@@ -20,6 +20,11 @@ subset into :class:`SubtensorGroup` arrays: row p of a group's ``fixed``
 holds the coordinates of its p-th subtensor, and a scaling family's
 ``coeffs[g][p]`` belongs to ``groups[g].fixed[p]``.
 
+Cells and subtensors are found by mixed-radix integer keys
+(:func:`_radix_keys`): a known cell by its 0-based flat index, which
+orders the rows, and a subtensor fixing several dimensions by its fixed
+coordinates, which order its group's rows.  A slice needs no key.
+
 Iteration order is deterministic everywhere: fixed-dimension subsets
 ascend lexicographically, slices ascend, and entries ascend by flat
 index.
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -55,8 +60,10 @@ def _radix_keys(coords: np.ndarray, radices: tuple[int, ...]) -> np.ndarray:
     """
     dtype = np.int64 if math.prod(radices) <= _INT64_MAX else object
     keys = np.zeros(len(coords), dtype=dtype)
-    for column, n in zip(coords.T, radices):
-        keys = keys * n + (column.astype(dtype) - 1)
+    for column, n in zip(coords.T, radices):  # in place: no temporary key arrays
+        keys *= n
+        keys += column.astype(dtype, copy=False)
+        keys -= 1
     return keys
 
 
@@ -94,47 +101,40 @@ class SubtensorGroup:
     t-th known entry (in flat-index order), the row of ``fixed`` of the
     one subtensor of this group containing it.  ``counts`` are
     known-entry counts per subtensor; a zero count marks an empty one.
+    ``keys`` are the radix keys of ``fixed``'s rows over ``extents``,
+    ascending; with one fixed dimension row p is slice p + 1 and ``keys``
+    is None.
     """
 
     fixed_dims: tuple[int, ...]
     fixed: np.ndarray
     labels: np.ndarray
     counts: np.ndarray
-    # extents of the fixed dimensions, the radices of the rows' keys in slots()
+    # extents of the fixed dimensions, the radices of the keys
     extents: tuple[int, ...]
-    _slots: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _keys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    keys: np.ndarray | None
 
     def slot(self, idx: Index) -> int | None:
         """Row of ``fixed`` of the subtensor containing ``idx``; None if it has none.
 
-        With one fixed dimension every slice is a row, at its coordinate
-        minus one.  Otherwise the map from fixed coordinates to rows is
-        built on first use.
+        ``idx`` is in bounds.  A slice's row is its coordinate minus one;
+        any other row is found by a binary search of ``keys``.
         """
-        if len(self.fixed_dims) == 1:
+        if self.keys is None:
             c = idx[self.fixed_dims[0] - 1]
             return c - 1 if 1 <= c <= self.extents[0] else None
-        if self._slots is None:
-            key = itemgetter(*(dim - 1 for dim in self.fixed_dims))
-            rows = map(tuple, self.fixed.tolist())
-            self._slots = (key, {c: pos for pos, c in enumerate(rows)})
-        key, positions = self._slots
-        return positions.get(key(idx))
+        key = 0
+        for dim, n in zip(self.fixed_dims, self.extents):
+            key = key * n + int(idx[dim - 1]) - 1
+        pos = int(self.keys.searchsorted(key))  # the method: np.searchsorted costs 2.7x
+        return pos if pos < len(self.keys) and self.keys.item(pos) == key else None
 
     def slots(self, coords: np.ndarray) -> np.ndarray:
-        """:meth:`slot` of each row of an (n, d) array of in-bounds indices; -1 for none.
-
-        With one fixed dimension the row is the coordinate minus one.
-        Otherwise the rows are occupied combinations in the ascending
-        order ``np.unique`` gives them, searched by their keys.
-        """
+        """:meth:`slot` of each row of an (n, d) array of in-bounds indices; -1 for none."""
         fixed = coords[:, [dim - 1 for dim in self.fixed_dims]]
-        if len(self.fixed_dims) == 1:
+        if self.keys is None:
             return fixed[:, 0] - 1
-        if self._keys is None:
-            self._keys = _radix_keys(self.fixed, self.extents)
-        return _find(self._keys, _radix_keys(fixed, self.extents))
+        return _find(self.keys, _radix_keys(fixed, self.extents))
 
 
 def flat_index(idx: Index, extents: tuple[int, ...]) -> int:
@@ -240,11 +240,14 @@ class SparseTensor:
                 "not a positive finite number"
             )
 
-        # lexsort's last key is its primary one, and the last dimension
-        # varies slowest in flat_index: columns in order give flat order
-        order = np.lexsort(rows.T)
+        # sorted by the flat keys, which stay unstored: kept, they raise peak
+        # memory; keys are distinct on every tensor built, so any sort will do
+        flat = _radix_keys(rows[:, ::-1], extents[::-1])
+        order = np.argsort(flat)
+        flat = flat[order]
+        repeated = np.flatnonzero(flat[1:] == flat[:-1])
+        del flat
         rows = rows[order].astype(np.int64, copy=False)
-        repeated = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
         if repeated.size:
             raise ValueError(f"duplicate entry at {tuple(rows[repeated[0]].tolist())}")
         self._coords = rows
@@ -338,7 +341,7 @@ class SparseTensor:
         return self._coords
 
     def values_array(self) -> np.ndarray:
-        """Known values aligned with :meth:`known_indices`."""
+        """Known values aligned with :meth:`coords_array`."""
         return self._values
 
     def __repr__(self) -> str:
@@ -368,17 +371,17 @@ class SparseTensor:
             dims = tuple(f + 1 for f in fixed)
             radices = tuple(self.extents[f] for f in fixed)
             if len(fixed) == 1:
-                n = self.extents[fixed[0]]
-                rows = np.arange(1, n + 1, dtype=np.int64)[:, None]
+                rows = np.arange(1, radices[0] + 1, dtype=np.int64)[:, None]
                 labels = coords[:, fixed[0]] - 1
-            elif len(coords):
-                rows, labels = np.unique(coords[:, list(fixed)], axis=0, return_inverse=True)
-                labels = labels.ravel()
+                keys = None
             else:
-                rows = np.empty((0, len(fixed)), dtype=np.int64)
-                labels = np.empty(0, dtype=np.int64)
+                columns = coords[:, list(fixed)]
+                keys, first, labels = np.unique(
+                    _radix_keys(columns, radices), return_index=True, return_inverse=True
+                )
+                rows = columns[first]
             counts = np.bincount(labels, minlength=len(rows))
-            out.append(SubtensorGroup(dims, rows, labels, counts, radices))
+            out.append(SubtensorGroup(dims, rows, labels, counts, radices, keys))
         return out
 
 

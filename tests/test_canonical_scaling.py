@@ -7,14 +7,16 @@ from uctensor.canonical_scaling import (
     STALL_STEPS,
     ConvergenceReport,
     ScalingState,
+    _entry_sums,
     _run_until_stop,
+    _subtensor_sums,
     apply_scaling,
     csa,
     residual,
     sweep,
 )
 from uctensor.errors import ConvergenceError
-from uctensor.lcsp_oracle import SIZE_CAP, solve_lcsp
+from uctensor.lcsp_oracle import SIZE_CAP, build_constraints, solve_lcsp
 from uctensor.properties import random_scaling_family
 from uctensor.sparse_tensor import SparseTensor, all_indices
 
@@ -238,6 +240,36 @@ class TestHardShapes:
             _, family, report = csa(tensor, k)
             assert report.converged and report.sweeps < 1000
             assert residual(apply_scaling(tensor, family), k) <= 1e-8
+
+
+class TestKernels:
+    """``C x`` and ``Cᵀ s`` against the oracle's dense membership matrix."""
+
+    @pytest.mark.parametrize("extents", [(6, 5), (4, 3, 5), (3, 4, 2, 3)])
+    def test_match_the_dense_matrix(self, extents):
+        rng = np.random.default_rng(len(extents))
+        cells = np.array(list(all_indices(extents)))
+        keep = (rng.random(len(cells)) < 0.4) & (cells[:, 0] < extents[0])
+        keep[0] = True  # the last slice of dimension 1 stays empty
+        tensor = SparseTensor.from_arrays(extents, cells[keep], np.ones(keep.sum()))
+        for k in range(1, len(extents)):
+            groups = tensor.groups(k)
+            matrix = build_constraints(tensor, k).matrix
+            occupied = np.concatenate([g.counts for g in groups]) > 0
+            if k == len(extents) - 1:  # only slices are listed when empty
+                assert not occupied.all()
+            x = rng.normal(size=len(tensor))
+            sums = _subtensor_sums(groups, x)
+            np.testing.assert_allclose(sums[occupied], matrix @ x, rtol=0, atol=1e-12)
+            assert not sums[~occupied].any()
+            out = np.empty(len(occupied))
+            assert _subtensor_sums(groups, x, out=out) is out
+            assert np.array_equal(out, sums)
+            s = rng.normal(size=len(occupied))
+            per_group = np.split(s, np.cumsum([len(g.counts) for g in groups])[:-1])
+            np.testing.assert_allclose(
+                _entry_sums(groups, per_group), matrix.T @ s[occupied], rtol=0, atol=1e-12
+            )
 
 
 class TestResidual:

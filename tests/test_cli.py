@@ -631,6 +631,73 @@ class TestExperiment:
         assert summary["changed_predictions"] == 0
         assert summary["changed_top_n_lists"] == 0
 
+    @staticmethod
+    def run_subprocess(argv):
+        """The experiment in a fresh interpreter, stopped after 60 s rather than hanging."""
+        src = str(Path(uctensor.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        return subprocess.run(
+            [sys.executable, "-m", "uctensor", "experiment", *argv, "--format", "jsonl"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["fairness", "--rows", "0"],
+        ["fairness", "--cols", "0"],
+        ["fairness", "--density", "0"],
+        ["fairness", "--density", "1.5"],
+        ["fairness", "--density", "nan"],
+        ["fairness", "--factor", "0"],
+        ["fairness", "--factor", "inf"],
+        ["fairness", "--top-n", "0"],
+        ["fairness", "--user", "0"],
+        ["fairness", "--user", "99"],
+        ["consensus", "--users", "1"],
+        ["consensus", "--base-products", "0"],
+        ["scaling", "--rows", "0"],
+        ["scaling", "--doublings", "0"],
+        ["scaling", "--doublings", "-1"],
+        ["scaling", "--sweeps-per-measure", "0"],
+    ])
+    def test_bad_size_or_factor_is_one_error_record(self, argv):
+        done = self.run_subprocess(argv)
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert done.stderr == ""
+        records = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [r["record"] for r in records] == ["error"]
+        assert argv[1] in records[0]["message"]
+
+    def test_no_full_support_draw_is_an_input_error(self):
+        from uctensor.cli import FULL_SUPPORT_DRAWS
+
+        done = self.run_subprocess(["fairness", "--rows", "6", "--cols", "5", "--density", "1e-9"])
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert done.stderr == ""
+        records = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [r["record"] for r in records] == ["config", "error"]
+        message = records[1]["message"]
+        assert "6x5" in message and "1e-09" in message and str(FULL_SUPPORT_DRAWS) in message
+
+    def test_scaling_jsonl_has_no_nan(self, capsys):
+        code = main(["experiment", "scaling", "--rows", "8", "--cols", "8", "--doublings", "1",
+                     "--sweeps-per-measure", "1", "--format", "jsonl"])
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        records = [json.loads(line, parse_constant=refuse) for line in out.splitlines()]
+        data = [r for r in records if r["record"] == "data"]
+        assert data[0]["ratio_vs_previous"] is None
+        assert data[1]["ratio_vs_previous"] > 0
+        # the human table keeps nan
+        main(["experiment", "scaling", "--rows", "8", "--cols", "8", "--doublings", "1",
+              "--sweeps-per-measure", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        first = lines.index("entries\tsweeps\twall_seconds\tper_sweep_seconds\tratio_vs_previous") + 1
+        assert lines[first].endswith("\tnan")
+
     def test_scaling_writes_data_file(self, tmp_path, capsys):
         data = tmp_path / "scaling.tsv"
         code, _ = run_jsonl(

@@ -85,6 +85,9 @@ class TestConstruction:
                 build((2, 2), [((1, 1), 1.0), ((1, 1), 2.0)])
             with pytest.raises(ValueError, match=r"\(2, 3\)"):
                 build((3, 3), [((2, 3), 1.0), ((1, 1), 1.0), ((3, 1), 1.0), ((2, 3), 1.0)])
+            # of two repeated indices, the first in flat order
+            with pytest.raises(ValueError, match=r"\(2, 1\)"):
+                build((3, 3), [((1, 2), 1.0), ((2, 1), 1.0), ((1, 2), 1.0), ((2, 1), 1.0)])
 
     def test_rejects_out_of_bounds_entries(self):
         for build in BUILDERS:
@@ -335,3 +338,100 @@ class TestCoverage:
             if reference_members(entries, dims, coords)
         ]
         assert occupied == scan
+
+
+def unique_rows_groups(tensor, k):
+    """(fixed, labels, counts) per group, built by a unique over coordinate rows.
+
+    The construction radix keys replaced, kept as the reference they must
+    reproduce: ``np.unique(axis=0)`` over each subset's columns.
+    """
+    coords = tensor.coords_array()
+    out = []
+    for fixed in itertools.combinations(range(tensor.d), tensor.d - k):
+        if len(fixed) == 1:
+            rows = np.arange(1, tensor.extents[fixed[0]] + 1)[:, None]
+            labels = coords[:, fixed[0]] - 1
+        elif len(coords):
+            rows, labels = np.unique(coords[:, list(fixed)], axis=0, return_inverse=True)
+            labels = labels.ravel()
+        else:
+            rows = np.empty((0, len(fixed)), dtype=np.int64)
+            labels = np.empty(0, dtype=np.int64)
+        out.append((rows, labels, np.bincount(labels, minlength=len(rows))))
+    return out
+
+
+def sparse_box(rng, extents, density=0.3):
+    """Random cells of a box, handed over in shuffled order."""
+    cells = np.array(list(all_indices(extents)))
+    cells = cells[rng.random(len(cells)) < density]
+    rng.shuffle(cells)
+    return cells, np.exp(rng.uniform(-1.0, 1.0, size=len(cells)))
+
+
+class TestRadixKeys:
+    """Cells and subtensors found by their keys, against the constructions they replaced."""
+
+    BOXES = [(5, 4), (4, 3, 5), (3, 4, 2, 3)]
+
+    @pytest.mark.parametrize("extents", BOXES)
+    def test_row_order_is_a_lexsort(self, extents):
+        cells, values = sparse_box(np.random.default_rng(len(extents)), extents)
+        t = SparseTensor.from_arrays(extents, cells, values)
+        order = np.lexsort(cells.T)  # last column primary: flat order
+        assert np.array_equal(t.coords_array(), cells[order])
+        assert np.array_equal(t.values_array(), values[order])
+
+    @staticmethod
+    def assert_groups_match(t, k):
+        for group, (rows, labels, counts) in zip(t.groups(k), unique_rows_groups(t, k), strict=True):
+            assert np.array_equal(group.fixed, rows) and group.fixed.shape == rows.shape
+            assert np.array_equal(group.labels, labels)
+            assert np.array_equal(group.counts, counts)
+            if len(group.fixed_dims) == 1:
+                assert group.keys is None
+            else:  # keys come with the group, ascending
+                assert len(group.keys) == len(rows)
+                assert (group.keys[1:] > group.keys[:-1]).all()
+
+    @pytest.mark.parametrize("extents", BOXES)
+    def test_groups_match_a_unique_over_rows(self, extents):
+        t = SparseTensor.from_arrays(extents, *sparse_box(np.random.default_rng(7), extents))
+        for k in range(1, len(extents)):
+            self.assert_groups_match(t, k)
+
+    def test_groups_of_a_tensor_without_entries(self):
+        t = SparseTensor((3, 4, 2, 3), {})
+        for k in (1, 2, 3):
+            self.assert_groups_match(t, k)
+
+    @pytest.mark.parametrize("extents", [(4, 3, 5), (3, 4, 2, 3)])
+    def test_slot_agrees_with_slots_on_every_cell(self, extents):
+        t = SparseTensor.from_arrays(extents, *sparse_box(np.random.default_rng(3), extents, 0.15))
+        cells = np.array(list(all_indices(extents)))
+        for k in range(1, len(extents)):
+            for group in t.groups(k):
+                scalar = [group.slot(idx) for idx in map(tuple, cells.tolist())]
+                assert [-1 if pos is None else pos for pos in scalar] == group.slots(cells).tolist()
+                if len(group.fixed_dims) > 1:
+                    assert None in scalar  # some combinations are unoccupied
+                for pos, idx in zip(scalar, cells.tolist()):
+                    if pos is not None:
+                        fixed = [idx[dim - 1] for dim in group.fixed_dims]
+                        assert group.fixed[pos].tolist() == fixed
+
+    def test_keys_beyond_int64(self):
+        n = 2**40
+        extents = (n, n, n)
+        known = [(1, 1, 1), (3, 1, n), (n, n, 2), (3, 2, n), (n, 1, 1)]
+        t = SparseTensor(extents, {idx: float(v) for v, idx in enumerate(known, 1)})
+        assert t.known_indices() == tuple(sorted(known, key=lambda i: flat_index(i, extents)))
+        cells = np.array(list(itertools.product((1, 2, 3, n), repeat=3)))
+        # k = 1 only: for k = 2 a group has a row for each of the n slices
+        self.assert_groups_match(t, 1)
+        for group in t.groups(1):
+            assert group.keys.dtype == object
+            scalar = [group.slot(idx) for idx in map(tuple, cells.tolist())]
+            assert [-1 if pos is None else pos for pos in scalar] == group.slots(cells).tolist()
+            assert scalar.count(None) < len(scalar)
