@@ -53,7 +53,7 @@ from .properties import (
     find_consensus_sets,
 )
 from .sparse_tensor import SparseTensor, flat_index
-from .support import SupportWitness, is_fully_supported, supported, witness
+from .support import SupportWitness, is_fully_supported, witness
 
 __version__ = "0.1.0"
 
@@ -97,7 +97,6 @@ __all__ = [
     "predict_many",
     "residual",
     "solve_lcsp",
-    "supported",
     "sweep",
     "tca",
     "witness",

@@ -268,6 +268,10 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
         )
     try:
         extents = tuple(int(n) for n in payload["extents"])
+        # the id map first: its size bounds the extents by the file's
+        idmap = idmap_from_dict(payload["idmap"])
+        if idmap.extents() != extents:
+            raise ValueError(f"id map of extents {idmap.extents()} does not fit extents {extents}")
         tensor = _stored_tensor(extents, payload.pop("coords"), payload.pop("values"))
         k = int(payload["k"])
         groups = tensor.groups(k)  # ValueError for k outside [1, d-1]
@@ -294,9 +298,6 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
             epsilon=float(payload["epsilon"]), max_sweeps=int(payload["max_sweeps"])
         )
         model = CompletionModel(tensor, family, report, k, config)
-        idmap = idmap_from_dict(payload["idmap"])
-        if idmap.extents() != extents:
-            raise ValueError(f"id map of extents {idmap.extents()} does not fit extents {extents}")
         return model, idmap, payload["source_digest"]
     except (TypeError, IndexError, KeyError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
@@ -434,12 +435,12 @@ def cmd_predict(args) -> int:
                 write(line)
             asked += len(raws)
         successes = asked
-    for q in args.queries:  # explicit queries: one scalar prediction each
+    for q in args.queries:  # explicit queries: one row each, no dict of the known cells
         asked += 1
         ids = tuple(p.strip() for p in q.split(args.delimiter))
         try:
-            idx = idmap.resolve(ids)
-            raw = model.predict(idx)
+            row = np.array([idmap.resolve(ids)])
+            raw = predict_many(model, row).item()
         except (UnknownIdError, ValueError, IndexError) as exc:
             emitter.emit({
                 "record": "error", "query": list(ids), "message": str(exc),
@@ -447,7 +448,7 @@ def cmd_predict(args) -> int:
             continue
         successes += 1
         rounded = [round_to_scale(raw, *bounds)] if bounds else None
-        known = idx in model.source.entries
+        known = model.source.locate(row).item() >= 0
         for line in _prediction_lines(fmt, [sep.join(map(encode, ids))], [raw], known, rounded):
             write(line)
     if not asked:
@@ -552,19 +553,21 @@ def cmd_verify(args) -> int:
         extents=list(tensor.extents), known=len(tensor), source_digest=digest,
     ))
 
-    # the one witness search for the cells the checks compare, on first use
-    compared = functools.cache(lambda: checked_cells(tensor))
+    # one witness scan, on first use, for full_support and the compared cells
+    cap = _support.DEFAULT_SCAN_CAP if "full_support" in wanted else MISSING_CAP
+    scanned = functools.cache(lambda: _support.scan(tensor, cap))
+    compared = functools.cache(lambda: checked_cells(scanned()))
     fully_supported = None
     spec_error = False
     reports: list[PropertyReport] = []
     for name in wanted:
         if name == "full_support":
             try:
-                ok, failures = _support.is_fully_supported(tensor)
+                failures = _support.unsupported(tensor, scanned())
             except CapacityError as exc:
                 emitter.emit({"record": "warning", "message": str(exc)})
                 continue
-            fully_supported = ok
+            fully_supported = not failures
             reports.append(PropertyReport(
                 name="full_support",
                 instances=tensor.box_size - len(tensor),

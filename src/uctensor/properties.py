@@ -22,7 +22,7 @@ from .lcsp_oracle import gauge_check
 from .sparse_tensor import Index, SparseTensor
 
 STRICTNESS_SLACK = 1e-12
-MISSING_CAP = 20_000  # missing cells, in flat order, that checked_cells scans
+MISSING_CAP = 20_000  # missing cells, in flat order, that checked_cells reads
 
 
 @dataclass(frozen=True)
@@ -96,18 +96,17 @@ def random_scaling_family(
     return ScalingFamily(k, groups, [rng.uniform(-spread, spread, len(g.counts)) for g in groups])
 
 
-def checked_cells(tensor: SparseTensor) -> np.ndarray:
+def checked_cells(scanned: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The missing cells the checks compare predictions on, as an (m, d) int array.
 
-    These are the cells among the first ``MISSING_CAP`` missing ones, in
-    flat order, that have a hypercube witness.  A witness certifies that
-    the prediction is the same in every gauge (it is sufficient, not
-    necessary), and without that certificate a deviation could come from
-    the gauge alone.
+    These are the cells among the first ``MISSING_CAP`` rows of a
+    :func:`support.scan <uctensor.support.scan>` that have a hypercube
+    witness.  A witness certifies that the prediction is the same in
+    every gauge (it is sufficient, not necessary), and without that
+    certificate a deviation could come from the gauge alone.
     """
-    first = itertools.islice(tensor.missing_indices(), MISSING_CAP)
-    found = list(_support.supported(tensor, first))
-    return np.array(found, dtype=np.int64).reshape(len(found), tensor.d)
+    cells, witnessed = scanned
+    return cells[:MISSING_CAP][witnessed[:MISSING_CAP]]
 
 
 def check_unit_consistency(
@@ -129,7 +128,7 @@ def check_unit_consistency(
     rng = np.random.default_rng(seed)
     base = tca(tensor, k)
     if cells is None:
-        cells = checked_cells(tensor)
+        cells = checked_cells(_support.scan(tensor, MISSING_CAP))
     excluded = min(MISSING_CAP, tensor.box_size - len(tensor)) - len(cells)
     notes = [f"{excluded} unsupported missing indices excluded"] if excluded else []
     base_preds = predict_many(base, cells)
@@ -382,7 +381,7 @@ def check_gauge_uniqueness(
             )
 
     if cells is None:
-        cells = checked_cells(tensor)
+        cells = checked_cells(_support.scan(tensor, MISSING_CAP))
     preds = np.array([predict_many(m, cells) for m in models])
     devs = np.abs(preds / preds[0] - 1.0).max(axis=0).tolist()
     for idx, dev in zip(map(tuple, cells.tolist()), devs):

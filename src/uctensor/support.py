@@ -12,16 +12,17 @@ vertex selectors collide on the same cell and the figure degenerates to a
 lower-dimensional face.
 
 The search is exponential in d in the worst case.  It is an offline
-verification tool, never on the prediction path; candidate offsets per
-dimension are limited to differences toward occupied slices, which keeps
-the space proportional to the support's geometry.
+verification tool, never on the prediction path.  The candidate offsets
+per dimension point into the missing cell's fibre, the known cells that
+differ from it in that dimension alone, and :func:`scan` searches each
+missing cell once for every check that reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -46,56 +47,61 @@ class SupportWitness:
 
 
 def _corners(idx: Index, offset: tuple[int, ...]) -> list[Index]:
-    d = len(idx)
-    out = []
-    for rev_delta in itertools.product((0, 1), repeat=d):
-        delta = rev_delta[::-1]
-        if not any(delta):
-            continue
-        out.append(tuple(idx[i] + delta[i] * offset[i] for i in range(d)))
-    return out
+    selectors = (rev[::-1] for rev in itertools.product((0, 1), repeat=len(idx)))
+    return [tuple(i + s * o for i, s, o in zip(idx, delta, offset))
+            for delta in selectors if any(delta)]
 
 
-def _occupied_slices(tensor: SparseTensor) -> list[list[int]]:
-    """Per dimension, the ascending coordinates holding a known entry."""
-    return [np.unique(column).tolist() for column in tensor.coords_array().T]
+def _fibres(tensor: SparseTensor) -> Callable[[Index], list[list[int]]]:
+    """A function of a cell: per dimension, its fibre's coordinates along it, ascending.
+
+    A group of ``groups(1)`` has one row per fibre along the dimension it
+    leaves free, members ascending in flat order; for d = 1 the whole
+    tensor is the one fibre.
+    """
+    coords = tensor.coords_array()
+    if tensor.d == 1:
+        line = coords[:, 0].tolist()
+        return lambda idx: [line]
+    lines = []
+    # the subsets ascend, so reversed the groups leave dimension 0, 1, ... free
+    for dim, group in enumerate(reversed(tensor.groups(1))):
+        along = coords[np.argsort(group.labels, kind="stable"), dim]
+        lines.append((group, along, [0, *np.cumsum(group.counts).tolist()]))
+
+    def of(idx: Index) -> list[list[int]]:  # lists only idx's fibres: cheaper for witness()
+        rows = [(group.slot(idx), along, bounds) for group, along, bounds in lines]
+        return [[] if r is None else along[bounds[r]:bounds[r + 1]].tolist()
+                for r, along, bounds in rows]
+
+    return of
 
 
 def _search_offset(
-    tensor: SparseTensor, idx: Index, occupied: list[list[int]]
+    tensor: SparseTensor, idx: Index, fibres: Callable[[Index], list[list[int]]]
 ) -> tuple[int, ...] | None:
     """Depth-first search for the lexicographically smallest valid offset.
 
-    Candidates per dimension are differences toward occupied slices,
+    Candidates per dimension are differences toward the cell's fibre,
     ascending; a partial offset is pruned as soon as one of the corners it
     already determines is absent.
     """
     known = tensor.entries
-    candidates = [
-        [j - idx[dim] for j in occupied[dim] if j != idx[dim]]
-        for dim in range(tensor.d)
-    ]
+    candidates = [[j - idx[dim] for j in line] for dim, line in enumerate(fibres(idx))]
     if any(not c for c in candidates):
         return None
 
-    d = tensor.d
-
     def search(dim: int, prefix: tuple[int, ...]) -> tuple[int, ...] | None:
-        if dim == d:
+        if dim == len(idx):
             return prefix
         for s in candidates[dim]:
-            # new corners at this depth: selector 1 on `dim`, free below it
-            ok = True
-            for delta in itertools.product((0, 1), repeat=dim):
-                corner = (
-                    tuple(idx[i] + delta[i] * prefix[i] for i in range(dim))
-                    + (idx[dim] + s,)
-                    + idx[dim + 1:]
-                )
-                if corner not in known:
-                    ok = False
-                    break
-            if ok:
+            # new corners at this depth: selector 1 on `dim`, free below it;
+            # the first, with no selector set below, is on the fibre
+            tail = (idx[dim] + s,) + idx[dim + 1:]
+            if all(
+                tuple(i + b * p for i, b, p in zip(idx, delta, prefix)) + tail in known
+                for delta in itertools.islice(itertools.product((0, 1), repeat=dim), 1, None)
+            ):
                 found = search(dim + 1, prefix + (s,))
                 if found is not None:
                     return found
@@ -104,35 +110,38 @@ def _search_offset(
     return search(0, ())
 
 
-def _missing(tensor: SparseTensor, idx: Index) -> Index:
-    """``idx`` as a tuple; IndexError out of bounds, ValueError if it is known."""
+def witness(tensor: SparseTensor, idx: Index) -> SupportWitness | None:
+    """Smallest hypercube witness for a missing index, or None; ValueError if it is known."""
     idx = tuple(idx)
     flat_index(idx, tensor.extents)
     if idx in tensor.entries:
         raise ValueError(f"index {idx} is a known entry, not a missing one")
-    return idx
+    offset = _search_offset(tensor, idx, _fibres(tensor))
+    return None if offset is None else SupportWitness(idx, offset, tuple(_corners(idx, offset)))
 
 
-def witness(tensor: SparseTensor, idx: Index) -> SupportWitness | None:
-    """Smallest hypercube witness for a missing index, or None."""
-    idx = _missing(tensor, idx)
-    offset = _search_offset(tensor, idx, _occupied_slices(tensor))
-    if offset is None:
-        return None
-    return SupportWitness(idx, offset, tuple(_corners(idx, offset)))
+def scan(tensor: SparseTensor, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``cap`` missing cells in flat order, as an (m, d) int array,
+    and a mask over them of those :func:`witness` finds a witness for."""
+    fibres = _fibres(tensor)
+    blocks, witnessed = [np.empty((0, tensor.d), np.int64)], []
+    for block in tensor.missing_blocks():
+        if len(witnessed) >= cap:
+            break
+        blocks.append(block[:cap - len(witnessed)])
+        cells = map(tuple, blocks[-1].tolist())
+        witnessed.extend(_search_offset(tensor, idx, fibres) is not None for idx in cells)
+    return np.concatenate(blocks), np.array(witnessed, dtype=bool)
 
 
-def supported(tensor: SparseTensor, cells: Iterable[Index]) -> Iterator[Index]:
-    """The missing ``cells`` that have a witness, in order, as tuples.
-
-    Filters as :func:`witness` would, with the occupied slices found once
-    for the whole scan instead of once per cell.
-    """
-    occupied = _occupied_slices(tensor)
-    for idx in cells:
-        idx = _missing(tensor, idx)
-        if _search_offset(tensor, idx, occupied) is not None:
-            yield idx
+def unsupported(tensor: SparseTensor, scanned: tuple[np.ndarray, np.ndarray]) -> list[Index]:
+    """The cells of a :func:`scan` without a witness, as tuples; a
+    :class:`CapacityError` carrying them if missing cells lie past the scan."""
+    cells, witnessed = scanned
+    failures = list(map(tuple, cells[~witnessed].tolist()))
+    if tensor.box_size - len(tensor) > len(cells):
+        raise CapacityError(f"more than {len(cells)} missing cells to scan", partial=failures)
+    return failures
 
 
 def is_fully_supported(
@@ -143,15 +152,5 @@ def is_fully_supported(
     Raises :class:`CapacityError` (carrying the failures found so far)
     when more than ``scan_cap`` missing cells would need scanning.
     """
-    failures: list[Index] = []
-    occupied = _occupied_slices(tensor)
-    scanned = 0
-    for idx in tensor.missing_indices():
-        scanned += 1
-        if scanned > scan_cap:
-            raise CapacityError(
-                f"more than {scan_cap} missing cells to scan", partial=failures
-            )
-        if _search_offset(tensor, idx, occupied) is None:
-            failures.append(idx)
+    failures = unsupported(tensor, scan(tensor, scan_cap))
     return not failures, failures

@@ -310,6 +310,32 @@ class TestPredict:
             assert captured.out.startswith("error: cannot load model: "), name
             assert "Traceback" not in captured.err, name
 
+    def test_huge_extents_are_an_input_error(self, demo_model, tmp_path, capsys):
+        # the id map is checked first, so no array is sized by the extents
+        payload = json.loads(open(demo_model).read())
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({**payload, "extents": [2**40, 2**40]}))
+        assert main(["predict", str(bad), "u1,p1"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: cannot load model: ") and "does not fit extents" in out
+
+    @pytest.mark.parametrize("fmt", ["human", "jsonl"])
+    def test_queries_never_build_entries(self, demo_model, capsys, monkeypatch, fmt):
+        from uctensor import cli
+
+        loaded = []
+
+        def load(path):
+            loaded.append(load_model(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_model", load)
+        assert main(["predict", demo_model, "u2,p2", "u1,p2", "--round", "1,5",
+                     "--format", fmt]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert ("known" in lines[0], "known" in lines[1]) == (fmt == "jsonl", True)
+        assert loaded[0][0].source._entries is None
+
     @pytest.mark.parametrize("version", [1, 2])
     def test_old_artifact_names_its_version(self, demo_model, tmp_path, capsys, version):
         payload = json.loads(open(demo_model).read())
@@ -571,20 +597,52 @@ class TestVerify:
         assert capsys.readouterr().err == ""
 
     def test_one_witness_search_for_the_compared_cells(self, demo_file, capsys, monkeypatch):
+        # full_support and the compared cells read one scan: each missing
+        # cell is searched once
         from uctensor import support
 
-        calls = []
-        scan = support.supported
+        searched = []
+        search = support._search_offset
 
-        def counted(tensor, cells):
-            calls.append(1)
-            return scan(tensor, cells)
+        def counted(tensor, idx, *rest):
+            searched.append(idx)
+            return search(tensor, idx, *rest)
 
-        monkeypatch.setattr(support, "supported", counted)
+        monkeypatch.setattr(support, "_search_offset", counted)
         code, records = run_jsonl(capsys, ["verify", demo_file])
         assert code == 0
         assert {r["name"] for r in records if r["record"] == "property"} == set(ALL_PROPERTIES)
-        assert len(calls) == 1
+        assert searched == [(2, 2)]
+
+    def test_full_support_over_its_cap_compares_the_same_cells(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from uctensor import cli, properties, support
+
+        # a staircase plus a disjoint 2x2 block: 16 missing cells
+        path = tmp_path / "partial.csv"
+        stair = ["r1,c1", "r1,c2", "r2,c2", "r2,c3", "r3,c3"]
+        block = [f"r{a},c{b}" for a in (4, 5) for b in (4, 5)]
+        path.write_text("".join(f"{key},{1 + n / 4}\n" for n, key in enumerate(stair + block)))
+        monkeypatch.setattr(support, "DEFAULT_SCAN_CAP", 7)
+        monkeypatch.setattr(properties, "MISSING_CAP", 5)
+        checked_cells = cli.checked_cells
+        compared = []
+
+        def recorded(scanned):
+            cells = checked_cells(scanned)
+            compared.append(cells.tolist())
+            return cells
+
+        monkeypatch.setattr(cli, "checked_cells", recorded)
+        runs = []
+        for wanted in ("full_support,unit_consistency", "unit_consistency"):
+            runs.append(run_jsonl(capsys, ["verify", str(path), "--trials", "2",
+                                           "--properties", wanted]))
+        assert [code for code, _ in runs] == [0, 0]
+        warnings = [r["message"] for r in runs[0][1] if r["record"] == "warning"]
+        assert warnings == ["more than 7 missing cells to scan"]
+        assert compared == [[[2, 1], [3, 2]]] * 2
 
     def test_oracle_compares_the_unit_consistency_cells(self, tmp_path, capsys, monkeypatch):
         from uctensor import properties

@@ -5,7 +5,7 @@ import pytest
 
 from uctensor.errors import CapacityError
 from uctensor.sparse_tensor import SparseTensor, all_indices
-from uctensor.support import is_fully_supported, supported, witness
+from uctensor.support import is_fully_supported, scan, witness
 
 from conftest import make_golden
 
@@ -85,22 +85,86 @@ class TestWitness:
         assert witness(golden_matrix, (2, 2)) == witness(golden_matrix, (2, 2))
 
 
+def random_tensor(rng, extents, density):
+    entries = {idx: 1.0 for idx in all_indices(extents) if rng.random() < density}
+    return SparseTensor(extents, entries)
+
+
+def empty_fibre(tensor, idx):
+    """Whether some dimension has no known cell differing from ``idx`` in it alone."""
+    return any(
+        not any(
+            c[dim] != idx[dim] and c[:dim] + c[dim + 1:] == idx[:dim] + idx[dim + 1:]
+            for c in tensor.entries
+        )
+        for dim in range(tensor.d)
+    )
+
+
 class TestSupported:
     def test_same_cells_as_filtering_by_witness(self):
         rng = np.random.default_rng(4)
         for extents in ((6, 5), (4, 3, 3)):
-            entries = {idx: 1.0 for idx in all_indices(extents) if rng.random() < 0.5}
-            tensor = SparseTensor(extents, entries)
+            tensor = random_tensor(rng, extents, 0.5)
             missing = list(tensor.missing_indices())
             expected = [idx for idx in missing if witness(tensor, idx) is not None]
             assert 0 < len(expected) < len(missing)
-            assert list(supported(tensor, missing)) == expected
+            cells, witnessed = scan(tensor, len(missing))
+            assert list(map(tuple, cells.tolist())) == missing
+            assert list(map(tuple, cells[witnessed].tolist())) == expected
 
     def test_rejects_known_and_out_of_bounds_cells(self, golden_matrix):
         with pytest.raises(ValueError):
-            list(supported(golden_matrix, [(2, 2), (1, 1)]))
+            witness(golden_matrix, (1, 1))
         with pytest.raises(IndexError):
-            list(supported(golden_matrix, [(3, 1)]))
+            witness(golden_matrix, (3, 1))
+        # the scan reads only missing cells, in bounds
+        cells, witnessed = scan(golden_matrix, 10)
+        assert cells.tolist() == [[2, 2]] and witnessed.tolist() == [True]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_mask_matches_witness_with_empty_fibres(self, d):
+        rng = np.random.default_rng(10 + d)
+        empty = 0
+        for _ in range(8):
+            extents = tuple(int(n) for n in rng.integers(2, 5 if d < 4 else 4, size=d))
+            tensor = random_tensor(rng, extents, float(rng.uniform(0.2, 0.7)))
+            if not len(tensor):
+                continue
+            cells, witnessed = scan(tensor, tensor.box_size)
+            assert list(map(tuple, cells.tolist())) == list(tensor.missing_indices())
+            for idx, flag in zip(map(tuple, cells.tolist()), witnessed.tolist()):
+                assert flag == (witness(tensor, idx) is not None)
+                if empty_fibre(tensor, idx):
+                    empty += 1
+                    assert not flag
+        assert empty > 0 or d == 1  # for d = 1 the one fibre is the whole known set
+
+    def test_cap_keeps_the_first_cells_in_flat_order(self):
+        tensor = random_tensor(np.random.default_rng(5), (7, 6), 0.4)
+        cells, witnessed = scan(tensor, tensor.box_size)
+        for cap in (0, 1, 5, len(cells), len(cells) + 3):
+            head, mask = scan(tensor, cap)
+            assert head.shape == (min(cap, len(cells)), 2)
+            assert head.tolist() == cells[:cap].tolist()
+            assert mask.tolist() == witnessed[:cap].tolist()
+
+
+class TestFibreSearch:
+    def test_offsets_are_the_smallest_on_sparse_four_way_shapes(self):
+        rng = np.random.default_rng(8)
+        found = 0
+        for extents in ((3, 3, 2, 3), (2, 4, 3, 2), (3, 2, 2, 4)):
+            for density in (0.45, 0.65):
+                tensor = random_tensor(rng, extents, density)
+                for idx in tensor.missing_indices():
+                    w = witness(tensor, idx)
+                    offsets = sorted(brute_force_offsets(tensor, idx))
+                    assert (w is None) == (not offsets)
+                    if w is not None:
+                        found += 1
+                        assert w.offset == offsets[0]
+        assert found > 0
 
 
 class TestIsFullySupported:
@@ -132,4 +196,5 @@ class TestIsFullySupported:
         tensor = SparseTensor((4, 4), {(1, 1): 1.0})
         with pytest.raises(CapacityError) as excinfo:
             is_fully_supported(tensor, scan_cap=3)
-        assert isinstance(excinfo.value.partial, list)
+        assert excinfo.value.partial == [(2, 1), (3, 1), (4, 1)]
+        assert str(excinfo.value) == "more than 3 missing cells to scan"
