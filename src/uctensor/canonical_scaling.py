@@ -28,16 +28,22 @@ measure ``v``; it resets at the start of every sweep.
 The same projection solves the linear system ``C Cᵀ s = −C a``, with
 ``C`` the 0/1 membership matrix of known entries (columns) in non-empty
 subtensors (rows) and ``a`` the known log values; then ``x = a + Cᵀs``.
-:func:`csa` runs one warm sweep and then Jacobi-preconditioned conjugate
-gradients on that system.  Every use of ``C`` goes through one ``C x``,
-:func:`_subtensor_sums`, and one ``Cᵀ s``, :func:`_entry_sums`: a bincount
-over, and a gather through, the group labels.  Gauss-Seidel contracts
-slowly on poorly connected patterns (a chain of length L needs on the
-order of L² sweeps, CG about 2L iterations); :func:`sweep` stays
-available to drive the paper's iteration one pass at a time.  For a CG
-iteration ``v`` is the squared norm of the centering steps every
-subtensor would take at once, the same kind of measure as a sweep's, one
-value per step.
+:func:`csa` runs one warm sweep, peels the tree-shaped parts of the
+pattern exactly, and runs Jacobi-preconditioned conjugate gradients on
+the core left.  A subtensor with one live known entry forces that
+entry's x to 0; removing the entry leaves the other constraints in the
+same form, so a queue over the live counts peels every chain, star and
+dangling tree in O(N), for any d and k, and back-substitution in
+reverse peel order gives their coefficients.  Every use of ``C`` goes
+through one ``C x``, :func:`_subtensor_sums`, and one ``Cᵀ s``,
+:func:`_entry_sums`: a bincount over, and a gather through, the group
+labels.  Gauss-Seidel contracts slowly on poorly connected patterns (a
+chain of length L needs on the order of L² sweeps, and CG without
+peeling about 2L iterations; a ring, which does not peel, still takes
+CG about L); :func:`sweep` stays available to drive the paper's
+iteration one pass at a time.  For a CG iteration ``v`` is the squared
+norm of the centering steps every subtensor of the core would take at
+once, the same kind of measure as a sweep's, one value per step.
 
 Once v is below epsilon, a run stops when v reaches the floating-point
 floor, ``n_occupied · (ε_mach · max(1, max |log value|))²`` over the
@@ -53,9 +59,10 @@ the boundary.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -204,22 +211,105 @@ def sweep(state: ScalingState) -> float:
     return v
 
 
+def _peel(
+    groups: Sequence[SubtensorGroup], counts: np.ndarray
+) -> tuple[list[int], list[int], np.ndarray, np.ndarray] | None:
+    """Peel every entry that is the only live entry of some subtensor, until none is.
+
+    ``counts`` are the groups' counts laid out as ``coeffs_flat``.  Such an
+    entry's canonical log value is 0, and removing it leaves the other
+    subtensors' constraints in the same form, so one queue over the live
+    counts peels every tree-shaped part of the pattern.  A subtensor's
+    last live entry is the sum of its live entries' positions once its
+    count is 1, so no member lists are needed.
+
+    Returns, in peel order, the peeled entries, the subtensor that peeled
+    each, and each one's subtensors as a row, all as positions in
+    ``coeffs_flat``; then the live counts left.  None if no count is 1.
+    """
+    queue = np.flatnonzero(counts == 1).tolist()
+    if not queue:
+        return None
+    # exact in float64 while the position sums stay below 2**53
+    positions = _subtensor_sums(groups, np.arange(len(groups[0].labels), dtype=float))
+    offsets = np.cumsum([0] + [len(g.counts) for g in groups[:-1]]).tolist()
+    # scalar numpy updates: converting whole arrays to lists costs more than
+    # the few peels of a large, well-connected pattern
+    live, left = counts.copy(), positions
+    entries, peelers, members = [], [], []
+    while queue:
+        q = queue.pop()
+        if live.item(q) != 1:  # its last entry was peeled by another subtensor
+            continue
+        t = int(left.item(q))
+        entries.append(t)
+        peelers.append(q)
+        members.append([offset + group.labels.item(t) for offset, group in zip(offsets, groups)])
+        for q in members[-1]:
+            live[q] -= 1
+            left[q] -= t
+            if live.item(q) == 1:
+                queue.append(q)
+    return entries, peelers, np.array(members), live
+
+
 def _cg_steps(state: ScalingState) -> Iterator[float]:
     """Jacobi-preconditioned conjugate gradients on ``C Cᵀ s = −C x``; yields each v.
 
     ``C`` is the 0/1 membership matrix of known entries in subtensors, so
     ``C Cᵀ`` has the known-entry counts on its diagonal.  The first step is
     one :func:`sweep`, which also absorbs a single-group rescaling exactly.
-    Every later step moves ``s`` along a search direction ``p`` and ``x``
-    along ``w = Cᵀp``, then recomputes the residual ``r = −C x`` from ``x``
-    itself, at the same cost as the usual recurrence ``r −= α C w``, which
-    drifts away from the true residual once ``r·z`` underflows.  v is
-    ``z·z`` with ``z = r / counts``, the centering steps all subtensors
-    would take at once.
+    Then :func:`_peel` takes the tree-shaped parts off the pattern, and CG
+    runs on the core left: the groups' labels at the live entries, with
+    the live counts.  Every CG step moves ``s`` along a search direction
+    ``p`` and ``x`` along ``w = Cᵀp``, then recomputes the residual
+    ``r = −C x`` from ``x`` itself, at the same cost as the usual
+    recurrence ``r −= α C w``, which drifts away from the true residual
+    once ``r·z`` underflows.  v is ``z·z`` with ``z = r / counts``, the
+    centering steps all subtensors would take at once; an empty core
+    gives v = 0.
+
+    Closing the generator after the first step writes the core's ``x``
+    back and back-substitutes the peeled entries, last peeled first: each
+    one's coefficient sum, recomputed as CG and later peels left it, is
+    taken out of the coefficient of the subtensor that peeled it, so the
+    entry ends with x = 0.  Subtensors left with no live entry keep the
+    coefficients the sweep gave them.
     """
     yield sweep(state)
     groups, x, s = state.groups, state.log_values, state.coeffs_flat
     counts = np.concatenate([g.counts for g in groups])
+    peeled = _peel(groups, counts)
+    if peeled is None:
+        yield from _cg(groups, x, s, counts, state.v_trace)
+        return
+    entries, peelers, members, counts = peeled
+    base = x[entries] - s[members].sum(axis=1)  # x less its coefficient sum
+    core = np.ones(len(x), dtype=bool)  # a mask: faster to gather and scatter by
+    core[entries] = False
+    ends = np.cumsum([len(g.counts) for g in groups])
+    core_groups = [
+        replace(g, labels=g.labels[core], counts=c)
+        for g, c in zip(groups, np.split(counts, ends[:-1]))
+    ]
+    core_x = x[core]
+    try:
+        yield from _cg(core_groups, core_x, s, counts, state.v_trace)
+    finally:
+        x[core] = core_x
+        touched = np.unique(members)  # each peeler is among its entry's subtensors
+        coeffs = dict(zip(touched.tolist(), s[touched].tolist()))
+        for at, peeler, value in zip(members.tolist()[::-1], peelers[::-1], base.tolist()[::-1]):
+            coeffs[peeler] -= value + sum(coeffs[q] for q in at)
+        s[peelers] = [coeffs[q] for q in peelers]
+        x[entries] = 0.0
+
+
+def _cg(
+    groups: Sequence[SubtensorGroup], x: np.ndarray, s: np.ndarray, counts: np.ndarray,
+    v_trace: list[float],
+) -> Iterator[float]:
+    """The CG steps of :func:`_cg_steps`, moving ``x`` and ``s`` in place."""
     inv_counts = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
     # r and z are the rows of one array, so that one reduction gives r·z and
     # z·z: each reduction without BLAS costs more per call than a BLAS dot
@@ -246,7 +336,7 @@ def _cg_steps(state: ScalingState) -> Iterator[float]:
         x += alpha * w
         rz_old = rz
         rz, v = update_residual()
-        state.v_trace.append(v)
+        v_trace.append(v)
         yield v
         p *= rz / rz_old
         p += z
@@ -279,11 +369,13 @@ def csa(
     convergence report.  ``apply_scaling(tensor, family)`` gives the
     canonical tensor.  The input tensor is not modified.
 
-    The projection is solved by Jacobi-preconditioned conjugate gradients
-    after one warm :func:`sweep`, which processes the groups in ``order``
-    (default: group order).  A different order leaves the coefficients in
-    a different gauge but gives the same ``x``.  The warm sweep and each
-    CG iteration are one step against ``max_sweeps``.
+    The projection is solved by peeling and then Jacobi-preconditioned
+    conjugate gradients on the core, after one warm :func:`sweep`, which
+    processes the groups in ``order`` (default: group order).  A different
+    order leaves the coefficients in a different gauge but gives the same
+    ``x``.  The warm sweep and each CG iteration are one step against
+    ``max_sweeps``; peeling takes none, and a pattern that peels entirely
+    stops at the step after the sweep, with v = 0.
     ``report.stop_reason`` says which part of the stop rule (module
     docstring) ended the run: ``"floor"``, ``"stagnation"`` or
     ``"budget"``.
@@ -302,15 +394,17 @@ def csa(
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
 
     state = ScalingState(tensor, k, order)
-    steps = _cg_steps(state)
-    first = next(steps)
-    # rounding noise scales with the log values as the first step leaves them
-    # (it removes any common offset of the input)
-    occupied = sum(int(np.count_nonzero(g.counts)) for g in state.groups)
-    scale = max(1.0, float(np.abs(state.log_values).max()))
-    floor = occupied * (np.finfo(float).eps * scale) ** 2
-    budget = itertools.chain([first], itertools.islice(steps, max_sweeps - 1))
-    report = state.report(epsilon, _run_until_stop(budget, epsilon, floor))
+    # closing the steps writes back the entries they peeled
+    with contextlib.closing(_cg_steps(state)) as steps:
+        first = next(steps)
+        # rounding noise scales with the log values as the first step leaves
+        # them (it removes any common offset of the input)
+        occupied = sum(int(np.count_nonzero(g.counts)) for g in state.groups)
+        scale = max(1.0, float(np.abs(state.log_values).max()))
+        floor = occupied * (np.finfo(float).eps * scale) ** 2
+        budget = itertools.chain([first], itertools.islice(steps, max_sweeps - 1))
+        stop_reason = _run_until_stop(budget, epsilon, floor)
+    report = state.report(epsilon, stop_reason)
     if not report.converged:
         raise ConvergenceError(
             f"no convergence after {state.sweeps} sweeps "

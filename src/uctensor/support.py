@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -52,34 +51,7 @@ def _corners(idx: Index, offset: tuple[int, ...]) -> list[Index]:
             for delta in selectors if any(delta)]
 
 
-def _fibres(tensor: SparseTensor) -> Callable[[Index], list[list[int]]]:
-    """A function of a cell: per dimension, its fibre's coordinates along it, ascending.
-
-    A group of ``groups(1)`` has one row per fibre along the dimension it
-    leaves free, members ascending in flat order; for d = 1 the whole
-    tensor is the one fibre.
-    """
-    coords = tensor.coords_array()
-    if tensor.d == 1:
-        line = coords[:, 0].tolist()
-        return lambda idx: [line]
-    lines = []
-    # the subsets ascend, so reversed the groups leave dimension 0, 1, ... free
-    for dim, group in enumerate(reversed(tensor.groups(1))):
-        along = coords[np.argsort(group.labels, kind="stable"), dim]
-        lines.append((group, along, [0, *np.cumsum(group.counts).tolist()]))
-
-    def of(idx: Index) -> list[list[int]]:  # lists only idx's fibres: cheaper for witness()
-        rows = [(group.slot(idx), along, bounds) for group, along, bounds in lines]
-        return [[] if r is None else along[bounds[r]:bounds[r + 1]].tolist()
-                for r, along, bounds in rows]
-
-    return of
-
-
-def _search_offset(
-    tensor: SparseTensor, idx: Index, fibres: Callable[[Index], list[list[int]]]
-) -> tuple[int, ...] | None:
+def _search_offset(tensor: SparseTensor, idx: Index) -> tuple[int, ...] | None:
     """Depth-first search for the lexicographically smallest valid offset.
 
     Candidates per dimension are differences toward the cell's fibre,
@@ -87,7 +59,7 @@ def _search_offset(
     already determines is absent.
     """
     known = tensor.entries
-    candidates = [[j - idx[dim] for j in line] for dim, line in enumerate(fibres(idx))]
+    candidates = [[j - c for j in line.tolist()] for c, line in zip(idx, tensor.fibres(idx))]
     if any(not c for c in candidates):
         return None
 
@@ -116,21 +88,20 @@ def witness(tensor: SparseTensor, idx: Index) -> SupportWitness | None:
     flat_index(idx, tensor.extents)
     if idx in tensor.entries:
         raise ValueError(f"index {idx} is a known entry, not a missing one")
-    offset = _search_offset(tensor, idx, _fibres(tensor))
+    offset = _search_offset(tensor, idx)
     return None if offset is None else SupportWitness(idx, offset, tuple(_corners(idx, offset)))
 
 
 def scan(tensor: SparseTensor, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """The first ``cap`` missing cells in flat order, as an (m, d) int array,
     and a mask over them of those :func:`witness` finds a witness for."""
-    fibres = _fibres(tensor)
     blocks, witnessed = [np.empty((0, tensor.d), np.int64)], []
     for block in tensor.missing_blocks():
         if len(witnessed) >= cap:
             break
         blocks.append(block[:cap - len(witnessed)])
         cells = map(tuple, blocks[-1].tolist())
-        witnessed.extend(_search_offset(tensor, idx, fibres) is not None for idx in cells)
+        witnessed.extend(_search_offset(tensor, idx) is not None for idx in cells)
     return np.concatenate(blocks), np.array(witnessed, dtype=bool)
 
 

@@ -8,6 +8,7 @@ from uctensor.canonical_scaling import (
     ConvergenceReport,
     ScalingState,
     _entry_sums,
+    _peel,
     _run_until_stop,
     _subtensor_sums,
     apply_scaling,
@@ -230,6 +231,15 @@ class TestHardShapes:
             x_oracle, _ = solve_lcsp(tensor, 1)
             assert np.abs(x - x_oracle).max() <= 1e-8
 
+    def test_long_staircase_peels_to_the_floor(self):
+        # CG alone needs about 2L steps on a chain; peeled, it takes the warm
+        # sweep and one empty step
+        tensor = staircase(np.random.default_rng(20_000), 20_000)
+        x, family, report = csa(tensor, 1)
+        assert report.stop_reason == "floor" and report.sweeps <= 2
+        assert report.residual <= 1e-8 and not x.any()
+        assert residual(apply_scaling(tensor, family), 1) <= 1e-8
+
     def test_sparse_cube_converges_at_both_k(self):
         rng = np.random.default_rng(30)
         flat = rng.choice(27_000, size=2_700, replace=False)
@@ -240,6 +250,80 @@ class TestHardShapes:
             _, family, report = csa(tensor, k)
             assert report.converged and report.sweeps < 1000
             assert residual(apply_scaling(tensor, family), k) <= 1e-8
+
+
+def grow_trees(rng, tensor, steps):
+    """``tensor`` with ``steps`` entries hung off it one at a time.
+
+    Each new entry copies a random known one and moves it to a fresh
+    coordinate in one dimension, so it is the only entry of every
+    subtensor fixing that dimension: a tree grows off the known set.
+    """
+    coords = tensor.coords_array().tolist()
+    extents = list(tensor.extents)
+    for _ in range(steps):
+        cell = list(coords[int(rng.integers(len(coords)))])
+        dim = int(rng.integers(len(extents)))
+        extents[dim] += 1
+        cell[dim] = extents[dim]
+        coords.append(cell)
+    values = np.exp(rng.uniform(-1.0, 1.0, size=len(coords)))
+    return SparseTensor.from_arrays(extents, np.array(coords), values)
+
+
+class TestPeeling:
+    """Tree-shaped parts are peeled exactly; the rest is the projection."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_trees_off_a_cyclic_core_match_the_oracle(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(4):
+            core = random_full_support(rng, d, extent_hi=5, box_cap=60, density=0.8)
+            tensor = grow_trees(rng, core, int(rng.integers(3, 12)))
+            for k in range(1, d):
+                assert _peel(tensor.groups(k), np.concatenate(
+                    [g.counts for g in tensor.groups(k)])) is not None
+                x, family, report = csa(tensor, k)
+                x_oracle, _ = solve_lcsp(tensor, k)
+                assert report.converged
+                assert np.abs(x - x_oracle).max() <= 1e-8
+                logs = np.log(tensor.values_array())
+                assert np.abs(logs + _entry_sums(tensor.groups(k), family.coeffs) - x).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_pure_forest_in_three_dimensions(self, k):
+        rng = np.random.default_rng(50 + k)
+        seeds = SparseTensor((1, 1, 1), {(1, 1, 1): 3.0})
+        tensor = grow_trees(rng, seeds, 40)
+        x, family, report = csa(tensor, k)
+        assert report.stop_reason == "floor" and report.sweeps == 2
+        assert report.v_trace[-1] == 0.0 and not x.any()
+        assert residual(apply_scaling(tensor, family), k) <= 1e-12
+        assert np.abs(solve_lcsp(tensor, k)[0]).max() <= 1e-8
+
+    def test_entry_alone_in_two_subtensors_is_peeled_once(self):
+        # a full 3x3 core and (5, 5), the only entry of row 5 and column 5
+        rng = np.random.default_rng(60)
+        entries = {(i, j): float(np.exp(rng.uniform(-1, 1)))
+                   for i in range(1, 4) for j in range(1, 4)}
+        entries[(5, 5)] = 7.0
+        tensor = SparseTensor((5, 5), entries)
+        groups = tensor.groups(1)
+        counts = np.concatenate([g.counts for g in groups])
+        peeled, peelers, _, left = _peel(groups, counts)
+        assert peeled == [len(tensor) - 1] and peelers in ([4], [9])  # row 5 or column 5
+        assert left[[4, 9]].tolist() == [0, 0]
+        x, family, _ = csa(tensor, 1)
+        assert x[-1] == 0.0
+        # the peeling coefficient takes the entry to 1 together with the
+        # other one, which keeps what the warm sweep gave it
+        assert family.log_sum_at((5, 5)) == pytest.approx(-math.log(7.0), abs=1e-15)
+        assert residual(apply_scaling(tensor, family), 1) <= 1e-12
+
+    def test_no_count_of_one_peels_nothing(self):
+        tensor = dense_ones((3, 3))
+        groups = tensor.groups(1)
+        assert _peel(groups, np.concatenate([g.counts for g in groups])) is None
 
 
 class TestKernels:

@@ -197,6 +197,24 @@ class TestScaleFairness:
         report = check_scale_fairness(tensor, dim=1, slice_index=slice_index, factor=1.25)
         assert report.passed, report.violations[:1]
 
+    def test_peeled_inputs_keep_the_sweep_gauge(self):
+        # peeling after the warm sweep leaves a rescaled group-0 slice absorbed
+        # as exactly as before; peeling before it would move the
+        # gauge-dependent cell (2, 1) of the diagonal by 25%
+        diagonal = SparseTensor((2, 2), {(1, 1): 1.0, (2, 2): 2.0})
+        report = check_scale_fairness(diagonal, dim=1, slice_index=1, factor=1.25)
+        assert report.passed and report.max_deviation == 0.0
+        rng = np.random.default_rng(0)
+        entries = {(i, j): float(np.exp(rng.uniform(-1, 1)))
+                   for i in range(1, 5) for j in range(1, 5) if (i + j) % 3}
+        for idx in [(4, 5), (5, 5), (5, 6), (6, 6), (6, 7)]:  # a chain off row 4
+            entries[idx] = float(np.exp(rng.uniform(-1, 1)))
+        tensor = SparseTensor((6, 7), entries)
+        for slice_index in (1, 4, 5, 6):
+            report = check_scale_fairness(tensor, dim=1, slice_index=slice_index, factor=1.25)
+            # rounding only, as without peeling
+            assert report.passed and report.max_deviation <= 1e-14
+
     def test_empty_slice_rejected(self):
         tensor = SparseTensor((3, 2), make_golden().entries)  # row 3 empty
         with pytest.raises(ValueError):

@@ -435,3 +435,26 @@ class TestRadixKeys:
             scalar = [group.slot(idx) for idx in map(tuple, cells.tolist())]
             assert [-1 if pos is None else pos for pos in scalar] == group.slots(cells).tolist()
             assert scalar.count(None) < len(scalar)
+
+
+class TestFibres:
+    @pytest.mark.parametrize("extents", [(7,), (5, 4), (3, 4, 2)])
+    def test_match_a_scan_of_the_known_cells(self, extents):
+        tensor = SparseTensor.from_arrays(
+            extents, *sparse_box(np.random.default_rng(len(extents)), extents, density=0.5)
+        )
+        known = tensor.known_indices()
+        for idx in all_indices(extents):
+            expected = [
+                sorted(c[dim] for c in known
+                       if all(a == b for i, (a, b) in enumerate(zip(c, idx)) if i != dim))
+                for dim in range(len(extents))
+            ]
+            assert [line.tolist() for line in tensor.fibres(idx)] == expected
+
+    def test_index_built_once_per_tensor(self):
+        tensor = SparseTensor.from_arrays((6, 5, 4), *sparse_box(np.random.default_rng(9), (6, 5, 4)))
+        tensor.fibres((1, 1, 1))
+        built = tensor._fibres
+        tensor.fibres((2, 3, 4))
+        assert tensor._fibres is built
