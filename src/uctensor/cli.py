@@ -60,7 +60,6 @@ from .properties import (
     PropertyReport,
     _first_rank_changes,
     _rescaled_predictions,
-    _slice_support,
     checked_cells,
     check_consensus_ordering,
     check_gauge_uniqueness,
@@ -459,7 +458,7 @@ def cmd_predict(args) -> int:
 
 def _parse_consensus_spec(text: str, tensor: SparseTensor, idmap: IdMap) -> OrderingSpec:
     """Parse 'dim:id1,id2,...' into an ordering spec, ids in ascending
-    preference; the common support is declared from the first slice."""
+    preference; the check reads the slices' common support from the tensor."""
     try:
         dim_part, gamma_part = text.split(":", 1)
         dim = int(dim_part)
@@ -479,7 +478,7 @@ def _parse_consensus_spec(text: str, tensor: SparseTensor, idmap: IdMap) -> Orde
         if coord in gamma:
             raise IngestError(f"--consensus-spec repeats id {token.strip()!r}")
         gamma.append(coord)
-    return OrderingSpec(dim, tuple(gamma), frozenset(_slice_support(tensor, dim, gamma[0])))
+    return OrderingSpec(dim, tuple(gamma))
 
 
 def _verify_oracle(tensor, k, emitter, config, compared) -> PropertyReport | None:
@@ -675,29 +674,19 @@ def experiment_consensus(
     rng = np.random.default_rng(seed)
     raters = users // 2
     cols = base_products + 3
-    entries = {}
-    for u in range(1, users + 1):
-        for p in range(1, base_products + 1):
-            entries[(u, p)] = float(rng.uniform(1.0, 5.0))
-    best, mid, worst = base_products + 1, base_products + 2, base_products + 3
-    for u in range(1, raters + 1):
-        entries[(u, best)] = 3.0
-        entries[(u, mid)] = 2.0
-        entries[(u, worst)] = 1.0
-    tensor = SparseTensor((users, cols), entries)
+    table = np.full((users, cols), np.nan)  # NaN where unrated
+    table[:, :base_products] = rng.uniform(1.0, 5.0, size=(users, base_products))
+    table[:raters, base_products:] = [3.0, 2.0, 1.0]
+    known = ~np.isnan(table)
+    tensor = SparseTensor.from_arrays(table.shape, np.argwhere(known) + 1, table[known])
     model = tca(tensor, 1)
-    spec = OrderingSpec(
-        dim=2,
-        gamma=(worst, mid, best),
-        common_support=frozenset((u,) for u in range(1, raters + 1)),
-    )
-    report = check_consensus_ordering(model, spec)
-    rows = []
-    for u in range(raters + 1, users + 1):
-        p_worst = model.predict((u, worst))
-        p_mid = model.predict((u, mid))
-        p_best = model.predict((u, best))
-        rows.append((u, p_worst, p_mid, p_best, int(p_worst < p_mid < p_best)))
+    best, mid, worst = base_products + 1, base_products + 2, base_products + 3
+    report = check_consensus_ordering(model, OrderingSpec(dim=2, gamma=(worst, mid, best)))
+    control = np.arange(raters + 1, users + 1)
+    cells = np.column_stack([np.repeat(control, 3), np.tile([worst, mid, best], len(control))])
+    preds = predict_many(model, cells).reshape(-1, 3).tolist()
+    rows = [(u, low, middle, high, int(low < middle < high))
+            for u, (low, middle, high) in zip(control.tolist(), preds)]
     summary = {
         "record": "experiment",
         "name": "consensus",

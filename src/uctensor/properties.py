@@ -5,6 +5,11 @@ warm-sweep order permutation) or evaluates a structural claim (order
 preservation across unanimously ranked slices) and reports the worst
 deviation it saw together with any concrete counterexamples.  Checks are
 deterministic given their seed, which every report carries for replay.
+
+The consensus code reads a slice's known set from one sort of the known
+rows per dimension: rows by slice, then by point (the index without the
+slice's coordinate) in lexicographic order, so every occupied slice is
+one contiguous block of points and values.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .canonical_scaling import ScalingFamily, apply_scaling, csa
 from .completion import CompletionModel, predict_many, tca
 from .errors import OrderingSpecError
 from .lcsp_oracle import gauge_check
-from .sparse_tensor import Index, SparseTensor
+from .sparse_tensor import SparseTensor
 
 STRICTNESS_SLACK = 1e-12
 MISSING_CAP = 20_000  # missing cells, in flat order, that checked_cells reads
@@ -29,15 +34,15 @@ MISSING_CAP = 20_000  # missing cells, in flat order, that checked_cells reads
 class OrderingSpec:
     """A set of slices along one dimension, unanimously ranked.
 
-    ``gamma`` lists slice indices in ascending preference; every slice
-    must carry the identical projected known set ``common_support``
-    (tuples over the remaining dimensions, in dimension order), with
-    values strictly increasing along ``gamma`` at every support point.
+    ``gamma`` lists slice indices of dimension ``dim`` in ascending
+    preference.  The spec holds on a tensor when every slice in ``gamma``
+    has the same non-empty known set of points (indices over the other
+    dimensions), their common support, and the known values rise strictly
+    along ``gamma`` at every point of it.
     """
 
     dim: int
     gamma: tuple[int, ...]
-    common_support: frozenset[Index]
 
 
 @dataclass
@@ -77,11 +82,18 @@ def _distinct_less(x, y, slack: float = STRICTNESS_SLACK):
     return (x < y) & ((y - x) > slack * np.maximum(abs(x), abs(y)))
 
 
-def _slice_support(tensor: SparseTensor, dim: int, slice_index: int) -> dict[Index, float]:
-    coords = tensor.coords_array()
-    inside = coords[:, dim - 1] == slice_index
-    projected = np.delete(coords[inside], dim - 1, axis=1)
-    return dict(zip(map(tuple, projected.tolist()), tensor.values_array()[inside].tolist()))
+def _sorted_by_slice(
+    coords: np.ndarray, values: np.ndarray, dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Known rows sorted by their slice along ``dim``, then by point.
+
+    A row's point is its index without coordinate ``dim``; points sort
+    lexicographically.  Returns the rows' slice coordinates, points and
+    values in that order, so each occupied slice is one contiguous block.
+    """
+    column, points = coords[:, dim - 1], np.delete(coords, dim - 1, axis=1)
+    order = np.lexsort((*points.T[::-1], column))
+    return column[order], points[order], values[order]
 
 
 def random_scaling_family(
@@ -137,14 +149,15 @@ def check_unit_consistency(
     for trial in range(trials):
         family = random_scaling_family(rng, tensor, k)
         scaled_model = tca(apply_scaling(tensor, family), k)
-        expected = (base_preds * np.exp(family.log_sums(cells))).tolist()
-        actual = predict_many(scaled_model, cells).tolist()
-        for idx, want, got in zip(map(tuple, cells.tolist()), expected, actual):
-            dev = abs(got / want - 1.0)
-            if dev > worst:
-                worst = dev
-            if dev > tolerance:
-                violations.append(f"trial {trial}: idx {idx} expected {want!r} got {got!r}")
+        expected = base_preds * np.exp(family.log_sums(cells))
+        actual = predict_many(scaled_model, cells)
+        devs = np.abs(actual / expected - 1.0)
+        worst = float(np.fmax.reduce(devs, initial=worst))  # a NaN deviation counts for nothing
+        for i in np.flatnonzero(devs > tolerance).tolist():
+            violations.append(
+                f"trial {trial}: idx {tuple(cells[i].tolist())} "
+                f"expected {expected[i].item()!r} got {actual[i].item()!r}"
+            )
     return PropertyReport(
         name="unit_consistency",
         instances=trials,
@@ -157,13 +170,16 @@ def check_unit_consistency(
     )
 
 
-def validate_ordering_spec(tensor: SparseTensor, spec: OrderingSpec) -> frozenset[Index]:
+def validate_ordering_spec(tensor: SparseTensor, spec: OrderingSpec) -> None:
     """Check both clauses of an ordering spec against a tensor.
 
-    Returns the support set the ordering was verified on.  Raises
-    :class:`OrderingSpecError` with ``clause="support"`` when the slices'
-    known sets disagree (or the common set is empty), ``clause="ordering"``
-    when the known values are not strictly increasing along ``gamma``.
+    Raises :class:`OrderingSpecError` with ``clause="support"`` naming the
+    first slice, in ``gamma`` order, whose known set differs from the
+    first slice's, or when that common set is empty; with
+    ``clause="ordering"`` naming the first consecutive pair and, within
+    it, the first point in lexicographic order where the known values do
+    not rise strictly.  Raises ``ValueError`` for a dimension or slice out
+    of range, or a ``gamma`` that is empty or repeats a slice.
     """
     if not 1 <= spec.dim <= tensor.d:
         raise ValueError(f"dimension {spec.dim} invalid for a {tensor.d}-d tensor")
@@ -173,32 +189,33 @@ def validate_ordering_spec(tensor: SparseTensor, spec: OrderingSpec) -> frozense
         if not 1 <= g <= tensor.extents[spec.dim - 1]:
             raise ValueError(f"slice {g} outside extent of dimension {spec.dim}")
 
-    supports = [_slice_support(tensor, spec.dim, g) for g in spec.gamma]
-    common = frozenset(supports[0])
-    for g, sup in zip(spec.gamma, supports):
-        if frozenset(sup) != common:
+    coords = tensor.coords_array()
+    inside = np.isin(coords[:, spec.dim - 1], spec.gamma)
+    column, points, values = _sorted_by_slice(
+        coords[inside], tensor.values_array()[inside], spec.dim
+    )
+    starts = np.searchsorted(column, spec.gamma)
+    stops = np.searchsorted(column, spec.gamma, side="right")
+    common = points[starts[0]:stops[0]]
+    for g, start, stop in zip(spec.gamma, starts.tolist(), stops.tolist()):
+        if not np.array_equal(points[start:stop], common):
             raise OrderingSpecError(
                 f"slice {g} has a different known set than slice {spec.gamma[0]}",
                 clause="support",
             )
-    if common != spec.common_support:
-        raise OrderingSpecError(
-            "declared common support does not match the tensor",
-            clause="support",
-        )
-    if not common:
+    if not len(common):
         raise OrderingSpecError("common support is empty", clause="support")
 
-    for a in range(len(spec.gamma) - 1):
-        lo, hi = supports[a], supports[a + 1]
-        for p in sorted(common):
-            if not _distinct_less(lo[p], hi[p]):
-                raise OrderingSpecError(
-                    f"slices {spec.gamma[a]} and {spec.gamma[a + 1]} are not "
-                    f"strictly ordered at {p}: {lo[p]!r} vs {hi[p]!r}",
-                    clause="ordering",
-                )
-    return common
+    table = values[starts[:, None] + np.arange(len(common))]  # one row per slice of gamma
+    unordered = np.argwhere(~_distinct_less(table[:-1], table[1:]))
+    if len(unordered):
+        a, p = unordered[0].tolist()
+        low, high = table[a, p].item(), table[a + 1, p].item()
+        raise OrderingSpecError(
+            f"slices {spec.gamma[a]} and {spec.gamma[a + 1]} are not strictly ordered "
+            f"at {tuple(common[p].tolist())}: {low!r} vs {high!r}",
+            clause="ordering",
+        )
 
 
 def check_consensus_ordering(model: CompletionModel, spec: OrderingSpec) -> PropertyReport:
@@ -383,11 +400,12 @@ def check_gauge_uniqueness(
     if cells is None:
         cells = checked_cells(_support.scan(tensor, MISSING_CAP))
     preds = np.array([predict_many(m, cells) for m in models])
-    devs = np.abs(preds / preds[0] - 1.0).max(axis=0).tolist()
-    for idx, dev in zip(map(tuple, cells.tolist()), devs):
-        worst = max(worst, dev)
-        if dev > tolerance:
-            violations.append(f"predictions diverge at {idx}: {dev:.3e}")
+    devs = np.abs(preds / preds[0] - 1.0).max(axis=0)
+    worst = float(np.fmax.reduce(devs, initial=worst))  # a NaN deviation counts for nothing
+    for i in np.flatnonzero(devs > tolerance).tolist():
+        violations.append(
+            f"predictions diverge at {tuple(cells[i].tolist())}: {devs[i].item():.3e}"
+        )
 
     return PropertyReport(
         name="gauge_uniqueness",
@@ -405,44 +423,35 @@ def find_consensus_sets(
 ) -> list[OrderingSpec]:
     """Maximal runs of identically supported, strictly ordered slices.
 
-    Groups the slices along ``dim`` by their projected known set, sorts
-    each group by its value profile, and splits it into maximal runs
-    where every consecutive pair is strictly dominated at every support
-    point.  Runs shorter than ``min_size`` are dropped.  Output order
-    follows the smallest slice index of each group.
+    Groups the occupied slices along ``dim`` by their known set of points,
+    ranks each group by its value profile (the values at the points in
+    lexicographic order, compared lexicographically, ties by slice index),
+    and splits the ranking into maximal runs where every consecutive pair
+    is strictly ordered at every point.  Runs shorter than ``min_size``
+    are dropped.  Output order follows the smallest slice index of each
+    group, then the ranking.  Costs one sort of the known rows.
     """
     if not 1 <= dim <= tensor.d:
         raise ValueError(f"dimension {dim} invalid for a {tensor.d}-d tensor")
-    by_support: dict[frozenset[Index], list[int]] = {}
-    supports: dict[int, dict[Index, float]] = {}
-    for g in range(1, tensor.extents[dim - 1] + 1):
-        sup = _slice_support(tensor, dim, g)
-        if not sup:
-            continue
-        supports[g] = sup
-        by_support.setdefault(frozenset(sup), []).append(g)
+    column, points, values = _sorted_by_slice(tensor.coords_array(), tensor.values_array(), dim)
+    slices, starts = np.unique(column, return_index=True)
+    bounds = np.append(starts, len(column)).tolist()
+    groups: dict[bytes, list[int]] = {}  # blocks of slices in ascending order, by points
+    for block, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        groups.setdefault(points[start:stop].tobytes(), []).append(block)
 
     specs: list[OrderingSpec] = []
-    for signature, slices in sorted(
-        by_support.items(), key=lambda kv: min(kv[1])
-    ):
-        if len(slices) < min_size:
+    for blocks in groups.values():
+        if len(blocks) < min_size:
             continue
-        points = sorted(signature)
-        ordered = sorted(
-            slices, key=lambda g: tuple(supports[g][p] for p in points) + (g,)
+        size = bounds[blocks[0] + 1] - bounds[blocks[0]]
+        members = slices[blocks]
+        table = values[starts[blocks][:, None] + np.arange(size)]
+        ranked = np.lexsort((members, *table.T[::-1]))
+        table = table[ranked]
+        breaks = np.flatnonzero(~_distinct_less(table[:-1], table[1:]).all(axis=1)) + 1
+        specs.extend(
+            OrderingSpec(dim, tuple(run.tolist()))
+            for run in np.split(members[ranked], breaks) if len(run) >= min_size
         )
-        run = [ordered[0]]
-        runs = []
-        for g in ordered[1:]:
-            prev = run[-1]
-            if all(_distinct_less(supports[prev][p], supports[g][p]) for p in points):
-                run.append(g)
-            else:
-                runs.append(run)
-                run = [g]
-        runs.append(run)
-        for r in runs:
-            if len(r) >= min_size:
-                specs.append(OrderingSpec(dim, tuple(r), signature))
     return specs

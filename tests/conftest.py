@@ -149,6 +149,39 @@ def reference_apply_scaling(entries, log_coeffs, k, d):
     return out
 
 
+def reference_consensus_sets(entries, dim, min_size, slack=1e-12):
+    """Consensus sets by a per-slice dict of point -> value, as (dim, gamma) pairs.
+
+    Groups the occupied slices of ``dim`` by their known set of points,
+    sorts each group by its values at the sorted points (ties by slice),
+    and splits it into maximal runs strictly ordered at every point,
+    keeping runs of at least ``min_size``; groups in order of their
+    smallest slice.
+    """
+    supports = {}
+    for idx, value in entries.items():
+        supports.setdefault(idx[dim - 1], {})[idx[:dim - 1] + idx[dim:]] = value
+    by_support = {}
+    for g in sorted(supports):
+        by_support.setdefault(frozenset(supports[g]), []).append(g)
+
+    def less(x, y):
+        return x < y and y - x > slack * max(abs(x), abs(y))
+
+    out = []
+    for signature, slices in by_support.items():
+        points = sorted(signature)
+        ordered = sorted(slices, key=lambda g: tuple(supports[g][p] for p in points) + (g,))
+        runs = [[ordered[0]]]
+        for g in ordered[1:]:
+            if all(less(supports[runs[-1][-1]][p], supports[g][p]) for p in points):
+                runs[-1].append(g)
+            else:
+                runs.append([g])
+        out.extend((dim, tuple(run)) for run in runs if len(run) >= min_size)
+    return out
+
+
 class ReadCounter:
     """Total item reads through the :class:`CountingVector` views sharing it."""
 

@@ -528,6 +528,23 @@ class TestVerify:
         props = [r for r in records if r["record"] == "property"]
         assert props[0]["passed"] and props[0]["instances"] == 1
 
+    def test_found_consensus_sets_checked(self, tmp_path, capsys):
+        # built like the consensus experiment at 8 users x 8 products: users
+        # 1-4 rate products 6, 7, 8 as 3, 2, 1, and no spec is declared
+        rng = np.random.default_rng(0)
+        lines = [f"u{u},p{p},{rng.uniform(1.0, 5.0)!r}" for u in range(1, 9) for p in range(1, 6)]
+        lines += [f"u{u},p{p},{v}" for u in range(1, 5) for p, v in ((6, 3), (7, 2), (8, 1))]
+        path = tmp_path / "planted.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, records = run_jsonl(
+            capsys, ["verify", str(path), "--properties", "consensus_ordering"]
+        )
+        assert code == 0
+        props = [r for r in records if r["record"] == "property"]
+        assert all(p["passed"] for p in props)
+        planted = [p for p in props if p["notes"] == ["dim 2, slices [8, 7, 6]"]]
+        assert len(planted) == 1 and planted[0]["instances"] == 4  # the control users
+
     def test_declared_spec_violating_strict_order_is_spec_error(self, tmp_path, capsys):
         path = tmp_path / "unranked.csv"
         path.write_text(

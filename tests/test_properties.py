@@ -14,9 +14,9 @@ from uctensor.properties import (
     find_consensus_sets,
     validate_ordering_spec,
 )
-from uctensor.sparse_tensor import SparseTensor
+from uctensor.sparse_tensor import SparseTensor, all_indices
 
-from conftest import make_golden, random_full_support, staircase
+from conftest import make_golden, random_full_support, reference_consensus_sets, staircase
 
 
 def consensus_example():
@@ -88,37 +88,61 @@ class TestUnitConsistency:
 class TestValidateOrderingSpec:
     def test_support_mismatch_raises_support_clause(self):
         tensor = SparseTensor((2, 2), {(1, 1): 1.0, (1, 2): 2.0, (2, 2): 3.0})
-        spec = OrderingSpec(dim=2, gamma=(1, 2), common_support=frozenset({(1,)}))
+        spec = OrderingSpec(dim=2, gamma=(1, 2))
         with pytest.raises(OrderingSpecError) as excinfo:
             validate_ordering_spec(tensor, spec)
         assert excinfo.value.clause == "support"
+
+    def test_later_slice_with_another_known_set(self):
+        tensor = consensus_example()  # products 1-3 rated by users 1-2, product 4 by all
+        for gamma, bad in (((1, 2, 4), 4), ((4, 1), 1)):
+            with pytest.raises(OrderingSpecError) as excinfo:
+                validate_ordering_spec(tensor, OrderingSpec(dim=2, gamma=gamma))
+            assert excinfo.value.clause == "support"
+            assert str(excinfo.value) == (
+                f"slice {bad} has a different known set than slice {gamma[0]}"
+            )
+
+    def test_unoccupied_first_slice(self):
+        tensor = SparseTensor((3, 2), {(1, 1): 1.0, (1, 2): 2.0, (2, 1): 3.0})
+        with pytest.raises(OrderingSpecError) as excinfo:
+            validate_ordering_spec(tensor, OrderingSpec(dim=1, gamma=(3, 1)))
+        assert str(excinfo.value) == "slice 1 has a different known set than slice 3"
+        with pytest.raises(OrderingSpecError) as excinfo:
+            validate_ordering_spec(tensor, OrderingSpec(dim=1, gamma=(3,)))
+        assert excinfo.value.clause == "support"
+        assert str(excinfo.value) == "common support is empty"
 
     def test_non_strict_input_raises_ordering_clause(self):
         tensor = SparseTensor(
             (2, 2), {(1, 1): 2.0, (1, 2): 2.0, (2, 1): 5.0, (2, 2): 5.0}
         )
-        spec = OrderingSpec(
-            dim=2, gamma=(1, 2), common_support=frozenset({(1,), (2,)})
-        )
+        spec = OrderingSpec(dim=2, gamma=(1, 2))
         with pytest.raises(OrderingSpecError) as excinfo:
             validate_ordering_spec(tensor, spec)
         assert excinfo.value.clause == "ordering"
 
-    def test_declared_support_must_match(self):
-        tensor = consensus_example()
-        spec = OrderingSpec(dim=2, gamma=(1, 2, 3), common_support=frozenset({(3,)}))
+    def test_first_non_strict_point_in_lexicographic_order(self):
+        # slices 1 < 2 of dim 2 tie at points (1, 2) and (2, 1); flat order,
+        # first dimension fastest, meets (2, 1) first, the message names (1, 2)
+        low = {(1, 1): 1.0, (1, 2): 2.0, (2, 1): 3.0}
+        high = {(1, 1): 1.5, (1, 2): 2.0, (2, 1): 3.0}
+        entries = {(i, 1, l): v for (i, l), v in low.items()}
+        entries.update({(i, 2, l): v for (i, l), v in high.items()})
+        tensor = SparseTensor((2, 2, 2), entries)
         with pytest.raises(OrderingSpecError) as excinfo:
-            validate_ordering_spec(tensor, spec)
-        assert excinfo.value.clause == "support"
+            validate_ordering_spec(tensor, OrderingSpec(dim=2, gamma=(1, 2)))
+        assert excinfo.value.clause == "ordering"
+        assert str(excinfo.value) == (
+            "slices 1 and 2 are not strictly ordered at (1, 2): 2.0 vs 2.0"
+        )
 
 
 class TestConsensusOrdering:
     def test_rank1_example(self):
         tensor = consensus_example()
         model = tca(tensor, 1)
-        spec = OrderingSpec(
-            dim=2, gamma=(1, 2, 3), common_support=frozenset({(1,), (2,)})
-        )
+        spec = OrderingSpec(dim=2, gamma=(1, 2, 3))
         report = check_consensus_ordering(model, spec)
         assert report.passed and not report.violations
         assert report.instances == 1  # only user 3 is missing from those slices
@@ -130,7 +154,7 @@ class TestConsensusOrdering:
     def test_single_slice_is_vacuous(self):
         tensor = consensus_example()
         model = tca(tensor, 1)
-        spec = OrderingSpec(dim=2, gamma=(3,), common_support=frozenset({(1,), (2,)}))
+        spec = OrderingSpec(dim=2, gamma=(3,))
         report = check_consensus_ordering(model, spec)
         assert report.passed and report.violations == []
 
@@ -141,7 +165,6 @@ class TestConsensusOrdering:
         # report what a scalar loop over the patterns finds, in its order
         from uctensor.completion import CompletionModel
         from uctensor.properties import _distinct_less, random_scaling_family
-        from uctensor.sparse_tensor import all_indices
 
         rng = np.random.default_rng(3)
         shared = [(1, 1), (2, 3), (4, 2), (5, 4)]
@@ -149,11 +172,11 @@ class TestConsensusOrdering:
             (i, g, l): g * float(rng.uniform(1, 2)) ** g for i, l in shared for g in (1, 2, 3)
         }
         tensor = SparseTensor((5, 3, 4), entries)
-        spec = OrderingSpec(dim=2, gamma=(1, 2, 3), common_support=frozenset(shared))
+        spec = OrderingSpec(dim=2, gamma=(1, 2, 3))
         fitted = tca(tensor, 2)
         model = CompletionModel(tensor, random_scaling_family(rng, tensor, 2), fitted.report, 2)
         want = []
-        patterns = [p for p in all_indices((5, 4)) if p not in spec.common_support]
+        patterns = [p for p in all_indices((5, 4)) if p not in shared]
         for p in patterns:
             preds = [model.predict((p[0], g, p[1])) for g in spec.gamma]
             want.extend(
@@ -293,8 +316,6 @@ class TestGaugeUniqueness:
         # full support is vanishingly rare at this density, so the
         # prediction clause covers only the supported subset; the
         # canonical and gauge clauses hold regardless
-        from uctensor.sparse_tensor import all_indices
-
         rng = np.random.default_rng(4040)
         entries = {
             idx: float(np.exp(rng.uniform(-1.0, 1.0)))
@@ -356,3 +377,32 @@ class TestFindConsensusSets:
         tensor = consensus_example()
         for spec in find_consensus_sets(tensor, dim=2, min_size=2):
             validate_ordering_spec(tensor, spec)
+
+    def test_matches_the_per_slice_reference(self):
+        # small boxes, values 1-3 and random densities, so that slices often
+        # share a known set, tie at some point or have no known entry
+        rng = np.random.default_rng(14)
+        found = longer = 0
+        for _ in range(600):
+            d = int(rng.integers(2, 5))
+            extents = tuple(int(n) for n in rng.integers(1, 14 - 2 * d, size=d))
+            density = rng.uniform(0.1, 0.8)
+            entries = {
+                idx: float(rng.integers(1, 4))
+                for idx in all_indices(extents) if rng.random() < density
+            }
+            if rng.random() < 0.5:  # empty one slice of one dimension
+                dim = int(rng.integers(1, d + 1))
+                gone = int(rng.integers(1, extents[dim - 1] + 1))
+                entries = {idx: v for idx, v in entries.items() if idx[dim - 1] != gone}
+            if not entries:
+                continue
+            tensor = SparseTensor(extents, entries)
+            for dim in range(1, d + 1):
+                for min_size in (2, 3):
+                    specs = find_consensus_sets(tensor, dim, min_size)
+                    want = reference_consensus_sets(entries, dim, min_size)
+                    assert [(s.dim, s.gamma) for s in specs] == want
+                    found += len(want)
+                    longer += sum(len(gamma) > 2 for _, gamma in want)
+        assert found > 100 and longer > 10
