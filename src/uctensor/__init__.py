@@ -13,6 +13,7 @@ from .canonical_scaling import (
     ScalingState,
     apply_scaling,
     csa,
+    csa_many,
     residual,
     sweep,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "check_unit_consistency",
     "complete_all",
     "csa",
+    "csa_many",
     "find_consensus_sets",
     "flat_index",
     "gauge_check",

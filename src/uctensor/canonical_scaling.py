@@ -45,6 +45,15 @@ iteration one pass at a time.  For a CG iteration ``v`` is the squared
 norm of the centering steps every subtensor of the core would take at
 once, the same kind of measure as a sweep's, one value per step.
 
+:func:`csa_many` fits many value vectors on one pattern, such as the
+rescaled copies a property check compares, in one run: the rows of an
+(m, N) array of log values step together, one bincount or gather per
+group serving every row, and the pattern is peeled once.  Each row keeps
+its own warm-sweep order, stop rule and report, and a row that stops
+leaves the arrays.  Its dot products stay one ``einsum`` per row, so
+every row's result equals its own :func:`csa` bit for bit; ``csa`` is
+the one-row case.
+
 Once v is below epsilon, a run stops when v reaches the floating-point
 floor, ``n_occupied · (ε_mach · max(1, max |log value|))²`` over the
 occupied subtensors, or when v has set no new minimum for
@@ -59,11 +68,11 @@ the boundary.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,6 +81,12 @@ from .sparse_tensor import Index, SparseTensor, SubtensorGroup, SubtensorId
 
 DEFAULT_EPSILON = 1e-12
 DEFAULT_MAX_SWEEPS = 10_000
+
+# Most rows × known entries in one chunk of a batched fit: each (rows,
+# entries) float array of a chunk stays within 128 KiB, like MISSING_BLOCK.
+# Unit consistency on 490- and 900-entry files ran no faster with chunks
+# of 4,096 to 262,144.
+FIT_BLOCK = 16_384
 
 # Steps without a new minimum of v, once v is below epsilon, after which
 # rounding noise is taken to have stalled the run.
@@ -115,9 +130,16 @@ class ScalingFamily:
         Adds in the same group order from the same zero, so every sum
         equals :meth:`log_sum_at`'s bit for bit.
         """
-        total = np.zeros(len(coords))
-        for group, vec in zip(self.groups, self.coeffs):
-            pos = group.slots(coords)
+        return self.sums_at([group.slots(coords) for group in self.groups])
+
+    def sums_at(self, slots: Sequence[np.ndarray]) -> np.ndarray:
+        """:meth:`log_sums` at the cells whose rows are ``slots``, one array per group.
+
+        ``slots`` is what each group's ``slots`` gives for the cells, so
+        families of one pattern can share it.
+        """
+        total = np.zeros(len(slots[0]))
+        for vec, pos in zip(self.coeffs, slots):
             found = pos >= 0  # log_sum_at skips subtensors without a row
             total[found] += vec[pos[found]]
         return total
@@ -162,9 +184,9 @@ class ScalingState:
                 )
         self.log_values = np.log(tensor.values_array())
         # one flat vector, so a whole-system step can update every group at once
-        sizes = [len(g.counts) for g in self.groups]
-        self.coeffs_flat = np.zeros(sum(sizes))
-        self.log_coeffs = np.split(self.coeffs_flat, np.cumsum(sizes)[:-1])
+        offsets = _offsets(self.groups)
+        self.coeffs_flat = np.zeros(offsets[-1])
+        self.log_coeffs = _blocks(self.coeffs_flat, offsets)
         self.v_trace: list[float] = []
 
     @property
@@ -187,7 +209,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
     ``a @ b`` calls BLAS, which splits long vectors across its threads and
     so rounds differently under a different thread count; the fitted
-    coefficients, and the artifact's bytes, would follow it.
+    coefficients, and the artifact's bytes, would follow it.  Batched
+    runs call it once per row: one ``einsum`` over a 2-d array rounds its
+    long rows differently from the same ``einsum`` over each row.
     """
     return float(np.einsum("i,i", a, b))
 
@@ -197,17 +221,46 @@ def sweep(state: ScalingState) -> float:
 
     Empty subtensors contribute nothing and their coefficients stay 0.
     """
-    v = 0.0
-    for gi in state.order:
-        group = state.groups[gi]
-        sums = np.bincount(
-            group.labels, weights=state.log_values, minlength=len(group.counts)
-        )
-        rho = np.where(group.counts > 0, -sums / np.maximum(group.counts, 1), 0.0)
-        state.log_values += rho[group.labels]
-        state.log_coeffs[gi] += rho
-        v += _dot(rho, rho)
+    v = _sweep_rows(
+        state.groups, state.log_values[None], state.coeffs_flat[None], [state.order]
+    )[0]
     state.v_trace.append(v)
+    return v
+
+
+def _sweep_rows(
+    groups: Sequence[SubtensorGroup], x: np.ndarray, s: np.ndarray,
+    orders: Sequence[Sequence[int]],
+) -> list[float]:
+    """One sweep of each row of ``x`` (m, N) and ``s`` (m, n), in place; returns each row's v.
+
+    Row r processes the groups in ``orders[r]``.  The rows sharing an
+    order take each centering step together, one bincount over all of
+    them, and each row's v adds up in its own order.
+    """
+    offsets = _offsets(groups)
+    v = [0.0] * len(x)
+    by_order: dict[tuple[int, ...], list[int]] = {}
+    for r, order in enumerate(orders):
+        by_order.setdefault(tuple(order), []).append(r)
+    for order, rows in by_order.items():
+        if len(rows) == 1:  # views of the one row
+            xs, ss = x[rows[0]], s[rows[0]]
+        else:  # copies unless every row shares the order, written back below
+            xs, ss = (x, s) if len(rows) == len(x) else (x[rows], s[rows])
+        weights = xs.ravel()  # a view, which the steps below update
+        row_groups = _row_groups(groups, len(rows))
+        for gi in order:
+            group, lo, hi = groups[gi], offsets[gi], offsets[gi + 1]
+            sums = np.bincount(row_groups[gi].labels, weights, len(rows) * (hi - lo))
+            sums = sums.reshape(xs.shape[:-1] + (-1,))
+            rho = np.where(group.counts > 0, -sums / np.maximum(group.counts, 1), 0.0)
+            xs += rho.take(group.labels, -1)
+            ss[..., lo:hi] += rho
+            for r, rho_r in zip(rows, rho.reshape(len(rows), -1)):
+                v[r] += _dot(rho_r, rho_r)
+        if 1 < len(rows) < len(x):
+            x[rows], s[rows] = xs, ss
     return v
 
 
@@ -232,7 +285,7 @@ def _peel(
         return None
     # exact in float64 while the position sums stay below 2**53
     positions = _subtensor_sums(groups, np.arange(len(groups[0].labels), dtype=float))
-    offsets = np.cumsum([0] + [len(g.counts) for g in groups[:-1]]).tolist()
+    offsets = _offsets(groups)
     # scalar numpy updates: converting whole arrays to lists costs more than
     # the few peels of a large, well-connected pattern
     live, left = counts.copy(), positions
@@ -253,105 +306,280 @@ def _peel(
     return entries, peelers, np.array(members), live
 
 
-def _cg_steps(state: ScalingState) -> Iterator[float]:
-    """Jacobi-preconditioned conjugate gradients on ``C Cᵀ s = −C x``; yields each v.
+@dataclass
+class _Core:
+    """What CG runs on once :func:`_peel` has taken the tree-shaped parts off a pattern."""
 
-    ``C`` is the 0/1 membership matrix of known entries in subtensors, so
-    ``C Cᵀ`` has the known-entry counts on its diagonal.  The first step is
-    one :func:`sweep`, which also absorbs a single-group rescaling exactly.
-    Then :func:`_peel` takes the tree-shaped parts off the pattern, and CG
-    runs on the core left: the groups' labels at the live entries, with
-    the live counts.  Every CG step moves ``s`` along a search direction
-    ``p`` and ``x`` along ``w = Cᵀp``, then recomputes the residual
-    ``r = −C x`` from ``x`` itself, at the same cost as the usual
-    recurrence ``r −= α C w``, which drifts away from the true residual
-    once ``r·z`` underflows.  v is ``z·z`` with ``z = r / counts``, the
-    centering steps all subtensors would take at once; an empty core
-    gives v = 0.
+    groups: list[SubtensorGroup]  # labels at the core entries, with the live counts
+    inv_counts: np.ndarray  # 1 / live count per subtensor; 0 where none is live
+    mask: np.ndarray | None  # the core entries; None when nothing peeled
+    peeled: tuple[list[int], list[int], np.ndarray] | None  # entries, peelers, members
 
-    Closing the generator after the first step writes the core's ``x``
-    back and back-substitutes the peeled entries, last peeled first: each
-    one's coefficient sum, recomputed as CG and later peels left it, is
-    taken out of the coefficient of the subtensor that peeled it, so the
-    entry ends with x = 0.  Subtensors left with no live entry keep the
-    coefficients the sweep gave them.
-    """
-    yield sweep(state)
-    groups, x, s = state.groups, state.log_values, state.coeffs_flat
+
+def _core(groups: Sequence[SubtensorGroup]) -> _Core:
     counts = np.concatenate([g.counts for g in groups])
     peeled = _peel(groups, counts)
     if peeled is None:
-        yield from _cg(groups, x, s, counts, state.v_trace)
-        return
+        return _Core(list(groups), np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0), None, None)
     entries, peelers, members, counts = peeled
-    base = x[entries] - s[members].sum(axis=1)  # x less its coefficient sum
-    core = np.ones(len(x), dtype=bool)  # a mask: faster to gather and scatter by
-    core[entries] = False
-    ends = np.cumsum([len(g.counts) for g in groups])
+    mask = np.ones(len(groups[0].labels), dtype=bool)  # a mask: faster to gather and scatter by
+    mask[entries] = False
     core_groups = [
-        replace(g, labels=g.labels[core], counts=c)
-        for g, c in zip(groups, np.split(counts, ends[:-1]))
+        replace(g, labels=g.labels[mask], counts=c)
+        for g, c in zip(groups, _blocks(counts, _offsets(groups)))
     ]
-    core_x = x[core]
-    try:
-        yield from _cg(core_groups, core_x, s, counts, state.v_trace)
-    finally:
-        x[core] = core_x
-        touched = np.unique(members)  # each peeler is among its entry's subtensors
-        coeffs = dict(zip(touched.tolist(), s[touched].tolist()))
-        for at, peeler, value in zip(members.tolist()[::-1], peelers[::-1], base.tolist()[::-1]):
-            coeffs[peeler] -= value + sum(coeffs[q] for q in at)
-        s[peelers] = [coeffs[q] for q in peelers]
-        x[entries] = 0.0
-
-
-def _cg(
-    groups: Sequence[SubtensorGroup], x: np.ndarray, s: np.ndarray, counts: np.ndarray,
-    v_trace: list[float],
-) -> Iterator[float]:
-    """The CG steps of :func:`_cg_steps`, moving ``x`` and ``s`` in place."""
     inv_counts = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
-    # r and z are the rows of one array, so that one reduction gives r·z and
-    # z·z: each reduction without BLAS costs more per call than a BLAS dot
-    rows = np.empty((2, len(counts)))
-    r, z = rows
-
-    def update_residual() -> tuple[float, float]:
-        """Set ``r = −C x`` and ``z = r / counts`` in place; return ``r·z`` and ``z·z``."""
-        _subtensor_sums(groups, x, out=r)
-        np.negative(r, out=r)
-        np.multiply(r, inv_counts, out=z)
-        rz, zz = np.einsum("ij,j->i", rows, z).tolist()  # not BLAS: see _dot
-        return rz, zz
-
-    rz, _ = update_residual()
-    p = z.copy()
-    # per-group views into p, which is therefore updated in place below
-    p_groups = np.split(p, np.cumsum([len(g.counts) for g in groups])[:-1])
-    while True:
-        w = _entry_sums(groups, p_groups)
-        ww = _dot(w, w)
-        alpha = rz / ww if ww > 0 else 0.0  # w = 0 only once r is exactly 0
-        s += alpha * p
-        x += alpha * w
-        rz_old = rz
-        rz, v = update_residual()
-        v_trace.append(v)
-        yield v
-        p *= rz / rz_old
-        p += z
+    return _Core(core_groups, inv_counts, mask, (entries, peelers, members))
 
 
-def _run_until_stop(steps: Iterable[float], epsilon: float, floor: float) -> str:
-    """Take v values from ``steps`` until the stop rule fires; return why it stopped."""
-    best, since_best = math.inf, 0
-    for v in steps:
-        best, since_best = (v, 0) if v < best else (best, since_best + 1)
-        if v < epsilon and v <= floor:
+def _row_groups(groups: Sequence[SubtensorGroup], m: int) -> list[SubtensorGroup]:
+    """``groups`` for the entries of m rows, as :func:`_subtensor_sums` takes them.
+
+    Row r's entry with label p gets label r·n_g + p, so one bincount
+    sums every row's subtensors.
+    """
+    if m == 1:
+        return list(groups)
+    return [
+        replace(g, labels=(g.labels + len(g.counts) * np.arange(m)[:, None]).ravel())
+        for g in groups
+    ]
+
+
+def _back_substitute(s: np.ndarray, peeled: tuple, base: np.ndarray) -> None:
+    """Give the peeled entries of one row x = 0, last peeled first, in place in ``s``.
+
+    Each entry's coefficient sum, recomputed as CG and later peels left
+    it, is taken out of the coefficient of the subtensor that peeled it.
+    ``base`` holds each entry's x less its coefficient sum after the warm
+    sweep.  Scalar Python floats: a numpy call per entry costs more than
+    this whole loop for one row.
+    """
+    _, peelers, members = peeled
+    touched = np.unique(members)  # each peeler is among its entry's subtensors
+    coeffs = dict(zip(touched.tolist(), s[touched].tolist()))
+    for at, peeler, value in zip(members.tolist()[::-1], peelers[::-1], base.tolist()[::-1]):
+        coeffs[peeler] -= value + sum(coeffs[q] for q in at)
+    s[peelers] = [coeffs[q] for q in peelers]
+
+
+class _StopRule:
+    """The module docstring's stop rule for one run, fed its v values one at a time."""
+
+    def __init__(self, epsilon: float, floor: float):
+        self.epsilon, self.floor = epsilon, floor
+        self.best, self.since_best = math.inf, 0
+
+    def __call__(self, v: float) -> str | None:
+        """Why the run stops after this v, or None to go on."""
+        self.best, self.since_best = (v, 0) if v < self.best else (self.best, self.since_best + 1)
+        if v < self.epsilon and v <= self.floor:
             return "floor"
-        if v < epsilon and since_best >= STALL_STEPS:
+        if v < self.epsilon and self.since_best >= STALL_STEPS:
             return "stagnation"
-    return "budget"
+        return None
+
+
+def _per_row(factors: list[float]):
+    """Factors to scale each row of a 2-d array by: a column, or a float for one row."""
+    return factors[0] if len(factors) == 1 else np.array(factors)[:, None]
+
+
+def _fit_chunk(
+    groups: Sequence[SubtensorGroup], x: np.ndarray, orders: Sequence[Sequence[int]],
+    epsilon: float, max_sweeps: int, core: Callable[[], _Core],
+) -> tuple[np.ndarray, list[list[float]], list[str]]:
+    """Fit each row of ``x`` (m, N) in place; return the coefficients, v traces and stop reasons.
+
+    The coefficients are (m, n), each row laid out as ``coeffs_flat``.
+    The warm sweep is step 1.  Then ``core()`` peels the pattern, once
+    for all chunks, and CG steps every row still going at once.  A row
+    that stops leaves the arrays: its core x is written back and its
+    peeled entries back-substituted.
+    """
+    offsets = _offsets(groups)
+    m, n = len(x), offsets[-1]
+    s = np.zeros((m, n))
+    traces = [[v] for v in _sweep_rows(groups, x, s, orders)]
+    # rounding noise scales with the log values as the first step leaves
+    # them (it removes any common offset of the input)
+    occupied = sum(int(np.count_nonzero(g.counts)) for g in groups)
+    eps = np.finfo(float).eps
+    rules = [
+        _StopRule(epsilon, occupied * (eps * max(1.0, scale)) ** 2)
+        for scale in np.abs(x).max(axis=1).tolist()
+    ]
+    reasons = [
+        rule(trace[0]) or ("budget" if max_sweeps == 1 else None)
+        for rule, trace in zip(rules, traces)
+    ]
+    live = [r for r, reason in enumerate(reasons) if reason is None]
+    if not live:
+        return s, traces, reasons
+
+    fit = core()
+    peeled, mask = fit.peeled, fit.mask
+    if peeled is not None:  # each entry's x less its coefficient sum
+        entries, _, members = peeled
+        bases = [x[r, entries] - s[r][members].sum(axis=1) for r in live]
+    # per row: s and the core's x, moved together along p and w = Cᵀp;
+    # r = −C x and z = r / counts, each pair contiguous for one reduction
+    sx = np.empty((len(live), len(fit.groups[0].labels) + n))
+    pw = np.empty_like(sx)
+    sx[:, :n] = s[live]
+    rows = x if len(live) == m else x[live]
+    if mask is None:
+        sx[:, n:] = rows
+    else:
+        np.compress(mask, rows, axis=1, out=sx[:, n:])
+    rz = np.empty((len(live), 2, n))
+
+    def views():
+        """Views into the arrays, 1-d when one row is left, and the rows' groups.
+
+        Taken again once stopped rows leave the arrays.
+        """
+        rows = (sx[0], pw[0], rz[0]) if len(sx) == 1 else (sx, pw, rz)
+        p = rows[1][..., :n]
+        return (
+            rows[0][..., n:], p, _blocks(p, offsets), rows[1][..., n:], rows[2][..., 0, :],
+            rows[2][..., 1, :], list(pw[:, n:]), [(pair, pair[1]) for pair in rz],
+            _row_groups(fit.groups, len(sx)),
+        )
+
+    def update_residual() -> list[list[float]]:
+        """Set r and z of every row in place; return each row's ``[r·z, z·z]``."""
+        _subtensor_sums(row_groups, core_x, out=r)
+        np.negative(r, out=r)
+        np.multiply(r, fit.inv_counts, out=z)
+        return [np.einsum("ij,j->i", pair, zr).tolist() for pair, zr in rz_rows]  # not BLAS: see _dot
+
+    core_x, p, p_groups, w, r, z, w_rows, rz_rows, row_groups = views()
+    rz_now = [pair[0] for pair in update_residual()]
+    p[...] = z
+    for step in range(2, max_sweeps + 1):
+        _entry_sums(fit.groups, p_groups, out=w)
+        ww = [_dot(row, row) for row in w_rows]
+        alpha = [a / b if b > 0 else 0.0 for a, b in zip(rz_now, ww)]  # w = 0 only once r is 0
+        sx += _per_row(alpha) * pw
+        pairs = update_residual()
+        keep = []
+        for i, row in enumerate(live):
+            v = pairs[i][1]
+            traces[row].append(v)
+            reason = rules[row](v)
+            if reason is None and step < max_sweeps:
+                keep.append(i)
+                continue
+            reasons[row] = reason or "budget"
+            s[row] = sx[i, :n]
+            if mask is None:
+                x[row] = sx[i, n:]
+            else:
+                x[row, mask] = sx[i, n:]
+                x[row, entries] = 0.0
+                _back_substitute(s[row], peeled, bases[i])
+        rz_old, rz_now = rz_now, [pair[0] for pair in pairs]
+        if len(keep) < len(live):  # stopped rows are never touched again
+            if not keep:
+                break
+            live = [live[i] for i in keep]
+            rz_old, rz_now = [rz_old[i] for i in keep], [rz_now[i] for i in keep]
+            if peeled is not None:
+                bases = [bases[i] for i in keep]
+            sx, pw, rz = sx[keep], pw[keep], rz[keep]
+            core_x, p, p_groups, w, r, z, w_rows, rz_rows, row_groups = views()
+        p *= _per_row([a / b for a, b in zip(rz_now, rz_old)])
+        p += z
+    return s, traces, reasons
+
+
+def csa_many(
+    tensor: SparseTensor,
+    k: int,
+    log_values: Iterable[np.ndarray],
+    orders: Iterable[Sequence[int] | None] | None = None,
+    epsilon: float = DEFAULT_EPSILON,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+) -> Iterator[tuple[np.ndarray, ScalingFamily, ConvergenceReport]]:
+    """:func:`csa` of each row of ``log_values``, all on ``tensor``'s pattern, in one run.
+
+    ``log_values`` yields 1-d arrays (the rows of an (m, N) array will
+    do): each row's log values for the known entries of ``tensor``, in
+    the order of its ``coords_array()``; ``tensor``'s own values are not
+    read.  ``orders``, if given, yields each row's warm-sweep order (None
+    for group order).  Returns an iterator over ``csa``'s result for
+    each row, in row order.  Row r's result equals, bit for bit, ``csa``
+    on a tensor with the same pattern and values ``exp(log_values[r])``:
+    each row keeps its own step count, stop reason and report.
+
+    Rows are read and fitted in chunks of at most ``FIT_BLOCK`` rows ×
+    entries (at least one row), so memory stays bounded by a chunk.  A
+    chunk steps all its rows together: each step's numpy calls serve
+    every row still going instead of one.
+
+    Raises
+    ------
+    ValueError
+        As :func:`csa` does, at once; and, once its chunk is read, for a
+        row of another length or with a value that is not finite, or a
+        row without an order.
+    ConvergenceError
+        For the first row whose last v is at or above ``epsilon`` when it
+        stops, once the rows before it are yielded.  It carries that
+        row's report.
+    """
+    if len(tensor) == 0:
+        raise ValueError("cannot scale a tensor with no known entries")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
+    groups = tensor.groups(k)
+    orders = itertools.repeat(None) if orders is None else iter(orders)
+    return _fit_rows(k, groups, iter(log_values), orders, epsilon, max_sweeps)
+
+
+def _fit_rows(
+    k: int, groups: list[SubtensorGroup], rows: Iterator[np.ndarray],
+    orders: Iterator[Sequence[int] | None], epsilon: float, max_sweeps: int,
+) -> Iterator[tuple[np.ndarray, ScalingFamily, ConvergenceReport]]:
+    """The chunks of :func:`csa_many`, read, fitted and reported in turn."""
+    n_entries, group_order = len(groups[0].labels), list(range(len(groups)))
+    core = functools.cache(lambda: _core(groups))  # peeled on first use, once for all chunks
+    occupied = np.concatenate([g.counts for g in groups]) > 0
+    offsets = _offsets(groups)
+    step = max(1, FIT_BLOCK // n_entries)
+    while chunk := list(itertools.islice(rows, step)):
+        x = np.array(chunk, dtype=np.float64)
+        del chunk  # a row nothing else holds is freed once copied
+        if x.ndim != 2 or x.shape[1] != n_entries:
+            raise ValueError(f"log values of shape {x.shape[1:]} for {n_entries} entries")
+        if not np.isfinite(x).all():
+            raise ValueError("log values must be finite")
+        chunk_orders = []
+        for order in itertools.islice(orders, len(x)):
+            order = group_order if order is None else [int(g) for g in order]
+            if sorted(order) != group_order:
+                raise ValueError(f"order must permute range({len(groups)}), got {order}")
+            chunk_orders.append(order)
+        if len(chunk_orders) < len(x):
+            raise ValueError("fewer orders than rows of log values")
+        s, traces, reasons = _fit_chunk(groups, x, chunk_orders, epsilon, max_sweeps, core)
+        worst = np.abs(_subtensor_sums(_row_groups(groups, len(x)), x)[:, occupied])
+        for x_r, s_r, trace, reason, res in zip(
+            x, s, traces, reasons, worst.max(axis=1, initial=0.0).tolist()
+        ):
+            report = ConvergenceReport(
+                len(trace), trace, epsilon, trace[-1] < epsilon, reason, res
+            )
+            if not report.converged:
+                raise ConvergenceError(
+                    f"no convergence after {report.sweeps} sweeps "
+                    f"(last v={trace[-1]:.3e}, epsilon={epsilon:.3e})",
+                    report=report,
+                )
+            yield x_r, ScalingFamily(k, groups, _blocks(s_r, offsets)), report
 
 
 def csa(
@@ -378,7 +606,7 @@ def csa(
     stops at the step after the sweep, with v = 0.
     ``report.stop_reason`` says which part of the stop rule (module
     docstring) ended the run: ``"floor"``, ``"stagnation"`` or
-    ``"budget"``.
+    ``"budget"``.  This is the one-row case of :func:`csa_many`.
 
     Raises
     ------
@@ -386,32 +614,9 @@ def csa(
         If the last v is at or above ``epsilon`` when the run stops.  The
         exception carries the report for the failed run.
     """
-    if len(tensor) == 0:
-        raise ValueError("cannot scale a tensor with no known entries")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
-
-    state = ScalingState(tensor, k, order)
-    # closing the steps writes back the entries they peeled
-    with contextlib.closing(_cg_steps(state)) as steps:
-        first = next(steps)
-        # rounding noise scales with the log values as the first step leaves
-        # them (it removes any common offset of the input)
-        occupied = sum(int(np.count_nonzero(g.counts)) for g in state.groups)
-        scale = max(1.0, float(np.abs(state.log_values).max()))
-        floor = occupied * (np.finfo(float).eps * scale) ** 2
-        budget = itertools.chain([first], itertools.islice(steps, max_sweeps - 1))
-        stop_reason = _run_until_stop(budget, epsilon, floor)
-    report = state.report(epsilon, stop_reason)
-    if not report.converged:
-        raise ConvergenceError(
-            f"no convergence after {state.sweeps} sweeps "
-            f"(last v={report.v_trace[-1]:.3e}, epsilon={epsilon:.3e})",
-            report=report,
-        )
-    return state.log_values, state.family(), report
+    # a generator, so that the one row is not held beside the fit's copy
+    log_values = (np.log(values) for values in [tensor.values_array()])
+    return next(csa_many(tensor, k, log_values, [order], epsilon, max_sweeps))
 
 
 def residual(tensor: SparseTensor, k: int) -> float:
@@ -423,18 +628,45 @@ def residual(tensor: SparseTensor, k: int) -> float:
     return _worst_sum(tensor.groups(k), np.log(tensor.values_array()))
 
 
+def _offsets(groups: Sequence[SubtensorGroup]) -> list[int]:
+    """Where each group's subtensors start in ``coeffs_flat``, then its length."""
+    return list(itertools.accumulate((len(g.counts) for g in groups), initial=0))
+
+
+def _blocks(a: np.ndarray, offsets: list[int]) -> list[np.ndarray]:
+    """Views of each group's block of the last axis of ``a``."""
+    return [a[..., lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+
+
 def _subtensor_sums(groups: Sequence[SubtensorGroup], x: np.ndarray, out=None) -> np.ndarray:
-    """``C x``: the sum of ``x`` over each subtensor, laid out as ``coeffs_flat``; 0 if empty."""
-    return np.concatenate(
-        [np.bincount(g.labels, weights=x, minlength=len(g.counts)) for g in groups], out=out
-    )
+    """``C x``: the sum of ``x`` over each subtensor, laid out as ``coeffs_flat``; 0 if empty.
+
+    ``x`` may also be an (m, N) array of rows, with the groups
+    :func:`_row_groups` gives for m rows; then the sums are (m, n), one
+    row each.  One bincount per group: each subtensor sums
+    its entries in entry order from 0.
+    """
+    weights = x.ravel()  # a copy only for a strided view of several rows
+    if x.ndim == 1:
+        parts = [np.bincount(g.labels, weights, len(g.counts)) for g in groups]
+    else:
+        m = len(x)
+        parts = [np.bincount(g.labels, weights, m * len(g.counts)).reshape(m, -1) for g in groups]
+    return np.concatenate(parts, axis=-1, out=out)
 
 
-def _entry_sums(groups: Sequence[SubtensorGroup], coeffs: Sequence[np.ndarray]) -> np.ndarray:
-    """``Cᵀ s``: each known entry's sum of ``coeffs``, one vector per group, in group order."""
-    total = coeffs[0][groups[0].labels]
+def _entry_sums(
+    groups: Sequence[SubtensorGroup], coeffs: Sequence[np.ndarray], out=None
+) -> np.ndarray:
+    """``Cᵀ s``: each known entry's sum of ``coeffs``, one vector per group, in group order.
+
+    ``coeffs`` may also hold one (m, n_g) block per group, for m rows;
+    then the sums are (m, N).  ``take`` in "wrap" mode: the labels are in
+    range, and unlike "raise" it writes into ``out`` unbuffered.
+    """
+    total = coeffs[0].take(groups[0].labels, -1, out, "wrap")
     for group, vec in zip(groups[1:], coeffs[1:]):
-        total += vec[group.labels]
+        total += vec.take(group.labels, -1, None, "wrap")
     return total
 
 
@@ -456,8 +688,13 @@ def _membership_sums(
     return _entry_sums(groups, coeffs)
 
 
+def scaled_values(tensor: SparseTensor, family: ScalingFamily) -> np.ndarray:
+    """Each known value times exp(sum of coefficients containing it), in ``coords_array()`` order."""
+    return tensor.values_array() * np.exp(_membership_sums(tensor, family.k, family.coeffs))
+
+
 def apply_scaling(tensor: SparseTensor, family: ScalingFamily) -> SparseTensor:
     """Scale every known entry by exp(sum of coefficients containing it)."""
-    log_sums = _membership_sums(tensor, family.k, family.coeffs)
-    scaled = tensor.values_array() * np.exp(log_sums)
-    return SparseTensor.from_arrays(tensor.extents, tensor.coords_array(), scaled)
+    return SparseTensor.from_arrays(
+        tensor.extents, tensor.coords_array(), scaled_values(tensor, family)
+    )

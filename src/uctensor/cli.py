@@ -53,7 +53,9 @@ from .ingest import (
     idmap_to_dict,
     parse_ratings,
 )
-from .lcsp_oracle import SIZE_CAP, build_constraints, oracle_complete, solve_lcsp
+# oracle_complete goes uncalled here: perfbench's traced run wraps it
+# under this module's name too
+from .lcsp_oracle import SIZE_CAP, build_constraints, oracle_complete, solve_lcsp  # noqa: F401
 from .properties import (
     MISSING_CAP,
     OrderingSpec,
@@ -481,11 +483,12 @@ def _parse_consensus_spec(text: str, tensor: SparseTensor, idmap: IdMap) -> Orde
     return OrderingSpec(dim, tuple(gamma))
 
 
-def _verify_oracle(tensor, k, emitter, config, compared) -> PropertyReport | None:
+def _verify_oracle(tensor, k, emitter, config, compared, fitted) -> PropertyReport | None:
     """Direct-solve cross-check; None when the instance is over the cap.
 
-    ``compared()`` returns the cells to compare predictions on; it is
-    called only when the check runs.
+    ``compared()`` returns the cells to compare predictions on and
+    ``fitted()`` the ``csa(tensor, k)`` fit; each is called only when the
+    check runs.
     """
     n_rows = sum(int((g.counts > 0).sum()) for g in tensor.groups(k))
     if len(tensor) > config.oracle_cap or n_rows > SIZE_CAP:
@@ -498,13 +501,14 @@ def _verify_oracle(tensor, k, emitter, config, compared) -> PropertyReport | Non
         })
         return None
     x, oracle = solve_lcsp(tensor, k, build_constraints(tensor, k))
-    x_csa, family, report = csa(tensor, k)
+    x_csa, family, report = fitted()
     dev_canonical = float(np.abs(x_csa - x).max())
     cells = compared()
     preds = predict_many(CompletionModel(tensor, family, report, k), cells)
+    # oracle_complete at every cell, in one pass: log_sums equals log_sum_at
+    references = map(math.exp, (-oracle.log_sums(cells)).tolist())
     dev_pred = 0.0
-    for idx, pred in zip(map(tuple, cells.tolist()), preds.tolist()):
-        reference = oracle_complete(tensor, k, idx, presolved=oracle)
+    for pred, reference in zip(preds.tolist(), references):
         dev_pred = max(dev_pred, abs(pred / reference - 1.0))
     violations = []
     if dev_canonical > 1e-8:
@@ -540,6 +544,11 @@ def cmd_verify(args) -> int:
             raise IngestError(f"--k {k} is outside 1..{tensor.d - 1} for a {tensor.d}-d tensor")
         if not 0 < args.factor < float("inf"):
             raise IngestError(f"--factor must be positive and finite, got {args.factor}")
+        lowest = {"--trials": (args.trials, 1), "--orderings": (args.orderings, 1),
+                  "--oracle-cap": (args.oracle_cap, 0)}
+        for flag, (value, least) in lowest.items():
+            if value < least:
+                raise IngestError(f"{flag} must be at least {least}, got {value}")
         declared_specs = [
             _parse_consensus_spec(text, tensor, idmap)
             for text in (args.consensus_spec or [])
@@ -556,6 +565,8 @@ def cmd_verify(args) -> int:
     cap = _support.DEFAULT_SCAN_CAP if "full_support" in wanted else MISSING_CAP
     scanned = functools.cache(lambda: _support.scan(tensor, cap))
     compared = functools.cache(lambda: checked_cells(scanned()))
+    # one fit of (tensor, k), on first use, for every check that refits it
+    fitted = functools.cache(lambda: csa(tensor, k))
     fully_supported = None
     spec_error = False
     reports: list[PropertyReport] = []
@@ -581,11 +592,12 @@ def cmd_verify(args) -> int:
             ))
         elif name == "unit_consistency":
             reports.append(check_unit_consistency(
-                tensor, k, trials=args.trials, seed=args.seed, cells=compared(),
+                tensor, k, trials=args.trials, seed=args.seed, cells=compared(), fit=fitted(),
             ))
         elif name == "gauge_uniqueness":
             rep = check_gauge_uniqueness(
                 tensor, k, orderings=args.orderings, seed=args.seed, cells=compared(),
+                fit=fitted(),
             )
             if fully_supported is False:
                 rep.informational = True
@@ -594,10 +606,11 @@ def cmd_verify(args) -> int:
         elif name == "scale_fairness":
             reports.append(check_scale_fairness(
                 tensor, dim=1, slice_index=int(tensor.coords_array()[:, 0].min()),
-                factor=args.factor,
+                factor=args.factor, fit=fitted() if k == tensor.d - 1 else None,
             ))
         elif name == "consensus_ordering":
-            model = tca(tensor, k)
+            _, family, report = fitted()
+            model = CompletionModel(tensor, family, report, k)
             if declared_specs:
                 specs = declared_specs
             else:
@@ -625,7 +638,7 @@ def cmd_verify(args) -> int:
                 rep.notes.append(f"dim {ospec.dim}, slices {list(ospec.gamma)}")
                 reports.append(rep)
         elif name == "oracle_equivalence":
-            rep = _verify_oracle(tensor, k, emitter, config, compared)
+            rep = _verify_oracle(tensor, k, emitter, config, compared, fitted)
             if rep is not None:
                 reports.append(rep)
 
@@ -884,6 +897,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default="human", choices=("human", "jsonl"))
 
 
+@functools.cache  # built once per process: building it costs more than most parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uctensor",

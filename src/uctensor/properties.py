@@ -6,6 +6,12 @@ preservation across unanimously ranked slices) and reports the worst
 deviation it saw together with any concrete counterexamples.  Checks are
 deterministic given their seed, which every report carries for replay.
 
+The fits a check compares all share the input's pattern, so a check
+fits its perturbed copies (rescaled values, permuted sweep orders) as
+one batch with :func:`~uctensor.canonical_scaling.csa_many`, from their
+values alone, and takes the input's own ``csa`` fit as ``fit=`` when the
+caller already has it.  Each fit equals a fit of its own bit for bit.
+
 The consensus code reads a slice's known set from one sort of the known
 rows per dimension: rows by slice, then by point (the index without the
 slice's coordinate) in lexicographic order, so every occupied slice is
@@ -15,13 +21,19 @@ one contiguous block of points and values.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sparse_tensor as _sparse_tensor
 from . import support as _support
-from .canonical_scaling import ScalingFamily, apply_scaling, csa
-from .completion import CompletionModel, predict_many, tca
+# apply_scaling and tca go uncalled here: perfbench's traced run wraps
+# them under this module's names too
+from .canonical_scaling import (  # noqa: F401
+    ConvergenceReport, ScalingFamily, apply_scaling, csa, csa_many, scaled_values,
+)
+from .completion import CompletionModel, predict_many, tca  # noqa: F401
 from .errors import OrderingSpecError
 from .lcsp_oracle import gauge_check
 from .sparse_tensor import SparseTensor
@@ -121,6 +133,23 @@ def checked_cells(scanned: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return cells[:MISSING_CAP][witnessed[:MISSING_CAP]]
 
 
+Fit = tuple[np.ndarray, ScalingFamily, ConvergenceReport]  # what csa returns
+
+
+def _model(tensor: SparseTensor, k: int, fit: Fit) -> CompletionModel:
+    """The model of a fit of ``tensor``, or of a tensor with its pattern.
+
+    Predictions at ``tensor``'s missing cells do not read the values, so
+    they are the same from either.
+    """
+    return CompletionModel(tensor, fit[1], fit[2], k)
+
+
+def _at_least_one(count: int, what: str) -> None:
+    if count < 1:
+        raise ValueError(f"{what} must be at least 1, got {count}")
+
+
 def check_unit_consistency(
     tensor: SparseTensor,
     k: int,
@@ -128,6 +157,7 @@ def check_unit_consistency(
     tolerance: float = 1e-6,
     seed: int = 0,
     cells: np.ndarray | None = None,
+    fit: Fit | None = None,
 ) -> PropertyReport:
     """Rescaling inputs by a random positive family rescales predictions.
 
@@ -136,21 +166,29 @@ def check_unit_consistency(
     predictions of the scaled tensor on ``cells``, by default
     :func:`checked_cells`.  A note counts the first ``MISSING_CAP``
     missing cells left out of ``cells`` (which must be among them).
+    ``fit``, if given, is ``csa(tensor, k)``'s result, used instead of
+    fitting the original again.  The scaled tensors are fitted as one
+    batch (:func:`csa_many`) from their values, without building them.
+
+    Raises ``ValueError`` for fewer than one trial.
     """
+    _at_least_one(trials, "trials")
     rng = np.random.default_rng(seed)
-    base = tca(tensor, k)
     if cells is None:
         cells = checked_cells(_support.scan(tensor, MISSING_CAP))
     excluded = min(MISSING_CAP, tensor.box_size - len(tensor)) - len(cells)
     notes = [f"{excluded} unsupported missing indices excluded"] if excluded else []
-    base_preds = predict_many(base, cells)
+    base_preds = predict_many(_model(tensor, k, fit or csa(tensor, k)), cells)
+    # drawn one trial at a time, as the batch reads its rows
+    families, drawn = itertools.tee(random_scaling_family(rng, tensor, k) for _ in range(trials))
+    rows = (np.log(scaled_values(tensor, family)) for family in drawn)
     worst = 0.0
     violations: list[str] = []
-    for trial in range(trials):
-        family = random_scaling_family(rng, tensor, k)
-        scaled_model = tca(apply_scaling(tensor, family), k)
-        expected = base_preds * np.exp(family.log_sums(cells))
-        actual = predict_many(scaled_model, cells)
+    slots = [group.slots(cells) for group in tensor.groups(k)]  # shared by every family
+    for trial, (family, (_, scaled, _)) in enumerate(zip(families, csa_many(tensor, k, rows))):
+        expected = base_preds * np.exp(family.sums_at(slots))
+        # predict_many's values at missing cells, without its checks and lookups
+        actual = np.array(list(map(math.exp, (-scaled.sums_at(slots)).tolist())))
         devs = np.abs(actual / expected - 1.0)
         worst = float(np.fmax.reduce(devs, initial=worst))  # a NaN deviation counts for nothing
         for i in np.flatnonzero(devs > tolerance).tolist():
@@ -223,36 +261,43 @@ def check_consensus_ordering(model: CompletionModel, spec: OrderingSpec) -> Prop
 
     For every index pattern missing from all slices in ``gamma``, asserts
     the predicted values are strictly increasing along ``gamma``.  The
-    patterns are the cells of the other dimensions' box, in flat order;
-    all of their cells along ``gamma`` are predicted in one batch.
+    patterns are the cells of the other dimensions' box, in flat order,
+    taken ``MISSING_BLOCK`` at a time, so memory stays bounded by a block
+    whatever the box size; all of a block's cells along ``gamma`` are
+    predicted in one batch.
     """
     tensor = model.source
     validate_ordering_spec(tensor, spec)
     dim, gamma = spec.dim, np.array(spec.gamma)
     other_extents = tuple(n for i, n in enumerate(tensor.extents) if i != dim - 1)
-    patterns = np.indices(other_extents).reshape(len(other_extents), -1, order="F").T + 1
-    # the slices share one known set, so a pattern is missing from all of
-    # them when it is missing from the first
-    first = np.insert(patterns, dim - 1, gamma[0], axis=1)
-    patterns = patterns[tensor.locate(first) < 0]
-    cells = np.insert(
-        np.repeat(patterns, len(gamma), axis=0), dim - 1, np.tile(gamma, len(patterns)), axis=1
-    )
-    preds = predict_many(model, cells).reshape(len(patterns), len(gamma))
-    ordered = _distinct_less(preds[:, :-1], preds[:, 1:])
-
+    box = math.prod(other_extents)
+    instances = 0
     worst = 0.0
     violations: list[str] = []
-    for p, a in np.argwhere(~ordered).tolist():  # pattern by pattern, as in flat order
-        low, high = preds[p, a].item(), preds[p, a + 1].item()
-        worst = max(worst, (low - high) / max(abs(high), 1e-300))
-        violations.append(
-            f"pattern {tuple(patterns[p].tolist())}: slice {spec.gamma[a]} predicted {low!r} "
-            f"not below slice {spec.gamma[a + 1]} at {high!r}"
+    for start in range(0, box, _sparse_tensor.MISSING_BLOCK):
+        stop = min(start + _sparse_tensor.MISSING_BLOCK, box)
+        patterns = _sparse_tensor.unflatten(np.arange(start, stop), other_extents)
+        # the slices share one known set, so a pattern is missing from all
+        # of them when it is missing from the first
+        first = np.insert(patterns, dim - 1, gamma[0], axis=1)
+        patterns = patterns[tensor.locate(first) < 0]
+        instances += len(patterns)
+        cells = np.insert(
+            np.repeat(patterns, len(gamma), axis=0), dim - 1, np.tile(gamma, len(patterns)),
+            axis=1,
         )
+        preds = predict_many(model, cells).reshape(len(patterns), len(gamma))
+        ordered = _distinct_less(preds[:, :-1], preds[:, 1:])
+        for p, a in np.argwhere(~ordered).tolist():  # pattern by pattern, as in flat order
+            low, high = preds[p, a].item(), preds[p, a + 1].item()
+            worst = max(worst, (low - high) / max(abs(high), 1e-300))
+            violations.append(
+                f"pattern {tuple(patterns[p].tolist())}: slice {spec.gamma[a]} predicted "
+                f"{low!r} not below slice {spec.gamma[a + 1]} at {high!r}"
+            )
     return PropertyReport(
         name="consensus_ordering",
-        instances=len(patterns),
+        instances=instances,
         max_deviation=worst,
         violations=violations,
         passed=not violations,
@@ -261,19 +306,22 @@ def check_consensus_ordering(model: CompletionModel, spec: OrderingSpec) -> Prop
 
 
 def _rescaled_predictions(
-    tensor: SparseTensor, dim: int, slice_index: int, factor: float
+    tensor: SparseTensor, dim: int, slice_index: int, factor: float, fit: Fit | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Predictions at the missing cells before and after one slice is rescaled.
 
-    Fits ``tensor`` at k = d-1, and again with every known entry of slice
-    ``slice_index`` along ``dim`` multiplied by ``factor``.  Returns the
-    missing cells as an (m, d) int array in flat order, the mask of those
-    inside the slice, and the two fits' predictions at them.
+    Fits ``tensor`` at k = d-1, unless ``fit`` is that fit already, and
+    again with every known entry of slice ``slice_index`` along ``dim``
+    multiplied by ``factor``, both as one batch.  Returns the missing
+    cells as an (m, d) int array in flat order, the mask of those inside
+    the slice, and the two fits' predictions at them.
     """
-    coords, values = tensor.coords_array(), tensor.values_array()
-    scaled_values = np.where(coords[:, dim - 1] == slice_index, values * factor, values)
-    before = tca(tensor, tensor.d - 1)
-    after = tca(SparseTensor.from_arrays(tensor.extents, coords, scaled_values), tensor.d - 1)
+    k, coords, values = tensor.d - 1, tensor.coords_array(), tensor.values_array()
+    rows = [np.where(coords[:, dim - 1] == slice_index, values * factor, values)]
+    if fit is None:
+        rows.insert(0, values)
+    fits = list(csa_many(tensor, k, map(np.log, rows)))
+    before, after = _model(tensor, k, fit or fits[0]), _model(tensor, k, fits[-1])
     cells = np.concatenate([*tensor.missing_blocks(), np.empty((0, tensor.d), np.int64)])
     inside = cells[:, dim - 1] == slice_index
     return cells, inside, predict_many(before, cells), predict_many(after, cells)
@@ -310,6 +358,7 @@ def check_scale_fairness(
     factor: float,
     tolerance: float = 1e-9,
     top_n: int = 10,
+    fit: Fit | None = None,
 ) -> PropertyReport:
     """One slice rescaling its values moves no one else's predictions.
 
@@ -317,14 +366,17 @@ def check_scale_fairness(
     ``factor`` and recompletes.  Predictions outside the slice must be
     unchanged (within ``tolerance`` relative) and their per-slice top-N
     rankings identical; predictions inside the slice must scale by
-    exactly ``factor``.
+    exactly ``factor``.  ``fit``, if given, is ``csa(tensor, d - 1)``'s
+    result, used instead of fitting the original again.
     """
     if not factor > 0:
         raise ValueError(f"factor must be positive, got {factor}")
     if not (tensor.coords_array()[:, dim - 1] == slice_index).any():
         raise ValueError(f"slice {slice_index} of dimension {dim} has no known entries")
 
-    cells, inside, p_before, p_after = _rescaled_predictions(tensor, dim, slice_index, factor)
+    cells, inside, p_before, p_after = _rescaled_predictions(
+        tensor, dim, slice_index, factor, fit
+    )
     devs = np.abs(p_after / np.where(inside, p_before * factor, p_before) - 1.0)
     worst = float(devs.max()) if len(devs) else 0.0
     violations = [
@@ -356,6 +408,7 @@ def check_gauge_uniqueness(
     seed: int = 0,
     tolerance: float = 1e-8,
     cells: np.ndarray | None = None,
+    fit: Fit | None = None,
 ) -> PropertyReport:
     """Warm-sweep order changes the coefficients but nothing observable.
 
@@ -365,19 +418,22 @@ def check_gauge_uniqueness(
     gauge, (c) predictions agree on ``cells``, by default
     :func:`checked_cells`: supported missing cells only, so on tensors
     without full support the prediction clause skips the cells without a
-    witness.
+    witness.  ``fit``, if given, is ``csa(tensor, k)``'s result, the
+    group-order run; the permuted runs are fitted as one batch.
+
+    Raises ``ValueError`` for fewer than one ordering.
     """
+    _at_least_one(orderings, "orderings")
     rng = np.random.default_rng(seed)
     n_groups = len(tensor.groups(k))
     orders = [list(range(n_groups))]
     for _ in range(orderings):
         orders.append([int(g) for g in rng.permutation(n_groups)])
 
-    runs = [csa(tensor, k, order=o) for o in orders]
-    models = [
-        CompletionModel(tensor, family, report, k)
-        for _, family, report in runs
-    ]
+    log_values = np.log(tensor.values_array())
+    permuted = csa_many(tensor, k, itertools.repeat(log_values, orderings), orders[1:])
+    runs = [fit or csa(tensor, k), *permuted]
+    models = [_model(tensor, k, run) for run in runs]
 
     worst = 0.0
     violations: list[str] = []

@@ -155,6 +155,18 @@ def flat_index(idx: Index, extents: tuple[int, ...]) -> int:
     return j
 
 
+def unflatten(flat: np.ndarray, extents: tuple[int, ...]) -> np.ndarray:
+    """The (m, d) int array of 1-based indices at 0-based flat indices ``flat``.
+
+    The first dimension varies fastest, as in :func:`flat_index`.
+    """
+    columns = []
+    for n in extents:
+        columns.append(flat % n + 1)
+        flat = flat // n
+    return np.column_stack(columns).astype(np.int64)
+
+
 class SparseTensor:
     """Immutable sparse tensor with strictly positive known entries.
 
@@ -316,13 +328,8 @@ class SparseTensor:
             free = np.ones(stop - start, dtype=bool)
             free[(known[lo:hi] - start).astype(np.int64)] = False
             flat = np.arange(start, stop, dtype=known.dtype)[free]
-            if not flat.size:
-                continue
-            columns = []
-            for n in self.extents:  # the first dimension varies fastest
-                columns.append(flat % n + 1)
-                flat = flat // n
-            yield np.column_stack(columns).astype(np.int64)
+            if flat.size:
+                yield unflatten(flat, self.extents)
 
     def locate(self, coords: np.ndarray) -> np.ndarray:
         """Row of :meth:`coords_array` holding each row of ``coords``; -1 where missing.

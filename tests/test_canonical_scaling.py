@@ -9,13 +9,15 @@ from uctensor.canonical_scaling import (
     ScalingState,
     _entry_sums,
     _peel,
-    _run_until_stop,
+    _StopRule,
     _subtensor_sums,
     apply_scaling,
     csa,
+    csa_many,
     residual,
     sweep,
 )
+from uctensor import canonical_scaling
 from uctensor.errors import ConvergenceError
 from uctensor.lcsp_oracle import SIZE_CAP, build_constraints, solve_lcsp
 from uctensor.properties import random_scaling_family
@@ -179,6 +181,10 @@ class TestStopRule:
             assert report.stop_reason != "budget" and report.sweeps <= 2 * met
 
     def test_stop_rule_on_given_v_sequences(self):
+        def _run_until_stop(steps, epsilon, floor):
+            rule = _StopRule(epsilon, floor)
+            return next((reason for v in steps if (reason := rule(v))), "budget")
+
         plateau = [1.0, 1e-13, 2e-30] + [3e-30] * STALL_STEPS + [1e-31]
         steps = iter(plateau)
         assert _run_until_stop(steps, 1e-12, 1e-31) == "stagnation"
@@ -447,3 +453,116 @@ class TestApplyScaling:
                     tensor.entries, family.log_coeffs, k, d
                 )
                 assert apply_scaling(tensor, family).entries == expected
+
+
+def assert_same_fit(got, want):
+    """Two csa results equal bit for bit: x, coefficients and report."""
+    (x, family, report), (x_ref, family_ref, report_ref) = got, want
+    assert x.tobytes() == x_ref.tobytes()
+    assert [c.tobytes() for c in family.coeffs] == [c.tobytes() for c in family_ref.coeffs]
+    assert report == report_ref
+
+
+def batch_cases(rng):
+    """(tensor, k) for d = 2, 3, 4 and every k: trees off a cyclic core, and an empty slice."""
+    for d, extent_hi in ((2, 6), (3, 4), (4, 3)):
+        core = random_full_support(rng, d, extent_hi=extent_hi, box_cap=100, density=0.8)
+        tensor = grow_trees(rng, core, int(rng.integers(3, 10)))
+        extents = (tensor.extents[0] + 1, *tensor.extents[1:])  # the last slice stays empty
+        tensor = SparseTensor.from_arrays(extents, tensor.coords_array(), tensor.values_array())
+        for k in range(1, d):
+            yield tensor, k
+
+
+def batch_rows(rng, tensor, k, rescaled=4):
+    """Values of rows on ``tensor``'s pattern: its own, rescaled copies, others, all ones."""
+    rows = [tensor.values_array()]
+    for _ in range(rescaled):
+        family = random_scaling_family(rng, tensor, k)
+        rows.append(tensor.values_array() * np.exp(_entry_sums(tensor.groups(k), family.coeffs)))
+    rows.append(np.exp(rng.uniform(-3.0, 3.0, len(tensor))))
+    rows.append(np.ones(len(tensor)))  # centered by the warm sweep: stops at step 1
+    return rows
+
+
+def sequential(tensor, k, rows, orders=None, **kwargs):
+    """``csa`` of each row of values on its own tensor."""
+    orders = orders or [None] * len(rows)
+    return [
+        csa(SparseTensor.from_arrays(tensor.extents, tensor.coords_array(), values), k,
+            order=order, **kwargs)
+        for values, order in zip(rows, orders)
+    ]
+
+
+class TestCsaMany:
+    """One batched run equals a csa run per row, bit for bit."""
+
+    def test_rows_equal_their_own_csa(self):
+        rng = np.random.default_rng(70)
+        for tensor, k in batch_cases(rng):
+            assert _peel(tensor.groups(k), np.concatenate(
+                [g.counts for g in tensor.groups(k)])) is not None
+            rows = batch_rows(rng, tensor, k)
+            n_groups = len(tensor.groups(k))
+            orders = [None] + [rng.permutation(n_groups).tolist() for _ in rows[1:]]
+            want = sequential(tensor, k, rows, orders)
+            got = list(csa_many(tensor, k, np.log(rows), orders))
+            assert len(got) == len(rows)
+            for g, w in zip(got, want):
+                assert_same_fit(g, w)
+            assert want[-1][2].sweeps == 1 < want[0][2].sweeps  # rows stop at different steps
+
+    @pytest.mark.parametrize("d,k", [(2, 1), (3, 1)])
+    def test_rows_longer_than_einsum_buffers(self, d, k, monkeypatch):
+        # one einsum over a 2-d array rounds rows past 8,192 differently
+        # from one einsum per row; every chunk row here is that long
+        monkeypatch.setattr(canonical_scaling, "FIT_BLOCK", 10**6)
+        rng = np.random.default_rng(71 + d)
+        extents = (150, 100) if d == 2 else (40, 30, 20)
+        cells = np.array(list(all_indices(extents)))
+        cells = cells[rng.random(len(cells)) < 9_000 / len(cells)]
+        tensor = SparseTensor.from_arrays(extents, cells, np.exp(rng.uniform(-2, 2, len(cells))))
+        assert len(tensor) > 8_192
+        rows = batch_rows(rng, tensor, k, rescaled=2)
+        for g, w in zip(csa_many(tensor, k, np.log(rows)), sequential(tensor, k, rows)):
+            assert_same_fit(g, w)
+
+    def test_chunk_boundaries_change_nothing(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        for tensor, k in batch_cases(rng):
+            rows = np.log(batch_rows(rng, tensor, k))
+            whole = list(csa_many(tensor, k, rows))
+            for block in (1, len(tensor), 2 * len(tensor) + 1, 3 * len(tensor)):
+                monkeypatch.setattr(canonical_scaling, "FIT_BLOCK", block)
+                for g, w in zip(csa_many(tensor, k, rows), whole, strict=True):
+                    assert_same_fit(g, w)
+
+    @pytest.mark.parametrize("block", [10**6, 1])
+    def test_budget_stop_raises_for_the_first_failing_row(self, block, monkeypatch):
+        monkeypatch.setattr(canonical_scaling, "FIT_BLOCK", block)
+        rng = np.random.default_rng(73)
+        tensor = random_full_support(rng, 2, extent_hi=8, box_cap=60, density=0.6)
+        rows = batch_rows(rng, tensor, 1, rescaled=2)[::-1]  # all ones first
+        fits = csa_many(tensor, 1, np.log(rows), max_sweeps=2)
+        assert_same_fit(next(fits), sequential(tensor, 1, rows[:1], max_sweeps=2)[0])
+        with pytest.raises(ConvergenceError) as caught:
+            next(fits)
+        with pytest.raises(ConvergenceError) as alone:
+            sequential(tensor, 1, rows[1:2], max_sweeps=2)
+        assert caught.value.report == alone.value.report
+        assert caught.value.report.stop_reason == "budget"
+
+    def test_bad_rows_and_orders(self, golden_matrix):
+        logs = np.log(golden_matrix.values_array())
+        with pytest.raises(ValueError, match="shape"):
+            list(csa_many(golden_matrix, 1, [logs[:2]]))
+        with pytest.raises(ValueError, match="finite"):
+            list(csa_many(golden_matrix, 1, [np.array([0.0, np.inf, 1.0])]))
+        with pytest.raises(ValueError, match="fewer orders"):
+            list(csa_many(golden_matrix, 1, [logs, logs], [None]))
+        with pytest.raises(ValueError, match="permute"):
+            list(csa_many(golden_matrix, 1, [logs], [[0, 0]]))
+        with pytest.raises(ValueError, match="k must be"):
+            csa_many(golden_matrix, 2, [logs])  # checked before any row is read
+        assert list(csa_many(golden_matrix, 1, [])) == []

@@ -583,6 +583,11 @@ class TestVerify:
         ["--factor", "0"],
         ["--factor", "-1"],
         ["--consensus-spec", "2:p1,p1"],
+        ["--trials", "-1"],
+        ["--trials", "0"],
+        ["--orderings", "-2"],
+        ["--orderings", "0"],
+        ["--oracle-cap", "-1"],
     ])
     def test_bad_input_is_one_error_record(self, demo_file, flags):
         src = str(Path(uctensor.__file__).parents[1])
@@ -600,10 +605,12 @@ class TestVerify:
         self, demo_file, capsys, monkeypatch
     ):
         from uctensor import properties
-        from uctensor.completion import CompletionConfig
+        from uctensor.canonical_scaling import csa_many
 
+        # the rescaled copies are fitted as one batch, each row with one step
         monkeypatch.setattr(
-            properties, "tca", lambda tensor, k: tca(tensor, k, CompletionConfig(max_sweeps=1))
+            properties, "csa_many",
+            lambda tensor, k, rows, orders=None: csa_many(tensor, k, rows, orders, max_sweeps=1),
         )
         code, records = run_jsonl(
             capsys, ["verify", demo_file, "--properties", "unit_consistency"]
@@ -612,6 +619,27 @@ class TestVerify:
         assert [r["record"] for r in records] == ["config", "convergence"]
         assert records[1]["converged"] is False
         assert capsys.readouterr().err == ""
+
+    def test_one_fit_of_the_input_per_verify(self, demo_file, capsys, monkeypatch):
+        # five checks share the base fit, and each check's other fits run
+        # as one batch: rows of the base fit, the unit-consistency trials,
+        # the gauge orders and the rescaled slice
+        from uctensor import canonical_scaling, properties
+
+        batches = []
+        batch = canonical_scaling.csa_many
+
+        def counted(tensor, k, log_values, *rest, **kwargs):
+            log_values = list(log_values)
+            batches.append(len(log_values))
+            return batch(tensor, k, log_values, *rest, **kwargs)
+
+        for owner in (canonical_scaling, properties):
+            monkeypatch.setattr(owner, "csa_many", counted)
+        code, records = run_jsonl(capsys, ["verify", demo_file])
+        assert code == 0
+        assert [r["name"] for r in records if r["record"] == "property"] == list(ALL_PROPERTIES)
+        assert batches == [1, 20, 5, 1]
 
     def test_one_witness_search_for_the_compared_cells(self, demo_file, capsys, monkeypatch):
         # full_support and the compared cells read one scan: each missing
@@ -786,3 +814,38 @@ class TestExperiment:
             "entries", "sweeps", "wall_seconds", "per_sweep_seconds", "ratio_vs_previous",
         ]
         assert len(lines) == 4  # header + 3 sizes
+
+
+class TestMain:
+    def test_calls_in_one_process_print_what_separate_processes_print(
+        self, demo_file, tmp_path, capsys
+    ):
+        # main builds its parser once per process; a call's options must
+        # not leak into the next call's defaults
+        model = str(tmp_path / "model.json")
+        argvs = [
+            ["verify", demo_file, "--trials", "3", "--orderings", "2", "--seed", "4",
+             "--format", "jsonl"],
+            ["complete", demo_file, "-o", model, "--k", "1"],
+            ["predict", model, "--all", "--round", "1,5"],
+            ["experiment", "fairness", "--rows", "6", "--cols", "5", "--density", "0.8",
+             "--top-n", "2"],
+            ["experiment", "consensus", "--users", "8", "--base-products", "5"],
+            ["verify", demo_file, "--format", "jsonl"],
+        ]
+        in_process = []
+        for argv in argvs:
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        src = str(Path(uctensor.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        separate = []
+        for argv in argvs:
+            done = subprocess.run(
+                [sys.executable, "-m", "uctensor", *argv],
+                env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                timeout=300,
+            )
+            assert done.stderr == ""
+            separate.append((done.returncode, done.stdout))
+        assert in_process == separate

@@ -165,6 +165,21 @@ class TestOracleComplete:
         reused = oracle_complete(golden_matrix, 1, (2, 2), presolved=family)
         assert direct == reused
 
+    def test_one_pass_over_the_cells_equals_the_per_cell_loop(self):
+        # verify's oracle check reads its references from one log_sums pass
+        rng = np.random.default_rng(12)
+        for d in (2, 3, 4):
+            tensor = random_full_support(rng, d, extent_hi=5 if d < 4 else 3, box_cap=120)
+            cells = np.array(list(tensor.missing_indices()), dtype=np.int64).reshape(-1, d)
+            for k in range(1, d):
+                _, family = solve_lcsp(tensor, k)
+                loop = [
+                    oracle_complete(tensor, k, idx, presolved=family)
+                    for idx in map(tuple, cells.tolist())
+                ]
+                one_pass = list(map(math.exp, (-family.log_sums(cells)).tolist()))
+                assert one_pass == loop
+
 
 class TestGaugeCheck:
     def test_identical_families(self, golden_matrix):

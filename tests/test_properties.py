@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
-from uctensor import properties
-from uctensor.completion import tca
+from uctensor import properties, sparse_tensor
+from uctensor.canonical_scaling import apply_scaling, csa
+from uctensor.completion import CompletionModel, predict_many, tca
 from uctensor.errors import OrderingSpecError
-from uctensor.lcsp_oracle import oracle_complete
+from uctensor.lcsp_oracle import gauge_check, oracle_complete
 from uctensor.properties import (
     OrderingSpec,
+    _distinct_less,
+    _rescaled_predictions,
     check_consensus_ordering,
     check_gauge_uniqueness,
     check_scale_fairness,
     check_unit_consistency,
+    checked_cells,
     find_consensus_sets,
+    random_scaling_family,
     validate_ordering_spec,
 )
 from uctensor.sparse_tensor import SparseTensor, all_indices
+from uctensor.support import scan
 
 from conftest import make_golden, random_full_support, reference_consensus_sets, staircase
 
@@ -406,3 +412,144 @@ class TestFindConsensusSets:
                     found += len(want)
                     longer += sum(len(gamma) > 2 for _, gamma in want)
         assert found > 100 and longer > 10
+
+
+def sequential_unit_consistency(tensor, k, trials, seed, cells, tolerance):
+    """Unit consistency with one tensor built and fitted per trial: (worst, violations)."""
+    rng = np.random.default_rng(seed)
+    base_preds = predict_many(tca(tensor, k), cells)
+    worst, violations = 0.0, []
+    for trial in range(trials):
+        family = random_scaling_family(rng, tensor, k)
+        expected = base_preds * np.exp(family.log_sums(cells))
+        actual = predict_many(tca(apply_scaling(tensor, family), k), cells)
+        devs = np.abs(actual / expected - 1.0)
+        worst = float(np.fmax.reduce(devs, initial=worst))
+        violations.extend(
+            f"trial {trial}: idx {tuple(cells[i].tolist())} "
+            f"expected {expected[i].item()!r} got {actual[i].item()!r}"
+            for i in np.flatnonzero(devs > tolerance).tolist()
+        )
+    return worst, violations
+
+
+class TestBatchedFits:
+    """The checks fit their rescaled copies as one batch, and may share one base fit."""
+
+    CASES = ((2, 1, 7), (3, 1, 5), (3, 2, 5), (4, 2, 3))
+
+    def tensors(self):
+        rng = np.random.default_rng(90)
+        for d, k, extent_hi in self.CASES:
+            yield random_full_support(rng, d, extent_hi=extent_hi, box_cap=150), k
+
+    def test_unit_consistency_matches_a_fit_per_rescaled_tensor(self):
+        # tolerance 0 lists every deviation, so its exact value is compared
+        for tensor, k in self.tensors():
+            cells = checked_cells(scan(tensor, properties.MISSING_CAP))
+            report = check_unit_consistency(tensor, k, trials=6, tolerance=0.0, seed=5)
+            worst, violations = sequential_unit_consistency(tensor, k, 6, 5, cells, 0.0)
+            assert (report.max_deviation, report.violations) == (worst, violations)
+
+    def test_gauge_uniqueness_matches_a_fit_per_order(self):
+        for tensor, k in self.tensors():
+            report = check_gauge_uniqueness(tensor, k, orderings=4, seed=6, tolerance=0.0)
+            rng = np.random.default_rng(6)
+            n_groups = len(tensor.groups(k))
+            orders = [None] + [rng.permutation(n_groups).tolist() for _ in range(4)]
+            runs = [csa(tensor, k, order=order) for order in orders]
+            base = runs[0][0]
+            worst = max(float(np.abs(x - base).max()) for x, _, _ in runs[1:])
+            for i in range(len(runs)):
+                for j in range(i + 1, len(runs)):
+                    worst = max(worst, gauge_check(runs[i][1], runs[j][1], tensor)[1])
+            cells = checked_cells(scan(tensor, properties.MISSING_CAP))
+            preds = np.array([
+                predict_many(CompletionModel(tensor, fam, rep, k), cells) for _, fam, rep in runs
+            ])
+            worst = float(np.fmax.reduce(np.abs(preds / preds[0] - 1.0).max(axis=0), initial=worst))
+            assert report.max_deviation == worst
+
+    def test_scale_fairness_matches_fitting_the_rescaled_tensor(self):
+        for tensor, _ in self.tensors():
+            d = tensor.d
+            coords, values = tensor.coords_array(), tensor.values_array()
+            scaled = np.where(coords[:, 0] == 1, values * 1.5, values)
+            before, after = tca(tensor, d - 1), tca(
+                SparseTensor.from_arrays(tensor.extents, coords, scaled), d - 1
+            )
+            cells, inside, p_before, p_after = _rescaled_predictions(tensor, 1, 1, 1.5)
+            assert p_before.tobytes() == predict_many(before, cells).tobytes()
+            assert p_after.tobytes() == predict_many(after, cells).tobytes()
+
+    def test_a_given_base_fit_changes_no_report(self):
+        for tensor, k in self.tensors():
+            fit = csa(tensor, k)
+            assert check_unit_consistency(tensor, k, trials=4, seed=3, fit=fit) == \
+                check_unit_consistency(tensor, k, trials=4, seed=3)
+            assert check_gauge_uniqueness(tensor, k, orderings=3, seed=3, fit=fit) == \
+                check_gauge_uniqueness(tensor, k, orderings=3, seed=3)
+            if k == tensor.d - 1:
+                assert check_scale_fairness(tensor, 1, 1, 1.25, fit=fit) == \
+                    check_scale_fairness(tensor, 1, 1, 1.25)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_counts_below_one_raise(self, golden_matrix, count):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check_unit_consistency(golden_matrix, 1, trials=count)
+        with pytest.raises(ValueError, match="orderings must be at least 1"):
+            check_gauge_uniqueness(golden_matrix, 1, orderings=count)
+
+
+def all_at_once_consensus(model, spec):
+    """check_consensus_ordering with every pattern of the box predicted in one batch."""
+    tensor = model.source
+    dim, gamma = spec.dim, np.array(spec.gamma)
+    other_extents = tuple(n for i, n in enumerate(tensor.extents) if i != dim - 1)
+    patterns = np.indices(other_extents).reshape(len(other_extents), -1, order="F").T + 1
+    first = np.insert(patterns, dim - 1, gamma[0], axis=1)
+    patterns = patterns[tensor.locate(first) < 0]
+    cells = np.insert(
+        np.repeat(patterns, len(gamma), axis=0), dim - 1, np.tile(gamma, len(patterns)), axis=1
+    )
+    preds = predict_many(model, cells).reshape(len(patterns), len(gamma))
+    worst, violations = 0.0, []
+    for p, a in np.argwhere(~_distinct_less(preds[:, :-1], preds[:, 1:])).tolist():
+        low, high = preds[p, a].item(), preds[p, a + 1].item()
+        worst = max(worst, (low - high) / max(abs(high), 1e-300))
+        violations.append(
+            f"pattern {tuple(patterns[p].tolist())}: slice {spec.gamma[a]} predicted {low!r} "
+            f"not below slice {spec.gamma[a + 1]} at {high!r}"
+        )
+    return len(patterns), worst, violations
+
+
+class TestConsensusBlocks:
+    def test_blocks_report_what_one_batch_does(self, monkeypatch):
+        # planted specs, and random families in place of the fit, so that
+        # some patterns break the order
+        rng = np.random.default_rng(91)
+        for trial in range(12):
+            d = 2 + trial % 3
+            extents = tuple(int(n) for n in rng.integers(3, 7, size=d))
+            dim = int(rng.integers(1, d + 1))
+            gamma = tuple(rng.choice(np.arange(1, extents[dim - 1] + 1), 3, replace=False).tolist())
+            points = [p for p in all_indices(extents[:dim - 1] + extents[dim:]) if rng.random() < 0.3]
+            points = points or [tuple([1] * (d - 1))]
+            entries = {}
+            for p in points:
+                for rank, g in enumerate(gamma, 1):
+                    entries[p[:dim - 1] + (g,) + p[dim - 1:]] = rank * float(rng.uniform(1, 1.5))
+            for idx in all_indices(extents):
+                if idx[dim - 1] not in gamma and rng.random() < 0.3:
+                    entries[idx] = float(rng.uniform(0.5, 5))
+            tensor = SparseTensor(extents, entries)
+            spec = OrderingSpec(dim, gamma)
+            k = int(rng.integers(1, d))
+            fitted = tca(tensor, k)
+            model = CompletionModel(tensor, random_scaling_family(rng, tensor, k), fitted.report, k)
+            want = all_at_once_consensus(model, spec)
+            for block in (1, 3, 7, 4096):
+                monkeypatch.setattr(sparse_tensor, "MISSING_BLOCK", block)
+                report = check_consensus_ordering(model, spec)
+                assert (report.instances, report.max_deviation, report.violations) == want
