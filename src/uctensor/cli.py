@@ -573,11 +573,11 @@ def cmd_verify(args) -> int:
     for name in wanted:
         if name == "full_support":
             try:
-                failures = _support.unsupported(tensor, scanned())
+                failures = _support.unsupported_cells(tensor, scanned())
             except CapacityError as exc:
                 emitter.emit({"record": "warning", "message": str(exc)})
                 continue
-            fully_supported = not failures
+            fully_supported = not len(failures)
             reports.append(PropertyReport(
                 name="full_support",
                 instances=tensor.box_size - len(tensor),
@@ -587,7 +587,7 @@ def cmd_verify(args) -> int:
                 informational=True,
                 notes=[
                     f"{len(failures)} unsupported missing indices"
-                    + (f"; first {failures[0]}" if failures else "")
+                    + (f"; first {tuple(failures[0].tolist())}" if len(failures) else "")
                 ],
             ))
         elif name == "unit_consistency":

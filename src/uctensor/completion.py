@@ -17,6 +17,7 @@ subtensor group, to the same bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,16 +64,22 @@ class CompletionModel:
     def supported(self, idx: Index) -> bool:
         """Whether the prediction at ``idx`` is pinned down by the known set.
 
-        Known entries are trivially supported.  For missing entries this
-        defers to the hypercube-witness search.  A witness is a sufficient
-        certificate that the prediction is the same in every gauge, not a
-        necessary one: a cell without one may still be gauge-invariant.
+        Known entries are trivially supported.  A missing entry is when it
+        has a hypercube witness, decided by the join ``verify``'s scan runs,
+        on this one cell, over an index of the source built on first use.
+        A witness is a sufficient certificate that the prediction is the
+        same in every gauge, not a necessary one: a cell without one may
+        still be gauge-invariant.
         """
         idx = tuple(idx)
         flat_index(idx, self.source.extents)
         if idx in self.source.entries:
             return True
-        return _support.witness(self.source, idx) is not None
+        return bool(self._support_index.witnessed(np.array([idx], dtype=np.int64))[0])
+
+    @functools.cached_property
+    def _support_index(self) -> _support.SupportIndex:
+        return _support.SupportIndex(self.source)
 
 
 def tca(

@@ -642,22 +642,28 @@ class TestVerify:
         assert batches == [1, 20, 5, 1]
 
     def test_one_witness_search_for_the_compared_cells(self, demo_file, capsys, monkeypatch):
-        # full_support and the compared cells read one scan: each missing
-        # cell is searched once
+        # full_support and the compared cells read one scan, which decides
+        # every cell by the join: no cell runs the per-cell search
         from uctensor import support
 
-        searched = []
-        search = support._search_offset
+        scans, searched = [], []
+        scan, search = support.scan, support._search_offset
 
-        def counted(tensor, idx, *rest):
+        def counted_scan(tensor, cap):
+            scans.append(cap)
+            return scan(tensor, cap)
+
+        def counted_search(tensor, idx, *rest):
             searched.append(idx)
             return search(tensor, idx, *rest)
 
-        monkeypatch.setattr(support, "_search_offset", counted)
+        monkeypatch.setattr(support, "scan", counted_scan)
+        monkeypatch.setattr(support, "_search_offset", counted_search)
         code, records = run_jsonl(capsys, ["verify", demo_file])
         assert code == 0
         assert {r["name"] for r in records if r["record"] == "property"} == set(ALL_PROPERTIES)
-        assert searched == [(2, 2)]
+        assert scans == [support.DEFAULT_SCAN_CAP]
+        assert searched == []
 
     def test_full_support_over_its_cap_compares_the_same_cells(
         self, tmp_path, capsys, monkeypatch

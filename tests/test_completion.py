@@ -12,6 +12,7 @@ from uctensor.completion import (
 from uctensor.errors import CapacityError
 from uctensor.lcsp_oracle import build_constraints, oracle_complete, solve_lcsp
 from uctensor.sparse_tensor import SparseTensor, all_indices
+from uctensor.support import SupportIndex, scan
 
 from conftest import count_reads, random_full_support, rank1_tensor
 
@@ -262,6 +263,39 @@ class TestSupportedFlag:
         model = tca(t, 1)
         assert model.predict((2, 1)) > 0  # still answers
         assert not model.supported((2, 1))
+
+    def test_agrees_with_the_scan_verify_reads(self):
+        rng = np.random.default_rng(23)
+        every = []
+        for extents in ((6, 5), (4, 3, 3)):
+            entries = {idx: float(rng.uniform(1, 5)) for idx in all_indices(extents)
+                       if rng.random() < 0.5}
+            tensor = SparseTensor(extents, entries)
+            model = tca(tensor, len(extents) - 1)
+            cells, witnessed = scan(tensor, tensor.box_size)
+            flags = [model.supported(idx) for idx in map(tuple, cells.tolist())]
+            assert flags == witnessed.tolist()
+            assert all(model.supported(idx) for idx in entries)
+            with pytest.raises(IndexError):
+                model.supported(tuple(n + 1 for n in extents))
+            every += flags
+        assert any(every) and not all(every)
+
+    def test_one_support_index_per_model(self, monkeypatch):
+        # the known cells are keyed and sorted once; each call joins one cell
+        built = []
+        init = SupportIndex.__init__
+
+        def counted(index, tensor):
+            built.append(tensor)
+            init(index, tensor)
+
+        monkeypatch.setattr(SupportIndex, "__init__", counted)
+        t = SparseTensor((3, 3), {(1, 1): 1.0, (1, 2): 2.0, (2, 1): 3.0, (3, 3): 4.0})
+        model = tca(t, 1)
+        assert [model.supported(idx) for idx in ((2, 2), (3, 1), (2, 2), (1, 1))] == [
+            True, False, True, True]
+        assert built == [t]
 
 
 class TestOracleAgreement:

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from uctensor import support
 from uctensor.errors import CapacityError
 from uctensor.sparse_tensor import SparseTensor, all_indices
-from uctensor.support import is_fully_supported, scan, witness
+from uctensor.support import SupportIndex, is_fully_supported, scan, witness
 
 from conftest import make_golden
 
@@ -148,6 +149,107 @@ class TestSupported:
             assert head.shape == (min(cap, len(cells)), 2)
             assert head.tolist() == cells[:cap].tolist()
             assert mask.tolist() == witnessed[:cap].tolist()
+
+
+def mask_of(tensor):
+    """The missing cells of ``tensor`` and the join's mask over them."""
+    cells, mask = scan(tensor, tensor.box_size)
+    return list(map(tuple, cells.tolist())), mask.tolist()
+
+
+def ring(length):
+    """User i rates items i and i mod L + 1."""
+    return SparseTensor((length, length), {
+        **{(i, i): 1.0 for i in range(1, length + 1)},
+        **{(i, i % length + 1): 2.0 for i in range(1, length + 1)},
+    })
+
+
+def staircase(length):
+    """User i rates items i and i + 1."""
+    return SparseTensor((length, length + 1), {
+        (i, i + s): 1.0 for i in range(1, length + 1) for s in (0, 1)
+    })
+
+
+def block_diagonal(blocks, size, d=2):
+    """``blocks`` disjoint fully known cubes of side ``size`` on the diagonal."""
+    return SparseTensor((blocks * size,) * d, {
+        tuple(b * size + c for c in idx): 1.0
+        for b in range(blocks) for idx in all_indices((size,) * d)
+    })
+
+
+class TestJoin:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_mask_is_the_witness_search_and_the_brute_force(self, d):
+        rng = np.random.default_rng(20 + d)
+        witnessed_cells = unwitnessed = 0
+        for density in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+            for _ in range(3):
+                extents = tuple(int(n) for n in rng.integers(2, (8, 7, 5, 4)[d - 1], size=d))
+                tensor = random_tensor(rng, extents, density)
+                cells, mask = mask_of(tensor)
+                for idx, flag in zip(cells, mask):
+                    assert flag == (witness(tensor, idx) is not None)
+                    assert flag == bool(brute_force_offsets(tensor, idx))
+                    witnessed_cells += flag
+                    unwitnessed += not flag
+        assert witnessed_cells and unwitnessed
+
+    def test_rings_staircases_and_blocks(self):
+        for length in (3, 4, 9):
+            tensor = ring(length)
+            cells, mask = mask_of(tensor)
+            # row i shares a column with rows i - 1 and i + 1 only
+            assert mask == [(j - i) % length in (2, length - 1) for i, j in cells]
+            assert mask == [witness(tensor, c) is not None for c in cells]
+        for length in (1, 2, 6):
+            tensor = staircase(length)
+            cells, mask = mask_of(tensor)
+            assert mask == [j - i in (2, -1) for i, j in cells]
+            assert mask == [witness(tensor, c) is not None for c in cells]
+        for d, size in ((2, 5), (3, 3)):
+            tensor = block_diagonal(2, size, d)
+            cells, mask = mask_of(tensor)
+            assert len(cells) == (2 * size) ** d - 2 * size ** d and not any(mask)
+            assert is_fully_supported(tensor) == (False, cells)
+
+    def test_extents_past_int64_take_object_keys(self, monkeypatch):
+        big = 2 ** 40
+        dtypes = []
+        radix_keys = support._radix_keys
+
+        def recorded(coords, radices):
+            keys = radix_keys(coords, radices)
+            dtypes.append(keys.dtype)
+            return keys
+
+        monkeypatch.setattr(support, "_radix_keys", recorded)
+        for extents, entries in (
+            ((big, big), [(1, big), (big, 1), (big, big), (7, 1), (7, 2), (big, 2)]),
+            ((big, 3, big), [(i, j, k) for i in (1, big) for j in (1, 3) for k in (2, big)
+                             if (i, j, k) != (1, 1, 2)]),
+        ):
+            tensor = SparseTensor(extents, {idx: 1.0 for idx in entries})
+            cells = [(1, 1), (1, 2), (7, big), (2, 2)] if len(extents) == 2 else [
+                (1, 1, 2), (1, 2, 2), (big, 2, big), (1, 1, big - 1)]
+            mask = SupportIndex(tensor).witnessed(np.array(cells, dtype=np.int64))
+            # the fibre index witness() builds is sized by the extents
+            assert mask.tolist() == [bool(brute_force_offsets(tensor, c)) for c in cells]
+            assert mask.any() and not mask.all()
+        assert np.dtype(object) in dtypes
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_round_and_chunk_boundaries_change_no_mask(self, block, monkeypatch):
+        rng = np.random.default_rng(40)
+        tensors = [random_tensor(rng, extents, density)
+                   for extents in ((7, 6), (5, 4, 3), (3, 3, 3, 2))
+                   for density in (0.3, 0.6, 0.9)]
+        tensors += [ring(5), staircase(4), block_diagonal(2, 3)]
+        expected = [mask_of(tensor) for tensor in tensors]
+        monkeypatch.setattr(support, "JOIN_BLOCK", block)
+        assert [mask_of(tensor) for tensor in tensors] == expected
 
 
 class TestFibreSearch:
