@@ -10,9 +10,11 @@ break some unit subtensor product through it), so transforming back gives
 
 Known entries pass through unchanged.  A fitted model answers a query in
 C(d, k) coefficient lookups plus one exponentiation — d lookups in the
-usual k = d-1 case.  :func:`predict` answers one query;
-:func:`predict_many` answers an array of them with one gather per
-subtensor group, to the same bits.
+usual k = d-1 case.  :func:`predict` answers one query in one pass that
+checks and reads each subtensor group once; :func:`predict_many` answers
+an array of them with one gather per group, to the same bits.  Both
+refuse a query the same way: IndexError for the wrong length or a
+coordinate out of bounds, TypeError for one that is not an integer.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .canonical_scaling import (
     csa,
 )
 from .errors import CapacityError
-from .sparse_tensor import Index, SparseTensor, flat_index
+from .sparse_tensor import Index, SparseTensor, check_index, check_ints
 
 COMPLETE_ALL_CAP = 10_000_000  # largest extent box complete_all and predict --all fill
 
@@ -71,8 +73,7 @@ class CompletionModel:
         same in every gauge, not a necessary one: a cell without one may
         still be gauge-invariant.
         """
-        idx = tuple(idx)
-        flat_index(idx, self.source.extents)
+        idx = check_index(idx, self.source.extents)
         if idx in self.source.entries:
             return True
         return bool(self._support_index.witnessed(np.array([idx], dtype=np.int64))[0])
@@ -119,13 +120,16 @@ def mca(
 
 
 def predict(model: CompletionModel, idx: Index) -> float:
-    """Predicted value at ``idx``: stored value if known, else exp(-sum s)."""
+    """Predicted value at ``idx``: stored value if known, else exp(-sum s).
+
+    Raises what :func:`predict_many` raises for the same row.
+    """
     idx = tuple(idx)
-    flat_index(idx, model.source.extents)  # bounds check
     stored = model.source.entries.get(idx)
-    if stored is not None:
-        return stored
-    return math.exp(-model.scaling.log_sum_at(idx))
+    if stored is None:  # log_sum_at checks the index as it reads
+        return math.exp(-model.scaling.log_sum_at(idx))
+    check_ints(idx)  # equal floats hash alike: (1.0, 2) finds the cell (1, 2)
+    return stored
 
 
 def predict_many(model: CompletionModel, coords) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .canonical_scaling import ScalingFamily, _membership_sums
 from .errors import CapacityError
-from .sparse_tensor import Index, SparseTensor, flat_index
+from .sparse_tensor import Index, SparseTensor, check_index
 
 SIZE_CAP = 2000
 PINV_CUTOFF = 1e-10
@@ -115,11 +115,10 @@ def oracle_complete(
     sufficient, not necessary, so a cell without one may still have a
     gauge-invariant value.
     Pass ``presolved``, the family :func:`solve_lcsp` returned, to reuse
-    one solve across many queries.  An index outside the extents raises
-    ``IndexError``, as :func:`~uctensor.completion.predict` does.
+    one solve across many queries.  An index that is not a valid query
+    raises what :func:`~uctensor.completion.predict` raises.
     """
-    idx = tuple(idx)
-    flat_index(idx, tensor.extents)  # bounds check
+    idx = check_index(idx, tensor.extents)
     if idx in tensor.entries:
         raise ValueError(f"index {idx} is known; completion applies to missing entries")
     family = presolved if presolved is not None else solve_lcsp(tensor, k)[1]

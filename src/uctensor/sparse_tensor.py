@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -153,6 +153,31 @@ def flat_index(idx: Index, extents: tuple[int, ...]) -> int:
         j += (alpha - 1) * stride
         stride *= n
     return j
+
+
+def check_index(idx: Iterable, extents: tuple[int, ...]) -> Index:
+    """``idx`` as a tuple, once it is a valid query index for ``extents``.
+
+    Raises what :func:`~uctensor.completion.predict_many` raises for the
+    same row, in its order: IndexError for the wrong length, TypeError
+    for a coordinate that is not an integer (bool and numpy integers
+    are), then IndexError for one out of bounds.
+    """
+    idx = tuple(idx)
+    if len(idx) != len(extents):
+        raise IndexError(f"index {idx} has wrong length for extents {extents}")
+    check_ints(idx)
+    flat_index(idx, extents)
+    return idx
+
+
+def check_ints(idx: Index) -> None:
+    """Raise TypeError unless every coordinate of ``idx`` is an integer."""
+    try:
+        for c in idx:
+            index(c)
+    except TypeError:
+        raise TypeError(f"index coordinates must be ints, got {idx}") from None
 
 
 def unflatten(flat: np.ndarray, extents: tuple[int, ...]) -> np.ndarray:
@@ -287,9 +312,7 @@ class SparseTensor:
 
     def get(self, idx: Index) -> float | None:
         """Stored value at ``idx``, or ``None`` if the entry is absent."""
-        idx = tuple(idx)
-        flat_index(idx, self.extents)
-        return self.entries.get(idx)
+        return self.entries.get(check_index(idx, self.extents))
 
     @property
     def entries(self) -> dict[Index, float]:

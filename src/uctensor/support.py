@@ -41,7 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError
-from .sparse_tensor import Index, SparseTensor, _find, _radix_keys, flat_index
+from .sparse_tensor import Index, SparseTensor, _find, _radix_keys, check_index
 
 DEFAULT_SCAN_CAP = 1_000_000
 
@@ -106,8 +106,7 @@ def _search_offset(tensor: SparseTensor, idx: Index) -> tuple[int, ...] | None:
 
 def witness(tensor: SparseTensor, idx: Index) -> SupportWitness | None:
     """Smallest hypercube witness for a missing index, or None; ValueError if it is known."""
-    idx = tuple(idx)
-    flat_index(idx, tensor.extents)
+    idx = check_index(idx, tensor.extents)
     if idx in tensor.entries:
         raise ValueError(f"index {idx} is a known entry, not a missing one")
     offset = _search_offset(tensor, idx)

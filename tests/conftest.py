@@ -200,6 +200,10 @@ class CountingVector:
         self.counter.reads += 1
         return self.data[pos]
 
+    def item(self, pos):
+        self.counter.reads += 1
+        return self.data.item(pos)
+
     def __len__(self):
         return len(self.data)
 

@@ -1,7 +1,13 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uctensor import completion
+from uctensor.cli import load_model, save_model
 from uctensor.completion import (
     complete_all,
     mca,
@@ -11,6 +17,7 @@ from uctensor.completion import (
 )
 from uctensor.errors import CapacityError
 from uctensor.lcsp_oracle import build_constraints, oracle_complete, solve_lcsp
+from uctensor.ingest import IdMap
 from uctensor.sparse_tensor import SparseTensor, all_indices
 from uctensor.support import SupportIndex, scan
 
@@ -139,6 +146,84 @@ class TestPredictMany:
             predict_many(model, (1, 1))
         with pytest.raises(TypeError):
             predict_many(model, [(1.0, 2.0)])
+
+
+@st.composite
+def fitted_tensors(draw):
+    """A random positive tensor with d in {2, 3}, a k for it, and a seed."""
+    d = draw(st.sampled_from([2, 3]))
+    extents = tuple(draw(st.integers(1, 4)) for _ in range(d))
+    k = draw(st.integers(1, d - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = list(all_indices(extents))
+    known = [idx for idx in cells if rng.random() < 0.5] or [cells[0]]
+    values = np.exp(rng.uniform(-1.0, 1.0, len(known))).tolist()
+    return SparseTensor(extents, dict(zip(known, values))), k
+
+
+def _reloaded(model):
+    """``model`` through a save_model/load_model round trip."""
+    idmap = IdMap(model.source.d)
+    for dim, n in enumerate(model.source.extents):
+        for coord in range(1, n + 1):
+            idmap.intern(dim, f"{dim}:{coord}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(path, model, idmap, "0" * 64)
+        return load_model(path)[0]
+
+
+def _bad_indices(extents):
+    """Out-of-bounds, zero, negative, wrong-length and fractional queries."""
+    d = len(extents)
+    ones = (1,) * d
+    for dim, n in enumerate(extents):
+        for c in (n + 1, 0, -1, 1.5, 1.0, 0.5):
+            yield ones[:dim] + (c,) + ones[dim + 1:]
+    yield ones[:-1]
+    yield ones + (1,)
+
+
+class TestScalarAgreesWithBatched:
+    @given(fitted_tensors(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_and_same_refusals(self, case, reload):
+        tensor, k = case
+        model = tca(tensor, k)
+        if reload:
+            model = _reloaded(model)
+        cells = np.array(list(all_indices(tensor.extents)))
+        batched = predict_many(model, cells).tolist()
+        assert [model.predict(idx) for idx in map(tuple, cells.tolist())] == batched
+        assert [model.predict(tuple(row)) for row in cells] == batched  # np.int64 coordinates
+        oracle = solve_lcsp(tensor, k)[1]
+        for bad in _bad_indices(tensor.extents):
+            raised = []
+            for query in (
+                model.predict,
+                lambda idx: predict_many(model, [idx]),
+                lambda idx: oracle_complete(tensor, k, idx, presolved=oracle),
+            ):
+                with pytest.raises((IndexError, TypeError)) as excinfo:
+                    query(bad)
+                raised.append(excinfo.type)
+            assert raised == [raised[0]] * 3, bad
+            assert raised[0] is (TypeError if any(isinstance(c, float) for c in bad)
+                                 and len(bad) == tensor.d else IndexError)
+
+    def test_fractional_coordinates_are_refused(self):
+        # the known cell (2, 1, 1) used to answer (2, 1.5, 1), truncated
+        tensor = rank1_tensor([(1.0, 3.0), (1.0, 2.0), (1.0, 5.0)], drop=[(1, 2, 2)])
+        for k in (1, 2):
+            model = tca(tensor, k)
+            for idx in ((2, 1.5, 1), (2, 1.0, 1), (1, 2.5, 2), (2.0, 2, 2)):
+                with pytest.raises(TypeError, match="must be ints"):
+                    model.predict(idx)
+                with pytest.raises(TypeError, match="must be ints"):
+                    model.supported(idx)
+                with pytest.raises(TypeError, match="must be ints"):
+                    oracle_complete(tensor, k, idx)
+            assert model.predict((True, 2, np.int64(2))) == model.predict((1, 2, 2))
 
 
 class TestCompleteAll:

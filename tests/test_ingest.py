@@ -276,6 +276,26 @@ class TestIdMap:
         with pytest.raises(UnknownIdError):
             idmap.resolve(("u9", "p1"))
 
+    def test_unknown_id_names_its_dimension(self):
+        _, idmap = parse("u1,p1,4\n")
+        with pytest.raises(UnknownIdError, match="'p9' in dimension 2"):
+            idmap.resolve(("u1", "p9"))
+        with pytest.raises(UnknownIdError, match="'u9' in dimension 1"):
+            idmap.resolve(["u9", "p9"])
+
+    def test_wrong_id_count_raises(self):
+        _, idmap = parse("u1,p1,4\n")
+        for ids in (("u1",), ("u1", "p1", "p1"), ()):
+            with pytest.raises(ValueError, match=f"expected 2 ids, got {len(ids)}"):
+                idmap.resolve(ids)
+
+    def test_bare_string_is_refused(self):
+        # "ab" would otherwise split into the ids "a" and "b"
+        _, idmap = parse("a,b,4\n")
+        assert idmap.resolve(("a", "b")) == (1, 1)
+        with pytest.raises(TypeError):
+            idmap.resolve("ab")
+
     def test_round_trip(self):
         _, idmap = parse("u1,p1,4\nu2,p2,3\n")
         for ids in (("u1", "p1"), ("u2", "p2"), ("u2", "p1")):
