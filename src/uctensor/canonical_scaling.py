@@ -222,34 +222,27 @@ class ScalingState:
     def __init__(self, tensor: SparseTensor, k: int, order: Sequence[int] | None = None):
         self.k = k
         self.groups = tensor.groups(k)
-        if order is None:
-            self.order = list(range(len(self.groups)))
-        else:
-            self.order = [int(g) for g in order]
-            if sorted(self.order) != list(range(len(self.groups))):
-                raise ValueError(
-                    f"order must permute range({len(self.groups)}), got {order}"
-                )
+        self.order = _check_order(order, len(self.groups))
         self.log_values = np.log(tensor.values_array())
         # one flat vector, so a whole-system step can update every group at once
         offsets = _offsets(self.groups)
         self.coeffs_flat = np.zeros(offsets[-1])
         self.log_coeffs = _blocks(self.coeffs_flat, offsets)
-        self.v_trace: list[float] = []
-
-    @property
-    def sweeps(self) -> int:
-        return len(self.v_trace)
 
     def family(self) -> ScalingFamily:
         return ScalingFamily(self.k, self.groups, [c.copy() for c in self.log_coeffs])
 
-    def report(self, epsilon: float, stop_reason: str) -> ConvergenceReport:
-        converged = bool(self.v_trace) and self.v_trace[-1] < epsilon
-        return ConvergenceReport(
-            self.sweeps, list(self.v_trace), epsilon, converged, stop_reason,
-            _worst_sum(self.groups, self.log_values),
-        )
+
+def _check_order(order: Sequence[int] | None, n_groups: int) -> list[int]:
+    """A sweep order as a list of group positions: ``order``, once it permutes
+    ``range(n_groups)``, or group order for None."""
+    group_order = list(range(n_groups))
+    if order is None:
+        return group_order
+    order = [int(g) for g in order]
+    if sorted(order) != group_order:
+        raise ValueError(f"order must permute range({n_groups}), got {order}")
+    return order
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -269,11 +262,9 @@ def sweep(state: ScalingState) -> float:
 
     Empty subtensors contribute nothing and their coefficients stay 0.
     """
-    v = _sweep_rows(
+    return _sweep_rows(
         state.groups, state.log_values[None], state.coeffs_flat[None], [state.order]
     )[0]
-    state.v_trace.append(v)
-    return v
 
 
 def _sweep_rows(
@@ -593,9 +584,8 @@ def _fit_rows(
     orders: Iterator[Sequence[int] | None], epsilon: float, max_sweeps: int,
 ) -> Iterator[tuple[np.ndarray, ScalingFamily, ConvergenceReport]]:
     """The chunks of :func:`csa_many`, read, fitted and reported in turn."""
-    n_entries, group_order = len(groups[0].labels), list(range(len(groups)))
+    n_entries = len(groups[0].labels)
     core = functools.cache(lambda: _core(groups))  # peeled on first use, once for all chunks
-    occupied = np.concatenate([g.counts for g in groups]) > 0
     offsets = _offsets(groups)
     step = max(1, FIT_BLOCK // n_entries)
     while chunk := list(itertools.islice(rows, step)):
@@ -605,19 +595,11 @@ def _fit_rows(
             raise ValueError(f"log values of shape {x.shape[1:]} for {n_entries} entries")
         if not np.isfinite(x).all():
             raise ValueError("log values must be finite")
-        chunk_orders = []
-        for order in itertools.islice(orders, len(x)):
-            order = group_order if order is None else [int(g) for g in order]
-            if sorted(order) != group_order:
-                raise ValueError(f"order must permute range({len(groups)}), got {order}")
-            chunk_orders.append(order)
+        chunk_orders = [_check_order(o, len(groups)) for o in itertools.islice(orders, len(x))]
         if len(chunk_orders) < len(x):
             raise ValueError("fewer orders than rows of log values")
         s, traces, reasons = _fit_chunk(groups, x, chunk_orders, epsilon, max_sweeps, core)
-        worst = np.abs(_subtensor_sums(_row_groups(groups, len(x)), x)[:, occupied])
-        for x_r, s_r, trace, reason, res in zip(
-            x, s, traces, reasons, worst.max(axis=1, initial=0.0).tolist()
-        ):
+        for x_r, s_r, trace, reason, res in zip(x, s, traces, reasons, _worst_sums(groups, x)):
             report = ConvergenceReport(
                 len(trace), trace, epsilon, trace[-1] < epsilon, reason, res
             )
@@ -673,7 +655,7 @@ def residual(tensor: SparseTensor, k: int) -> float:
     Zero for a tensor in exact canonical form; empty subtensors are
     skipped.
     """
-    return _worst_sum(tensor.groups(k), np.log(tensor.values_array()))
+    return _worst_sums(tensor.groups(k), np.log(tensor.values_array())[None])[0]
 
 
 def _offsets(groups: Sequence[SubtensorGroup]) -> list[int]:
@@ -718,9 +700,11 @@ def _entry_sums(
     return total
 
 
-def _worst_sum(groups: Sequence[SubtensorGroup], log_values: np.ndarray) -> float:
+def _worst_sums(groups: Sequence[SubtensorGroup], x: np.ndarray) -> list[float]:
+    """Per row of ``x`` (m, N), the worst |sum| over a non-empty subtensor."""
     occupied = np.concatenate([g.counts for g in groups]) > 0
-    return float(np.abs(_subtensor_sums(groups, log_values)[occupied]).max(initial=0.0))
+    sums = _subtensor_sums(_row_groups(groups, len(x)), x)
+    return np.abs(sums[:, occupied]).max(axis=1, initial=0.0).tolist()
 
 
 def _membership_sums(

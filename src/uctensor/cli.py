@@ -55,7 +55,7 @@ from .ingest import (
 )
 # oracle_complete goes uncalled here: perfbench's traced run wraps it
 # under this module's name too
-from .lcsp_oracle import SIZE_CAP, build_constraints, oracle_complete, solve_lcsp  # noqa: F401
+from .lcsp_oracle import build_constraints, oracle_complete, solve_lcsp  # noqa: F401
 from .properties import (
     MISSING_CAP,
     OrderingSpec,
@@ -484,23 +484,19 @@ def _parse_consensus_spec(text: str, tensor: SparseTensor, idmap: IdMap) -> Orde
 
 
 def _verify_oracle(tensor, k, emitter, config, compared, fitted) -> PropertyReport | None:
-    """Direct-solve cross-check; None when the instance is over the cap.
+    """Direct-solve cross-check; None, after a warning, over either oracle cap.
 
     ``compared()`` returns the cells to compare predictions on and
     ``fitted()`` the ``csa(tensor, k)`` fit; each is called only when the
     check runs.
     """
-    n_rows = sum(int((g.counts > 0).sum()) for g in tensor.groups(k))
-    if len(tensor) > config.oracle_cap or n_rows > SIZE_CAP:
-        emitter.emit({
-            "record": "warning",
-            "message": (
-                f"oracle checks skipped: {len(tensor)} known entries over cap "
-                f"{config.oracle_cap}"
-            ),
-        })
+    try:
+        if len(tensor) > config.oracle_cap:
+            raise CapacityError(f"{len(tensor)} known entries over cap {config.oracle_cap}")
+        x, oracle = solve_lcsp(tensor, k, build_constraints(tensor, k))
+    except CapacityError as exc:
+        emitter.emit({"record": "warning", "message": f"oracle checks skipped: {exc}"})
         return None
-    x, oracle = solve_lcsp(tensor, k, build_constraints(tensor, k))
     x_csa, family, report = fitted()
     dev_canonical = float(np.abs(x_csa - x).max())
     cells = compared()
@@ -604,10 +600,13 @@ def cmd_verify(args) -> int:
                 rep.notes.append("tensor lacks full support; result is informational")
             reports.append(rep)
         elif name == "scale_fairness":
-            reports.append(check_scale_fairness(
-                tensor, dim=1, slice_index=int(tensor.coords_array()[:, 0].min()),
-                factor=args.factor, fit=fitted() if k == tensor.d - 1 else None,
-            ))
+            try:
+                reports.append(check_scale_fairness(
+                    tensor, dim=1, slice_index=int(tensor.coords_array()[:, 0].min()),
+                    factor=args.factor, fit=fitted() if k == tensor.d - 1 else None,
+                ))
+            except CapacityError as exc:
+                emitter.emit({"record": "warning", "message": str(exc)})
         elif name == "consensus_ordering":
             _, family, report = fitted()
             model = CompletionModel(tensor, family, report, k)

@@ -34,7 +34,7 @@ from .canonical_scaling import (
     csa,
 )
 from .errors import CapacityError
-from .sparse_tensor import Index, SparseTensor, check_index, check_ints
+from .sparse_tensor import Index, SparseTensor, check_index, check_ints, check_rows
 
 COMPLETE_ALL_CAP = 10_000_000  # largest extent box complete_all and predict --all fill
 
@@ -140,32 +140,11 @@ def predict_many(model: CompletionModel, coords) -> np.ndarray:
     exponentiate through ``math.exp``, and known cells return their
     stored values.
 
-    Raises
-    ------
-    IndexError
-        Rows of the wrong length, or the first row out of bounds.
-    TypeError
-        Coordinates that are not integers.
+    Raises what :meth:`SparseTensor.from_arrays` raises for the same
+    rows: :func:`~uctensor.sparse_tensor.check_rows` checks both.
     """
     source = model.source
-    extents = source.extents
-    try:
-        rows = np.asarray(coords)
-    except ValueError as exc:  # rows of differing lengths
-        raise IndexError(f"coordinate rows differ in length: {exc}") from None
-    if rows.size == 0:
-        return np.empty(0)
-    if rows.ndim != 2 or rows.shape[1] != len(extents):
-        raise IndexError(f"coordinates of shape {rows.shape} are not rows for extents {extents}")
-    if rows.dtype.kind not in "iu":
-        raise TypeError(f"index coordinates must be ints, got {rows.dtype} values")
-    rows = rows.astype(np.int64, copy=False)
-    outside = np.flatnonzero(((rows < 1) | (rows > extents)).any(axis=1))
-    if outside.size:
-        first = outside[0]
-        raise IndexError(
-            f"row {first}: index {tuple(rows[first].tolist())} out of bounds for extents {extents}"
-        )
+    rows = check_rows(coords, source.extents)
     at = source.locate(rows)
     known = at >= 0
     out = np.empty(len(rows))

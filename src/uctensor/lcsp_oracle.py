@@ -55,15 +55,19 @@ def build_constraints(tensor: SparseTensor, k: int) -> ConstraintSystem:
     """Assemble the constraint matrix and log vector for a tensor.
 
     Every column carries exactly C(d, k) ones, one per subtensor
-    containing that entry.
+    containing that entry.  Raises :class:`CapacityError`, before the
+    matrix is built, when either side is above ``SIZE_CAP``.
     """
     if len(tensor) == 0:
         raise ValueError("cannot build constraints for an empty tensor")
-    rows = []
-    for group in tensor.groups(k):
-        occupied = np.flatnonzero(group.counts)
-        rows.append(occupied[:, None] == group.labels[None, :])
-    matrix = np.vstack(rows).astype(np.float64)
+    groups = tensor.groups(k)
+    n_rows = sum(int(np.count_nonzero(g.counts)) for g in groups)
+    if len(tensor) > SIZE_CAP or n_rows > SIZE_CAP:
+        raise CapacityError(
+            f"constraint system is {n_rows}x{len(tensor)}, above the oracle cap {SIZE_CAP}"
+        )
+    matrix = np.vstack([np.flatnonzero(g.counts)[:, None] == g.labels for g in groups])
+    matrix = matrix.astype(np.float64)
     a = np.log(tensor.values_array())
     return ConstraintSystem(k, tensor.known_indices(), matrix, a)
 
@@ -78,20 +82,15 @@ def solve_lcsp(
     family realizing them, 0 on empty subtensors.  The family is one
     particular gauge; only gauge-invariant quantities are meaningful.
 
-    Raises :class:`CapacityError` above the dense-solve size cap.
+    Raises :class:`CapacityError` as :func:`build_constraints` does.
     """
     if system is None:
         system = build_constraints(tensor, k)
-    n_rows, n_cols = system.matrix.shape
-    if n_cols > SIZE_CAP or n_rows > SIZE_CAP:
-        raise CapacityError(
-            f"constraint system is {n_rows}x{n_cols}, above the oracle cap {SIZE_CAP}"
-        )
     c = system.matrix
     gram = c @ c.T
     s = -np.linalg.pinv(gram, rcond=PINV_CUTOFF) @ (c @ system.a)
     x = system.a + c.T @ s
-    worst = float(np.abs(c @ x).max()) if n_rows else 0.0
+    worst = float(np.abs(c @ x).max(initial=0.0))
     if worst > PROJECTION_TOL:
         raise ArithmeticError(
             f"projection residual {worst:.3e} exceeds {PROJECTION_TOL:.1e}"

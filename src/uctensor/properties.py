@@ -34,7 +34,7 @@ from .canonical_scaling import (  # noqa: F401
     ConvergenceReport, ScalingFamily, apply_scaling, csa, csa_many, scaled_values,
 )
 from .completion import CompletionModel, predict_many, tca  # noqa: F401
-from .errors import OrderingSpecError
+from .errors import CapacityError, OrderingSpecError
 from .lcsp_oracle import gauge_check
 from .sparse_tensor import SparseTensor
 
@@ -314,8 +314,12 @@ def _rescaled_predictions(
     again with every known entry of slice ``slice_index`` along ``dim``
     multiplied by ``factor``, both as one batch.  Returns the missing
     cells as an (m, d) int array in flat order, the mask of those inside
-    the slice, and the two fits' predictions at them.
+    the slice, and the two fits' predictions at them.  Refuses, before
+    any of that, more than ``support.DEFAULT_SCAN_CAP`` missing cells.
     """
+    missing, cap = tensor.box_size - len(tensor), _support.DEFAULT_SCAN_CAP
+    if missing > cap:
+        raise CapacityError(f"scale fairness would compare {missing} missing cells over cap {cap}")
     k, coords, values = tensor.d - 1, tensor.coords_array(), tensor.values_array()
     rows = [np.where(coords[:, dim - 1] == slice_index, values * factor, values)]
     if fit is None:
@@ -367,7 +371,8 @@ def check_scale_fairness(
     unchanged (within ``tolerance`` relative) and their per-slice top-N
     rankings identical; predictions inside the slice must scale by
     exactly ``factor``.  ``fit``, if given, is ``csa(tensor, d - 1)``'s
-    result, used instead of fitting the original again.
+    result, used instead of fitting the original again.  Raises
+    CapacityError above ``support.DEFAULT_SCAN_CAP`` missing cells.
     """
     if not factor > 0:
         raise ValueError(f"factor must be positive, got {factor}")

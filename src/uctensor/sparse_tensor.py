@@ -117,15 +117,20 @@ class SubtensorGroup:
     def slot(self, idx: Index) -> int | None:
         """Row of ``fixed`` of the subtensor containing ``idx``; None if it has none.
 
-        ``idx`` is in bounds.  A slice's row is its coordinate minus one;
+        ``idx`` is in bounds, but may hold a non-integer, refused as by
+        :func:`check_index`.  A slice's row is its coordinate minus one;
         any other row is found by a binary search of ``keys``.
         """
-        if self.keys is None:
-            c = idx[self.fixed_dims[0] - 1]
-            return c - 1 if 1 <= c <= self.extents[0] else None
-        key = 0
-        for dim, n in zip(self.fixed_dims, self.extents):
-            key = key * n + int(idx[dim - 1]) - 1
+        try:
+            if self.keys is None:
+                c = index(idx[self.fixed_dims[0] - 1])
+                return c - 1 if 1 <= c <= self.extents[0] else None
+            key = 0
+            for dim, n in zip(self.fixed_dims, self.extents):
+                key = key * n + index(idx[dim - 1]) - 1
+        except TypeError:
+            check_ints(idx)  # raises, naming the index
+            raise
         pos = int(self.keys.searchsorted(key))  # the method: np.searchsorted costs 2.7x
         return pos if pos < len(self.keys) and self.keys.item(pos) == key else None
 
@@ -169,6 +174,43 @@ def check_index(idx: Iterable, extents: tuple[int, ...]) -> Index:
     check_ints(idx)
     flat_index(idx, extents)
     return idx
+
+
+def check_rows(coords, extents: tuple[int, ...]) -> np.ndarray:
+    """``coords`` as an (n, d) int64 array, once every row is a valid index for ``extents``.
+
+    Raises as :func:`check_index` does, naming the first offending row,
+    except that any array numpy cannot hold as ints (bools, floats, ints
+    beyond int64) is a TypeError.
+    """
+    d = len(extents)
+    try:
+        rows = np.asarray(coords)
+    except ValueError:  # rows of differing lengths
+        for i, row in enumerate(coords):
+            if len(row) != d:
+                raise IndexError(
+                    f"row {i}: index {tuple(row)} has wrong length for extents {extents}"
+                ) from None
+        raise TypeError("index coordinates must be ints") from None
+    if rows.ndim and not len(rows):
+        return np.empty((0, d), dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != d:
+        first = tuple(np.atleast_1d(rows[0] if rows.ndim else rows).tolist())
+        raise IndexError(f"row 0: index {first} has wrong length for extents {extents}")
+    if rows.dtype.kind not in "iu":
+        i = next((i for i, r in enumerate(rows.tolist()) if np.asarray(r).dtype.kind not in "iu"), 0)
+        raise TypeError(
+            f"row {i}: index coordinates must be ints, got {tuple(rows[i].tolist())} "
+            f"in an array of {rows.dtype}"
+        )
+    outside = np.flatnonzero(((rows < 1) | (rows > extents)).any(axis=1))
+    if outside.size:
+        i = outside[0]
+        raise IndexError(
+            f"row {i}: index {tuple(rows[i].tolist())} out of bounds for extents {extents}"
+        )
+    return rows.astype(np.int64, copy=False)
 
 
 def check_ints(idx: Index) -> None:
@@ -231,12 +273,10 @@ class SparseTensor:
         ValueError
             Non-positive extents, a value that is not positive and finite,
             a repeated index, or a count of values other than of indices.
-        IndexError
-            An index of the wrong length or out of bounds.
-        TypeError
-            Coordinates that are not integers.
+        IndexError, TypeError
+            As :func:`check_rows` raises them.
 
-        Each message names the first offending index.
+        Each message names the first offending row.
         """
         tensor = cls.__new__(cls)
         tensor._adopt(extents, coords, values)
@@ -247,25 +287,7 @@ class SparseTensor:
         self.extents = extents = tuple(int(n) for n in extents)
         if not extents or any(n < 1 for n in extents):
             raise ValueError(f"extents must be positive, got {extents}")
-        d = len(extents)
-        try:
-            rows = np.asarray(coords)
-        except ValueError:  # rows of differing lengths
-            wrong = next((tuple(r) for r in coords if len(r) != d), None)
-            if wrong is None:
-                raise TypeError("index coordinates must be ints") from None
-            raise IndexError(f"index {wrong} has wrong length for extents {extents}") from None
-        if not len(rows):
-            rows = np.empty((0, d), dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != d:
-            first = tuple(np.atleast_1d(rows[0]).tolist())
-            raise IndexError(f"index {first} has wrong length for extents {extents}")
-        if rows.dtype.kind not in "iu":
-            raise TypeError(f"index coordinates must be ints, got {rows.dtype} values")
-        outside = np.flatnonzero(((rows < 1) | (rows > extents)).any(axis=1))
-        if outside.size:
-            first = tuple(rows[outside[0]].tolist())
-            raise IndexError(f"index {first} out of bounds for extents {extents}")
+        rows = check_rows(coords, extents)
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (len(rows),):
             raise ValueError(f"{values.size} values for {len(rows)} indices")
@@ -284,7 +306,7 @@ class SparseTensor:
         flat = flat[order]
         repeated = np.flatnonzero(flat[1:] == flat[:-1])
         del flat
-        rows = rows[order].astype(np.int64, copy=False)
+        rows = rows[order]
         if repeated.size:
             raise ValueError(f"duplicate entry at {tuple(rows[repeated[0]].tolist())}")
         self._coords = rows

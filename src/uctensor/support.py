@@ -266,11 +266,6 @@ def unsupported_cells(tensor: SparseTensor, scanned: tuple[np.ndarray, np.ndarra
     return failures
 
 
-def unsupported(tensor: SparseTensor, scanned: tuple[np.ndarray, np.ndarray]) -> list[Index]:
-    """:func:`unsupported_cells` as a list of tuples."""
-    return list(map(tuple, unsupported_cells(tensor, scanned).tolist()))
-
-
 def is_fully_supported(
     tensor: SparseTensor, scan_cap: int = DEFAULT_SCAN_CAP
 ) -> tuple[bool, list[Index]]:
@@ -279,5 +274,5 @@ def is_fully_supported(
     Raises :class:`CapacityError` (carrying the failures found so far)
     when more than ``scan_cap`` missing cells would need scanning.
     """
-    failures = unsupported(tensor, scan(tensor, scan_cap))
+    failures = list(map(tuple, unsupported_cells(tensor, scan(tensor, scan_cap)).tolist()))
     return not failures, failures

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uctensor
-from uctensor import sparse_tensor
+from uctensor import lcsp_oracle, sparse_tensor, support
 from uctensor.cli import ALL_PROPERTIES, Emitter, load_model, main, save_model
 from uctensor.completion import predict_many, round_to_scale, tca
 from uctensor.errors import UnknownIdError
@@ -577,6 +577,33 @@ class TestVerify:
         names = [r["name"] for r in records if r["record"] == "property"]
         assert "oracle_equivalence" not in names
         assert "unit_consistency" in names
+
+    def test_oracle_cap_above_the_solver_cap_warns(self, demo_file, capsys, monkeypatch):
+        # --oracle-cap lets the 3 entries through; the direct solver's own cap does not
+        monkeypatch.setattr(lcsp_oracle, "SIZE_CAP", 2)
+        code, records = run_jsonl(
+            capsys, ["verify", demo_file, "--oracle-cap", "5000",
+                     "--properties", "oracle_equivalence"]
+        )
+        assert code == 0
+        warnings = [r["message"] for r in records if r["record"] == "warning"]
+        assert warnings == [
+            "oracle checks skipped: constraint system is 4x3, above the oracle cap 2"
+        ]
+        assert not [r for r in records if r["record"] == "property"]
+        assert capsys.readouterr().err == ""
+
+    def test_scale_fairness_above_the_scan_cap_warns(self, demo_file, capsys, monkeypatch):
+        monkeypatch.setattr(support, "DEFAULT_SCAN_CAP", 0)  # the demo has 1 missing cell
+        code, records = run_jsonl(
+            capsys, ["verify", demo_file, "--properties", "scale_fairness,unit_consistency"]
+        )
+        assert code == 0
+        warnings = [r["message"] for r in records if r["record"] == "warning"]
+        assert warnings == ["scale fairness would compare 1 missing cells over cap 0"]
+        names = [r["name"] for r in records if r["record"] == "property"]
+        assert names == ["unit_consistency"]
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("flags", [
         ["--k", "5"],

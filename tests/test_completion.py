@@ -147,6 +147,24 @@ class TestPredictMany:
         with pytest.raises(TypeError):
             predict_many(model, [(1.0, 2.0)])
 
+    @pytest.mark.parametrize("rows, kind, named", [
+        ([(1, 1), (1, 2), (1,)], IndexError, "row 2: index (1,)"),
+        ([(1, 1), (1, 2, 1)], IndexError, "row 1: index (1, 2, 1)"),
+        ([(1, 1, 1)], IndexError, "row 0: index (1, 1, 1)"),
+        ([(1, 1), (1.5, 1)], TypeError, "row 0:"),
+        (np.array([(1, 1), (2**70, 1)], dtype=object), TypeError, "row 1:"),
+        ([(1, 1), (2, 0)], IndexError, "row 1: index (2, 0)"),
+        ([(1, 1), (2, 1), (1, 3)], IndexError, "row 2: index (1, 3)"),
+    ])
+    def test_bad_rows_refused_as_the_tensor_refuses_them(self, golden_matrix, rows, kind, named):
+        model = tca(golden_matrix, 1)
+        with pytest.raises(kind) as built:
+            SparseTensor.from_arrays((2, 2), rows, np.ones(len(rows)))
+        with pytest.raises(kind) as predicted:
+            predict_many(model, rows)
+        assert str(predicted.value) == str(built.value)
+        assert str(built.value).startswith(named)
+
 
 @st.composite
 def fitted_tensors(draw):

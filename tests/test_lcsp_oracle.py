@@ -134,6 +134,18 @@ class TestSolveLcsp:
         with pytest.raises(CapacityError):
             solve_lcsp(big, 1)
 
+    def test_size_cap_checked_before_the_matrix_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the matrix was built")
+
+        monkeypatch.setattr(np, "vstack", refuse)
+        with pytest.raises(CapacityError, match="2501x2500"):
+            build_constraints(dense((1, 2500)), 1)  # 2500 entries, in 1 row and 2500 columns
+        # 1500 entries on the diagonal, in 3000 subtensors
+        diagonal = SparseTensor((1500, 1500), {(i, i): 1.0 for i in range(1, 1501)})
+        with pytest.raises(CapacityError, match="3000x1500"):
+            build_constraints(diagonal, 1)
+
 
 class TestOracleComplete:
     def test_golden_corner(self, golden_matrix):

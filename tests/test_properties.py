@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from uctensor import properties, sparse_tensor
+from uctensor import properties, sparse_tensor, support
 from uctensor.canonical_scaling import apply_scaling, csa
 from uctensor.completion import CompletionModel, predict_many, tca
-from uctensor.errors import OrderingSpecError
+from uctensor.errors import CapacityError, OrderingSpecError
 from uctensor.lcsp_oracle import gauge_check, oracle_complete
 from uctensor.properties import (
     OrderingSpec,
@@ -252,6 +252,16 @@ class TestScaleFairness:
     def test_bad_factor_rejected(self, golden_matrix):
         with pytest.raises(ValueError):
             check_scale_fairness(golden_matrix, dim=1, slice_index=1, factor=0.0)
+
+    def test_refused_above_the_scan_cap_before_fitting(self, monkeypatch):
+        tensor = SparseTensor((3, 3), make_golden().entries)  # 6 missing cells
+        monkeypatch.setattr(support, "DEFAULT_SCAN_CAP", 6)
+        assert check_scale_fairness(tensor, dim=1, slice_index=1, factor=2.0).instances == 6
+        monkeypatch.setattr(support, "DEFAULT_SCAN_CAP", 5)
+        monkeypatch.setattr(properties, "csa_many", None)  # neither fitted
+        monkeypatch.setattr(SparseTensor, "missing_blocks", None)  # nor enumerated
+        with pytest.raises(CapacityError, match="6 missing cells over cap 5"):
+            check_scale_fairness(tensor, dim=1, slice_index=1, factor=2.0)
 
 
 class TestFirstRankChanges:

@@ -458,3 +458,11 @@ class TestFibres:
         built = tensor._fibres
         tensor.fibres((2, 3, 4))
         assert tensor._fibres is built
+
+    def test_fractional_coordinates_are_refused(self):
+        # the fibres of (1, 1, 1) used to answer (1, 1.5, 1), truncated
+        for extents in ((3, 3), (3, 3, 3)):
+            tensor = SparseTensor.from_arrays(extents, *sparse_box(np.random.default_rng(4), extents))
+            for idx in ((1, 1.5, 1)[:len(extents)], (1.0, 2, 2)[:len(extents)]):
+                with pytest.raises(TypeError, match=re.escape(f"must be ints, got {idx}")):
+                    tensor.fibres(idx)
