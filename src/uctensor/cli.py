@@ -9,6 +9,7 @@ codes: 0 success, 1 property or convergence failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import base64
 import functools
 import hashlib
 import json
@@ -72,7 +73,7 @@ from .properties import (
 from .sparse_tensor import SparseTensor
 
 MODEL_FORMAT = "uctensor-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 ALL_PROPERTIES = (
     "full_support",
@@ -240,12 +241,12 @@ def save_model(path: str, model: CompletionModel, idmap: IdMap, digest: str) -> 
         "stop_reason": report.stop_reason,
         "residual": report.residual,
         "source_digest": digest,
-        # the known set as columns: one coordinate list per dimension and the
-        # values, all in flat-index order
-        "coords": [column.tolist() for column in model.source.coords_array().T],
-        "values": model.source.values_array().tolist(),
-        # one list per group of source.groups(k), aligned with its fixed rows
-        "log_coeffs": [vec.tolist() for vec in model.scaling.coeffs],
+        # base64 of little-endian bytes: the known set as columns in flat-index
+        # order, and one vector per group of source.groups(k), by fixed row
+        "coords": [_encode(column, _coord_dtype(model.source.extents))
+                   for column in model.source.coords_array().T],
+        "values": _encode(model.source.values_array(), "<f8"),
+        "log_coeffs": [_encode(vec, "<f8") for vec in model.scaling.coeffs],
         "idmap": idmap_to_dict(idmap),
     }
     text = json.dumps(payload, sort_keys=True)  # one call: the C encoder
@@ -276,7 +277,10 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
         tensor = _stored_tensor(extents, payload.pop("coords"), payload.pop("values"))
         k = int(payload["k"])
         groups = tensor.groups(k)  # ValueError for k outside [1, d-1]
-        coeffs = [_numbers(row, "coefficients") for row in payload["log_coeffs"]]
+        vectors = payload["log_coeffs"]
+        if not isinstance(vectors, list):
+            raise TypeError(f"log_coeffs must be a list, got {type(vectors).__name__}")
+        coeffs = [_decode(vec, "<f8", "coefficients") for vec in vectors]
         if [len(c) for c in coeffs] != [len(g.counts) for g in groups]:
             raise ValueError(
                 f"coefficient vectors of lengths {[len(c) for c in coeffs]} do not fit "
@@ -307,16 +311,14 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
 def _stored_tensor(extents: tuple[int, ...], columns, values) -> SparseTensor:
     """The tensor of an artifact's coordinate columns and values.
 
-    There must be one column per dimension, as long as the values, and
-    every coordinate must be a JSON integer: numpy would take a ``true``
-    mixed with integers as 1.  ``from_arrays`` refuses the rest:
-    out-of-bounds or repeated indices, and values that are not positive
-    and finite.
+    There must be one column per dimension, as long as the values.
+    ``from_arrays`` refuses the rest: out-of-bounds or repeated indices,
+    and values that are not positive and finite.
     """
     if not isinstance(columns, list) or len(columns) != len(extents):
         raise ValueError(f"coords must hold {len(extents)} columns, one per dimension")
-    columns = [_numbers(column, "index coordinates", (int,), np.int64) for column in columns]
-    values = _numbers(values, "values")
+    columns = [_decode(column, _coord_dtype(extents), "index coordinates") for column in columns]
+    values = _decode(values, "<f8", "values")
     if any(len(column) != len(values) for column in columns):
         raise ValueError(
             f"coordinate columns of lengths {[len(c) for c in columns]} "
@@ -325,19 +327,26 @@ def _stored_tensor(extents: tuple[int, ...], columns, values) -> SparseTensor:
     return SparseTensor.from_arrays(extents, np.column_stack(columns), values)
 
 
-def _numbers(items, what: str, kinds=(int, float), dtype=np.float64) -> np.ndarray:
-    """A JSON list as a 1-d array, refusing any element not of one of ``kinds``.
+def _coord_dtype(extents: tuple[int, ...]) -> str:
+    """Stored coordinates' dtype: 4 bytes while every extent fits in them."""
+    return "<i4" if max(extents, default=0) < 2**31 else "<i8"
 
-    ``np.array`` alone would turn a string ``"1.0"`` or a ``true`` into a
-    number; ``bool`` is not in ``kinds``, as it is a type of its own.
-    """
-    if not isinstance(items, list):
-        raise TypeError(f"{what} must be a list, got {type(items).__name__}")
-    wrong = set(map(type, items)).difference(kinds)
-    if wrong:
-        allowed = " or ".join(t.__name__ for t in kinds)
-        raise TypeError(f"{what} must be {allowed}, found {sorted(t.__name__ for t in wrong)}")
-    return np.array(items, dtype=dtype)
+
+def _encode(array: np.ndarray, dtype: str) -> str:
+    """A 1-d array as the base64 text of its ``dtype`` bytes."""
+    return base64.b64encode(array.astype(dtype).tobytes()).decode("ascii")
+
+
+def _decode(text, dtype: str, what: str) -> np.ndarray:
+    """An :func:`_encode` field as a native 1-d array: ValueError unless it
+    is a string of strict base64 whose bytes are whole ``dtype`` items."""
+    if not isinstance(text, str):
+        raise TypeError(f"{what} must be a base64 string, got {type(text).__name__}")
+    try:  # binascii.Error, a character outside ASCII, or bytes of no whole item
+        raw = base64.b64decode(text, validate=True)
+        return np.frombuffer(raw, dtype).astype(np.dtype(dtype).newbyteorder("="))
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 # -- subcommands ------------------------------------------------------------
@@ -823,6 +832,11 @@ def _check_experiment_args(args) -> None:
     if args.name == "fairness":
         if args.user > args.rows:
             raise IngestError(f"--user {args.user} is outside 1..{args.rows}")
+        if args.rows * args.cols > _support.DEFAULT_SCAN_CAP:  # before any matrix is drawn
+            raise IngestError(
+                f"--rows {args.rows} x --cols {args.cols} is {args.rows * args.cols} cells, "
+                f"over the support scan cap {_support.DEFAULT_SCAN_CAP}"
+            )
         if not 0 < args.density <= 1:
             raise IngestError(f"--density must be in (0, 1], got {args.density}")
         if not 0 < args.factor < float("inf"):
@@ -848,7 +862,8 @@ def cmd_experiment(args) -> int:
                 rows=args.rows, cols=args.cols, density=args.density, user=args.user,
                 factor=args.factor, top_n=args.top_n, seed=args.seed,
             )
-        except IngestError as exc:  # no random matrix with full support
+        # no random matrix with full support, or one past a scan cap
+        except (IngestError, CapacityError) as exc:
             emitter.emit({"record": "error", "message": str(exc)})
             return 2
     else:

@@ -117,20 +117,15 @@ class SubtensorGroup:
     def slot(self, idx: Index) -> int | None:
         """Row of ``fixed`` of the subtensor containing ``idx``; None if it has none.
 
-        ``idx`` is in bounds, but may hold a non-integer, refused as by
-        :func:`check_index`.  A slice's row is its coordinate minus one;
-        any other row is found by a binary search of ``keys``.
+        ``idx`` is an index :func:`check_index` accepts.  A slice's row is
+        its coordinate minus one; any other row is found by a binary
+        search of ``keys``.
         """
-        try:
-            if self.keys is None:
-                c = index(idx[self.fixed_dims[0] - 1])
-                return c - 1 if 1 <= c <= self.extents[0] else None
-            key = 0
-            for dim, n in zip(self.fixed_dims, self.extents):
-                key = key * n + index(idx[dim - 1]) - 1
-        except TypeError:
-            check_ints(idx)  # raises, naming the index
-            raise
+        if self.keys is None:
+            return index(idx[self.fixed_dims[0] - 1]) - 1
+        key = 0
+        for dim, n in zip(self.fixed_dims, self.extents):
+            key = key * n + index(idx[dim - 1]) - 1
         pos = int(self.keys.searchsorted(key))  # the method: np.searchsorted costs 2.7x
         return pos if pos < len(self.keys) and self.keys.item(pos) == key else None
 
@@ -438,15 +433,16 @@ class SparseTensor:
         return out
 
     def fibres(self, idx: Index) -> list[np.ndarray]:
-        """Per dimension, the fibre of in-bounds ``idx`` along it: the known
-        cells agreeing with ``idx`` in every other dimension, as their
-        coordinates along it, ascending.
+        """Per dimension, the fibre of ``idx`` along it: the known cells
+        agreeing with ``idx`` in every other dimension, as their
+        coordinates along it, ascending.  Raises as :func:`check_index`.
 
         A fibre is a row of the ``groups(1)`` group that leaves the
         dimension free; for d = 1 the whole tensor is the one fibre.  The
         coordinates sorted fibre by fibre are built on first use and cached
         per tensor, so each call only looks its rows up.
         """
+        idx = check_index(idx, self.extents)  # before a key of another cell can form
         if self._fibres is None:
             coords = self._coords
             if self.d == 1:

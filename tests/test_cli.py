@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import io
 import json
@@ -14,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uctensor
-from uctensor import lcsp_oracle, sparse_tensor, support
+from uctensor import cli, lcsp_oracle, sparse_tensor, support
 from uctensor.cli import ALL_PROPERTIES, Emitter, load_model, main, save_model
 from uctensor.completion import predict_many, round_to_scale, tca
-from uctensor.errors import UnknownIdError
+from uctensor.errors import CapacityError, UnknownIdError
 from uctensor.ingest import IdMap
 from uctensor.sparse_tensor import SparseTensor, all_indices
 
@@ -36,6 +37,16 @@ def demo_model(demo_file, tmp_path):
     out = str(tmp_path / "model.json")
     assert main(["complete", demo_file, "-o", out]) == 0
     return out
+
+
+def encode(items, dtype: str) -> str:
+    """``items`` as an artifact's base64 field of little-endian ``dtype`` bytes."""
+    return base64.b64encode(np.array(items, dtype=dtype).tobytes()).decode("ascii")
+
+
+def decode(text: str, dtype: str) -> list:
+    """An artifact's base64 field of ``dtype`` bytes as a list."""
+    return np.frombuffer(base64.b64decode(text), dtype=dtype).tolist()
 
 
 def run_jsonl(capsys, argv):
@@ -245,7 +256,8 @@ class TestPredict:
         assert preds[0]["rounded"] == 5.0  # 6.0 clamped into [1, 5]
 
     def test_bad_model_file(self, demo_model, tmp_path, capsys):
-        good = json.loads(open(demo_model).read())
+        text = open(demo_model).read()
+        good = json.loads(text)
 
         def variant(**changes):
             return json.dumps({**good, **changes})
@@ -253,41 +265,64 @@ class TestPredict:
         def without(key):
             return json.dumps({k: v for k, v in good.items() if k != key})
 
-        rows, cols = good["log_coeffs"]
-        users, items = good["coords"]  # (1, 1), (2, 1), (1, 2) in flat order
-        values = good["values"]
+        rows, cols = (decode(vec, "<f8") for vec in good["log_coeffs"])
+        # (1, 1), (2, 1), (1, 2) in flat order
+        users, items = (decode(column, "<i4") for column in good["coords"])
+        values = decode(good["values"], "<f8")
+        (R, C), (U, I), V = good["log_coeffs"], good["coords"], good["values"]
+        nan, inf = float("nan"), float("inf")
         payloads = {
             "empty object": "{}",
             "top-level list": json.dumps([good]),
+            "truncated file": text[:len(text) // 2],
             "extents shorter than the indices": variant(extents=[2]),
             "k below 1": variant(k=0),
             "k above d-1": variant(k=2),
-            "too many vectors": variant(log_coeffs=[rows, cols, cols]),
-            "too few vectors": variant(log_coeffs=[rows]),
-            "vector too long": variant(log_coeffs=[rows + [0.0], cols]),
-            "nested vector": variant(log_coeffs=[[rows], cols]),
-            "vector not a list": variant(log_coeffs=[{"dims": 1}, cols]),
-            "vectors not a list": variant(log_coeffs={"rows": rows}),
+            "too many vectors": variant(log_coeffs=[R, C, C]),
+            "too few vectors": variant(log_coeffs=[R]),
+            "vector too long": variant(log_coeffs=[encode(rows + [0.0], "<f8"), C]),
+            "nested vector": variant(log_coeffs=[[R], C]),
+            "vector not a string": variant(log_coeffs=[{"dims": 1}, C]),
+            "vectors not a list": variant(log_coeffs={"rows": R}),
+            "vectors as one string": variant(log_coeffs=R),
             "coords missing": without("coords"),
             "values missing": without("values"),
             "entry repeated": variant(
-                coords=[users + [1], items + [1]], values=values + [99.0]
+                coords=[encode(users + [1], "<i4"), encode(items + [1], "<i4")],
+                values=encode(values + [99.0], "<f8"),
             ),
-            "fractional coordinate": variant(coords=[[users[0], 2.7, users[2]], items]),
-            "boolean coordinate": variant(coords=[[True, *users[1:]], items]),
-            "coordinate out of bounds": variant(coords=[users, [*items[:2], 3]]),
-            "coordinate column not a list": variant(coords=[users, {"items": items}]),
-            "columns of unequal length": variant(coords=[users, items[:2]]),
-            "fewer values than coordinates": variant(values=values[:2]),
-            "too many coordinate columns": variant(coords=[users, items, items]),
-            "too few coordinate columns": variant(coords=[users]),
-            "coords not a list": variant(coords={"users": users, "items": items}),
-            "string value": variant(values=[str(values[0]), *values[1:]]),
-            "boolean value": variant(values=[values[0], True, values[2]]),
-            "non-positive value": variant(values=[values[0], 0.0, values[2]]),
-            "string coefficient": variant(log_coeffs=[[str(rows[0]), rows[1]], cols]),
-            "boolean coefficient": variant(log_coeffs=[rows, [cols[0], False]]),
-            "non-finite coefficient": variant(log_coeffs=[[float("nan"), rows[1]], cols]),
+            "coordinate column of float bytes": variant(
+                coords=[encode([users[0], 2.7, users[2]], "<f8"), I]
+            ),
+            "coordinate column as a JSON list": variant(coords=[users, I]),
+            "coordinate out of bounds": variant(coords=[U, encode([*items[:2], 3], "<i4")]),
+            "coordinate zero": variant(coords=[encode([0, *users[1:]], "<i4"), I]),
+            "coordinate column not a string": variant(coords=[U, {"items": I}]),
+            "columns of unequal length": variant(coords=[U, encode(items[:2], "<i4")]),
+            "coordinate column of 6 bytes": variant(coords=[U, encode(items, "<i2")]),
+            "fewer values than coordinates": variant(values=encode(values[:2], "<f8")),
+            "too many coordinate columns": variant(coords=[U, I, I]),
+            "too few coordinate columns": variant(coords=[U]),
+            "coords not a list": variant(coords={"users": U, "items": I}),
+            "values as a JSON list": variant(values=values),
+            "values as a boolean": variant(values=True),
+            "values of 20 bytes": variant(
+                values=base64.b64encode(np.array(values, "<f8").tobytes()[:20]).decode()
+            ),
+            "zero value": variant(values=encode([values[0], 0.0, values[2]], "<f8")),
+            "negative value": variant(values=encode([values[0], -1.0, values[2]], "<f8")),
+            "NaN value": variant(values=encode([values[0], nan, values[2]], "<f8")),
+            "infinite value": variant(values=encode([inf, *values[1:]], "<f8")),
+            "coefficients as a JSON list": variant(log_coeffs=[rows, C]),
+            "coefficient vector as a boolean": variant(log_coeffs=[R, False]),
+            "NaN coefficient": variant(log_coeffs=[encode([nan, rows[1]], "<f8"), C]),
+            "infinite coefficient": variant(log_coeffs=[R, encode([cols[0], -inf], "<f8")]),
+            "coefficients of 12 bytes": variant(log_coeffs=[R, encode([1, 2, 3], "<i4")]),
+            "base64 with a character outside the alphabet": variant(values="*" + V[1:]),
+            "base64 with a line break": variant(values=V[:8] + "\n" + V[8:]),
+            "base64 with a character outside ASCII": variant(values="\u00e9" + V[1:]),
+            "base64 with padding cut off": variant(log_coeffs=[R, C.rstrip("=")]),
+            "base64 with padding inside": variant(coords=[U, "AQ==" + I]),
             "stop reason not a string": variant(stop_reason=1),
             "residual missing": without("residual"),
             "id map shorter than extents": variant(idmap={"dimensions": [["u1"], ["p1", "p2"]]}),
@@ -301,6 +336,8 @@ class TestPredict:
                 "version": 2,
                 "entries": [[list(idx), v] for idx, v in zip(zip(users, items), values)],
             }),
+            "version 3": variant(version=3, coords=[users, items], values=values,
+                                 log_coeffs=[rows, cols]),
         }
         for name, text in payloads.items():
             bad = tmp_path / "not-a-model.json"
@@ -336,7 +373,7 @@ class TestPredict:
         assert ("known" in lines[0], "known" in lines[1]) == (fmt == "jsonl", True)
         assert loaded[0][0].source._entries is None
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_artifact_names_its_version(self, demo_model, tmp_path, capsys, version):
         payload = json.loads(open(demo_model).read())
         old = tmp_path / "old.json"
@@ -373,15 +410,39 @@ class TestArtifact:
     def test_artifact_stores_log_coefficients(self, demo_model):
         payload = json.loads(open(demo_model).read())
         assert payload["format"] == "uctensor-model"
-        assert payload["version"] == 3
+        assert payload["version"] == 4
         assert payload["v_trace"]
-        # the known set as columns in flat-index order: (1,1), (2,1), (1,2)
-        assert payload["coords"] == [[1, 2, 1], [1, 1, 2]]
-        assert payload["values"] == [1.0, 3.0, 2.0]
+        # the known set as base64 columns in flat-index order: (1,1), (2,1),
+        # (1,2), with 4-byte coordinates while the extents fit them
+        assert [decode(column, "<i4") for column in payload["coords"]] == [[1, 2, 1], [1, 1, 2]]
+        assert decode(payload["values"], "<f8") == [1.0, 3.0, 2.0]
         assert "entries" not in payload
-        # one list per subtensor group: the two rows, then the two columns
-        assert [len(vec) for vec in payload["log_coeffs"]] == [2, 2]
+        # one base64 vector per subtensor group: the two rows, then the two columns
+        model, _, _ = load_model(demo_model)
+        assert [type(vec) for vec in payload["log_coeffs"]] == [str, str]
+        assert [decode(vec, "<f8") for vec in payload["log_coeffs"]] == [
+            vec.tolist() for vec in model.scaling.coeffs
+        ]
+        assert [len(vec) for vec in model.scaling.coeffs] == [2, 2]
         assert payload["source_digest"]
+
+    def test_coordinates_take_8_bytes_past_int32_extents(self, tmp_path, monkeypatch):
+        # k = 1 of a 3-d tensor fixes two dimensions per group, so no group is
+        # sized by the 2^31 extent; rather than 2^31 ids, the small id map is
+        # taken to cover the extents
+        extents = (2**31, 2, 2)
+        known = [(1, 1, 1), (2**31, 2, 1), (2**31, 1, 2), (1, 2, 2)]
+        model = tca(SparseTensor.from_arrays(extents, known, [1.0, 1.5, 2.0, 3.0]), 1)
+        path = str(tmp_path / "wide.json")
+        save_model(path, model, IdMap(3), "digest")
+        columns = [decode(column, "<i8") for column in json.loads(open(path).read())["coords"]]
+        assert columns == model.source.coords_array().T.tolist()
+
+        monkeypatch.setattr(IdMap, "extents", lambda self: extents)
+        loaded, _, _ = load_model(path)
+        assert loaded.source.coords_array().tolist() == model.source.coords_array().tolist()
+        cells = np.array([(1, 2, 1), (2**31, 2, 2), (2**31 - 1, 1, 1)])
+        assert predict_many(loaded, cells).tobytes() == predict_many(model, cells).tobytes()
 
     def test_k_below_d_minus_1_round_trip(self, tmp_path, capsys):
         ratings = tmp_path / "cube.csv"
@@ -416,40 +477,42 @@ class TestArtifact:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_save_load_round_trip_is_bit_exact(self, data):
-        d = data.draw(st.sampled_from([2, 3]), label="d")
-        k = data.draw(st.integers(1, d - 1), label="k")
-        extents = tuple(data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+        # every k of each drawn tensor, d = 2..4
+        d = data.draw(st.sampled_from([2, 3, 4]), label="d")
+        longest = 4 if d < 4 else 3
+        extents = tuple(data.draw(st.lists(st.integers(1, longest), min_size=d, max_size=d)))
         cells = list(all_indices(extents))
         known = data.draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
         values = data.draw(st.lists(
             st.floats(1e-3, 1e3), min_size=len(known), max_size=len(known)
         ))
-        model = tca(SparseTensor.from_arrays(extents, known, values), k)
         idmap = IdMap(d)
         for dim, n in enumerate(extents):
             for i in range(n):
                 idmap.intern(dim, f"d{dim}-{i}")
 
-        with tempfile.TemporaryDirectory() as tmp:
-            first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
-            save_model(str(first), model, idmap, "digest")
-            loaded, loaded_idmap, digest = load_model(str(first))
-            save_model(str(second), loaded, loaded_idmap, digest)
-            assert second.read_bytes() == first.read_bytes()
-
         def same(a, b):
             return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-        assert loaded.k == k and loaded_idmap.to_id == idmap.to_id
-        assert same(loaded.source.coords_array(), model.source.coords_array())
-        assert same(loaded.source.values_array(), model.source.values_array())
-        assert len(loaded.scaling.coeffs) == len(model.scaling.coeffs)
-        for got, want in zip(loaded.scaling.coeffs, model.scaling.coeffs):
-            assert same(got, want)
         box = np.array(cells)
-        assert same(predict_many(loaded, box), predict_many(model, box))
-        for field in ("sweeps", "v_trace", "converged", "stop_reason", "residual"):
-            assert getattr(loaded.report, field) == getattr(model.report, field), field
+        for k in range(1, d):
+            model = tca(SparseTensor.from_arrays(extents, known, values), k)
+            with tempfile.TemporaryDirectory() as tmp:
+                first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+                save_model(str(first), model, idmap, "digest")
+                loaded, loaded_idmap, digest = load_model(str(first))
+                save_model(str(second), loaded, loaded_idmap, digest)
+                assert second.read_bytes() == first.read_bytes()
+
+            assert loaded.k == k and loaded_idmap.to_id == idmap.to_id
+            assert same(loaded.source.coords_array(), model.source.coords_array())
+            assert same(loaded.source.values_array(), model.source.values_array())
+            assert len(loaded.scaling.coeffs) == len(model.scaling.coeffs)
+            for got, want in zip(loaded.scaling.coeffs, model.scaling.coeffs):
+                assert same(got, want)
+            assert same(predict_many(loaded, box), predict_many(model, box))
+            for field in ("sweeps", "v_trace", "converged", "stop_reason", "residual"):
+                assert getattr(loaded.report, field) == getattr(model.report, field), field
 
     def test_artifact_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # OpenBLAS splits a dot product across threads above 10,000
@@ -788,6 +851,7 @@ class TestExperiment:
         ["fairness", "--top-n", "0"],
         ["fairness", "--user", "0"],
         ["fairness", "--user", "99"],
+        ["fairness", "--rows", "1100", "--cols", "1000", "--density", "0.002"],
         ["consensus", "--users", "1"],
         ["consensus", "--base-products", "0"],
         ["scaling", "--rows", "0"],
@@ -813,6 +877,30 @@ class TestExperiment:
         assert [r["record"] for r in records] == ["config", "error"]
         message = records[1]["message"]
         assert "6x5" in message and "1e-09" in message and str(FULL_SUPPORT_DRAWS) in message
+
+    def test_fairness_past_the_scan_cap_is_an_input_error(self, capsys, monkeypatch):
+
+        monkeypatch.setattr(support, "DEFAULT_SCAN_CAP", 300)
+
+        def refuse(*args):
+            raise AssertionError("a matrix was drawn")
+
+        monkeypatch.setattr(cli, "_random_full_support_matrix", refuse)
+        code, records = run_jsonl(capsys, ["experiment", "fairness", "--rows", "20",
+                                           "--cols", "16"])
+        assert code == 2 and [r["record"] for r in records] == ["error"]
+        assert "320 cells, over the support scan cap 300" in records[0]["message"]
+
+        # a cap reached inside the run is an error record too, not a traceback
+        def over_cap(*args):
+            raise CapacityError("scale fairness would compare 280 missing cells over cap 250")
+
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_rescaled_predictions", over_cap)
+        code, records = run_jsonl(capsys, ["experiment", "fairness", "--rows", "20",
+                                           "--cols", "15"])
+        assert code == 2 and [r["record"] for r in records] == ["config", "error"]
+        assert records[1]["message"].endswith("over cap 250")
 
     def test_scaling_jsonl_has_no_nan(self, capsys):
         code = main(["experiment", "scaling", "--rows", "8", "--cols", "8", "--doublings", "1",

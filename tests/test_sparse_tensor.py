@@ -459,6 +459,14 @@ class TestFibres:
         tensor.fibres((2, 3, 4))
         assert tensor._fibres is built
 
+    def test_out_of_bounds_or_wrong_length_index_is_refused(self):
+        # (1, 4, 1) used to form the key of (2, 1, .) and answer that fibre
+        tensor = SparseTensor((3, 3, 3), {(2, 1, 1): 1.0, (2, 1, 3): 2.0, (1, 1, 1): 3.0})
+        for idx in ((1, 4, 1), (0, 1, 1), (1, 1)):
+            with pytest.raises(IndexError, match=re.escape(f"index {idx} ")):
+                tensor.fibres(idx)
+        assert [line.tolist() for line in tensor.fibres((2, 1, 2))] == [[], [], [1, 3]]
+
     def test_fractional_coordinates_are_refused(self):
         # the fibres of (1, 1, 1) used to answer (1, 1.5, 1), truncated
         for extents in ((3, 3), (3, 3, 3)):
