@@ -73,10 +73,8 @@ class CompletionModel:
         same in every gauge, not a necessary one: a cell without one may
         still be gauge-invariant.
         """
-        idx = check_index(idx, self.source.extents)
-        if idx in self.source.entries:
-            return True
-        return bool(self._support_index.witnessed(np.array([idx], dtype=np.int64))[0])
+        cell = np.array([check_index(idx, self.source.extents)], dtype=np.int64)
+        return bool(self.source.locate(cell)[0] >= 0 or self._support_index.witnessed(cell)[0])
 
     @functools.cached_property
     def _support_index(self) -> _support.SupportIndex:

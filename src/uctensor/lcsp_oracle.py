@@ -118,7 +118,7 @@ def oracle_complete(
     raises what :func:`~uctensor.completion.predict` raises.
     """
     idx = check_index(idx, tensor.extents)
-    if idx in tensor.entries:
+    if tensor.locate(np.array([idx], dtype=np.int64))[0] >= 0:
         raise ValueError(f"index {idx} is known; completion applies to missing entries")
     family = presolved if presolved is not None else solve_lcsp(tensor, k)[1]
     return math.exp(-family.log_sum_at(idx))

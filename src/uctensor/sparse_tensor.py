@@ -7,9 +7,10 @@ linearization :func:`flat_index`, and the N values aligned with them.
 order; the constructor takes a mapping from index tuples to values, or
 (index, value) pairs, and converts them to arrays.  ``entries``, the
 values keyed by index tuple in flat-index order, is a dict view built on
-first use, for scalar lookups.  All values are strictly positive; zero is
-reserved to mean "absent".  Tensors are immutable after construction, so
-concurrent read access is safe.
+first use, for scalar lookups; :meth:`SparseTensor.locate` finds known
+cells without it, by one binary search.  All values are strictly
+positive; zero is reserved to mean "absent".  Tensors are immutable
+after construction, so concurrent read access is safe.
 
 A k-dimensional subtensor is identified by the set of dimensions it fixes
 and the coordinates it fixes them at.  For the common case k = d-1 this
@@ -243,7 +244,7 @@ class SparseTensor:
         to arrays and go through :meth:`from_arrays`.
     """
 
-    __slots__ = ("extents", "_coords", "_values", "_groups", "_fibres", "_flat", "_entries")
+    __slots__ = ("extents", "_coords", "_values", "_groups", "_flat", "_entries")
 
     def __init__(
         self,
@@ -307,7 +308,6 @@ class SparseTensor:
         self._coords = rows
         self._values = values[order]
         self._groups: dict[int, list[SubtensorGroup]] = {}
-        self._fibres: list[tuple[SubtensorGroup | None, np.ndarray, np.ndarray]] | None = None
         self._flat: np.ndarray | None = None
         self._entries: dict[Index, float] | None = None
 
@@ -430,34 +430,6 @@ class SparseTensor:
                 rows = columns[first]
             counts = np.bincount(labels, minlength=len(rows))
             out.append(SubtensorGroup(dims, rows, labels, counts, radices, keys))
-        return out
-
-    def fibres(self, idx: Index) -> list[np.ndarray]:
-        """Per dimension, the fibre of ``idx`` along it: the known cells
-        agreeing with ``idx`` in every other dimension, as their
-        coordinates along it, ascending.  Raises as :func:`check_index`.
-
-        A fibre is a row of the ``groups(1)`` group that leaves the
-        dimension free; for d = 1 the whole tensor is the one fibre.  The
-        coordinates sorted fibre by fibre are built on first use and cached
-        per tensor, so each call only looks its rows up.
-        """
-        idx = check_index(idx, self.extents)  # before a key of another cell can form
-        if self._fibres is None:
-            coords = self._coords
-            if self.d == 1:
-                self._fibres = [(None, coords[:, 0], np.array([0, len(coords)]))]
-            else:
-                # the subsets ascend, so reversed the groups leave dimension 0, 1, ... free
-                self._fibres = [
-                    (group, coords[np.argsort(group.labels, kind="stable"), dim],
-                     np.concatenate([[0], np.cumsum(group.counts)]))
-                    for dim, group in enumerate(reversed(self.groups(1)))
-                ]
-        out = []
-        for group, along, bounds in self._fibres:
-            row = 0 if group is None else group.slot(idx)
-            out.append(along[:0] if row is None else along[bounds.item(row):bounds.item(row + 1)])
         return out
 
 

@@ -27,9 +27,12 @@ queried cells and the mask, no array the join builds holds more than
 longer: the cells go through in chunks of that many.
 
 :func:`witness` finds the certificate itself, the lexicographically
-smallest offset, by a depth-first search over the cell's fibres, the
-known cells that differ from it in one dimension alone.  It is an offline
-verification tool, never on the prediction path.
+smallest offset, by the same recursion run on one cell over plain arrays:
+its candidates y1 ascend, each recursing on its pattern, and in one
+dimension the smallest offset is the smallest known cell's.  It reads
+no index and keeps no cache, so one call costs O(N) plus the cells the
+patterns of its candidates share; it is an offline verification tool,
+never on the prediction path.
 """
 
 from __future__ import annotations
@@ -73,43 +76,44 @@ def _corners(idx: Index, offset: tuple[int, ...]) -> list[Index]:
             for delta in selectors if any(delta)]
 
 
-def _search_offset(tensor: SparseTensor, idx: Index) -> tuple[int, ...] | None:
-    """Depth-first search for the lexicographically smallest valid offset.
+def _smallest_offset(cells: np.ndarray, x: Index,
+                     extents: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The lexicographically smallest offset of a witness for ``x`` in the
+    pattern of ``cells``, an (n, m) int array of known cells over
+    ``extents`` without ``x``; None if it has none.
 
-    Candidates per dimension are differences toward the cell's fibre,
-    ascending; a partial offset is pruned as soon as one of the corners it
-    already determines is absent.
+    The recursion of the module docstring, on this one cell: candidates y1
+    ascend along its fibre in the first dimension, so the first offset
+    found is the smallest.  Each level groups the cells z' shared with
+    row x1 by their first coordinate with one ``isin`` and one stable
+    sort, so a candidate's pattern is one slice of them.
     """
-    known = tensor.entries
-    candidates = [[j - c for j in line.tolist()] for c, line in zip(idx, tensor.fibres(idx))]
-    if any(not c for c in candidates):
-        return None
-
-    def search(dim: int, prefix: tuple[int, ...]) -> tuple[int, ...] | None:
-        if dim == len(idx):
-            return prefix
-        for s in candidates[dim]:
-            # new corners at this depth: selector 1 on `dim`, free below it;
-            # the first, with no selector set below, is on the fibre
-            tail = (idx[dim] + s,) + idx[dim + 1:]
-            if all(
-                tuple(i + b * p for i, b, p in zip(idx, delta, prefix)) + tail in known
-                for delta in itertools.islice(itertools.product((0, 1), repeat=dim), 1, None)
-            ):
-                found = search(dim + 1, prefix + (s,))
-                if found is not None:
-                    return found
-        return None
-
-    return search(0, ())
+    if len(extents) == 1:
+        return (int(cells[:, 0].min()) - x[0],) if len(cells) else None
+    first, rest = cells[:, 0], _radix_keys(cells[:, 1:], extents[1:])
+    (key,) = _radix_keys(np.array([x[1:]], dtype=np.int64), extents[1:])
+    shared = np.isin(rest, rest[first == x[0]])
+    order = np.argsort(first[shared], kind="stable")
+    rows, patterns = first[shared][order], cells[shared][order, 1:]
+    candidates = np.sort(first[rest == key])
+    lo, hi = (np.searchsorted(rows, candidates, side) for side in ("left", "right"))
+    # only a pattern holding a cell of the fibre of x' along its first dimension has a witness
+    (tail,) = _radix_keys(np.array([x[2:]], dtype=np.int64), extents[2:])
+    on = np.concatenate([[0], np.cumsum(_radix_keys(patterns[:, 1:], extents[2:]) == tail)])
+    live = on[hi] > on[lo]
+    for a, b in zip(lo[live].tolist(), hi[live].tolist()):
+        found = _smallest_offset(patterns[a:b], x[1:], extents[1:])
+        if found is not None:
+            return (rows[a].item() - x[0],) + found
+    return None
 
 
 def witness(tensor: SparseTensor, idx: Index) -> SupportWitness | None:
     """Smallest hypercube witness for a missing index, or None; ValueError if it is known."""
     idx = check_index(idx, tensor.extents)
-    if idx in tensor.entries:
+    if tensor.locate(np.array([idx], dtype=np.int64))[0] >= 0:
         raise ValueError(f"index {idx} is a known entry, not a missing one")
-    offset = _search_offset(tensor, idx)
+    offset = _smallest_offset(tensor.coords_array(), idx, tensor.extents)
     return None if offset is None else SupportWitness(idx, offset, tuple(_corners(idx, offset)))
 
 

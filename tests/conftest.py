@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from uctensor.sparse_tensor import SparseTensor, all_indices
-from uctensor.support import witness
+from uctensor.support import is_fully_supported
 
 
 @pytest.fixture
@@ -49,8 +49,7 @@ def random_full_support(
     value_spread=1.5,
 ):
     """Random positive tensor, resampled until every missing index has a
-    hypercube witness.  Rejection stops at the first unsupported index,
-    which keeps resampling cheap at low densities."""
+    hypercube witness, decided for all of them by the support join."""
     while True:
         extents = tuple(int(rng.integers(extent_lo, extent_hi + 1)) for _ in range(d))
         if np.prod(extents) > box_cap:
@@ -64,7 +63,7 @@ def random_full_support(
         if not entries:
             continue
         tensor = SparseTensor(extents, entries)
-        if all(witness(tensor, idx) is not None for idx in tensor.missing_indices()):
+        if is_fully_supported(tensor)[0]:
             return tensor
 
 

@@ -373,6 +373,16 @@ class TestPredict:
         assert ("known" in lines[0], "known" in lines[1]) == (fmt == "jsonl", True)
         assert loaded[0][0].source._entries is None
 
+    def test_known_cell_checks_never_build_entries(self, demo_model):
+        # supported and oracle_complete find a known cell by one binary search
+        model = load_model(demo_model)[0]
+        assert model.supported((2, 2)) and model.supported((1, 2))
+        assert lcsp_oracle.oracle_complete(model.source, model.k, (2, 2),
+                                           presolved=model.scaling) > 0
+        with pytest.raises(ValueError, match="is known"):
+            lcsp_oracle.oracle_complete(model.source, model.k, (1, 2), presolved=model.scaling)
+        assert model.source._entries is None
+
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_artifact_names_its_version(self, demo_model, tmp_path, capsys, version):
         payload = json.loads(open(demo_model).read())
@@ -737,18 +747,18 @@ class TestVerify:
         from uctensor import support
 
         scans, searched = [], []
-        scan, search = support.scan, support._search_offset
+        scan, search = support.scan, support._smallest_offset
 
         def counted_scan(tensor, cap):
             scans.append(cap)
             return scan(tensor, cap)
 
-        def counted_search(tensor, idx, *rest):
+        def counted_search(cells, idx, extents):
             searched.append(idx)
-            return search(tensor, idx, *rest)
+            return search(cells, idx, extents)
 
         monkeypatch.setattr(support, "scan", counted_scan)
-        monkeypatch.setattr(support, "_search_offset", counted_search)
+        monkeypatch.setattr(support, "_smallest_offset", counted_search)
         code, records = run_jsonl(capsys, ["verify", demo_file])
         assert code == 0
         assert {r["name"] for r in records if r["record"] == "property"} == set(ALL_PROPERTIES)

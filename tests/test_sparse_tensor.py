@@ -435,42 +435,3 @@ class TestRadixKeys:
             scalar = [group.slot(idx) for idx in map(tuple, cells.tolist())]
             assert [-1 if pos is None else pos for pos in scalar] == group.slots(cells).tolist()
             assert scalar.count(None) < len(scalar)
-
-
-class TestFibres:
-    @pytest.mark.parametrize("extents", [(7,), (5, 4), (3, 4, 2)])
-    def test_match_a_scan_of_the_known_cells(self, extents):
-        tensor = SparseTensor.from_arrays(
-            extents, *sparse_box(np.random.default_rng(len(extents)), extents, density=0.5)
-        )
-        known = tensor.known_indices()
-        for idx in all_indices(extents):
-            expected = [
-                sorted(c[dim] for c in known
-                       if all(a == b for i, (a, b) in enumerate(zip(c, idx)) if i != dim))
-                for dim in range(len(extents))
-            ]
-            assert [line.tolist() for line in tensor.fibres(idx)] == expected
-
-    def test_index_built_once_per_tensor(self):
-        tensor = SparseTensor.from_arrays((6, 5, 4), *sparse_box(np.random.default_rng(9), (6, 5, 4)))
-        tensor.fibres((1, 1, 1))
-        built = tensor._fibres
-        tensor.fibres((2, 3, 4))
-        assert tensor._fibres is built
-
-    def test_out_of_bounds_or_wrong_length_index_is_refused(self):
-        # (1, 4, 1) used to form the key of (2, 1, .) and answer that fibre
-        tensor = SparseTensor((3, 3, 3), {(2, 1, 1): 1.0, (2, 1, 3): 2.0, (1, 1, 1): 3.0})
-        for idx in ((1, 4, 1), (0, 1, 1), (1, 1)):
-            with pytest.raises(IndexError, match=re.escape(f"index {idx} ")):
-                tensor.fibres(idx)
-        assert [line.tolist() for line in tensor.fibres((2, 1, 2))] == [[], [], [1, 3]]
-
-    def test_fractional_coordinates_are_refused(self):
-        # the fibres of (1, 1, 1) used to answer (1, 1.5, 1), truncated
-        for extents in ((3, 3), (3, 3, 3)):
-            tensor = SparseTensor.from_arrays(extents, *sparse_box(np.random.default_rng(4), extents))
-            for idx in ((1, 1.5, 1)[:len(extents)], (1.0, 2, 2)[:len(extents)]):
-                with pytest.raises(TypeError, match=re.escape(f"must be ints, got {idx}")):
-                    tensor.fibres(idx)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,14 @@ class TestSupported:
             witness(golden_matrix, (1, 1))
         with pytest.raises(IndexError):
             witness(golden_matrix, (3, 1))
+        # the radix key of (1, 4) over (3, 3) is that of (2, 1): refused before any key forms
+        tensor = SparseTensor((3, 3, 3), {(2, 1, 1): 1.0, (2, 1, 3): 2.0, (1, 1, 1): 3.0})
+        for idx in ((1, 4, 1), (0, 1, 1), (1, 1)):
+            with pytest.raises(IndexError, match=re.escape(f"index {idx} ")):
+                witness(tensor, idx)
+        with pytest.raises(TypeError, match=re.escape("must be ints, got (1, 1.5, 1)")):
+            witness(tensor, (1, 1.5, 1))
+        assert witness(tensor, (2, 1, 2)) is None
         # the scan reads only missing cells, in bounds
         cells, witnessed = scan(golden_matrix, 10)
         assert cells.tolist() == [[2, 2]] and witnessed.tolist() == [True]
@@ -191,8 +200,10 @@ class TestJoin:
                 tensor = random_tensor(rng, extents, density)
                 cells, mask = mask_of(tensor)
                 for idx, flag in zip(cells, mask):
-                    assert flag == (witness(tensor, idx) is not None)
-                    assert flag == bool(brute_force_offsets(tensor, idx))
+                    w = witness(tensor, idx)
+                    offsets = sorted(brute_force_offsets(tensor, idx))
+                    assert flag == bool(offsets)
+                    assert (None if w is None else w.offset) == (offsets[0] if offsets else None)
                     witnessed_cells += flag
                     unwitnessed += not flag
         assert witnessed_cells and unwitnessed
@@ -226,19 +237,33 @@ class TestJoin:
             return keys
 
         monkeypatch.setattr(support, "_radix_keys", recorded)
-        for extents, entries in (
-            ((big, big), [(1, big), (big, 1), (big, big), (7, 1), (7, 2), (big, 2)]),
+        joined = set()
+        for extents, entries, cells in (
+            ((big, big), [(1, big), (big, 1), (big, big), (7, 1), (7, 2), (big, 2)],
+             [(1, 1), (1, 2), (7, big), (2, 2)]),
             ((big, 3, big), [(i, j, k) for i in (1, big) for j in (1, 3) for k in (2, big)
-                             if (i, j, k) != (1, 1, 2)]),
+                             if (i, j, k) != (1, 1, 2)],
+             [(1, 1, 2), (1, 2, 2), (big, 2, big), (1, 1, big - 1)]),
+            # witness() keys the last two dimensions past int64 too
+            ((2, big, big), [(i, j, k) for i in (1, 2) for j in (1, big) for k in (5, big)
+                             if (i, j, k) != (2, big, 5)],
+             [(2, big, 5), (1, 2, 5), (2, big, big - 1)]),
         ):
             tensor = SparseTensor(extents, {idx: 1.0 for idx in entries})
-            cells = [(1, 1), (1, 2), (7, big), (2, 2)] if len(extents) == 2 else [
-                (1, 1, 2), (1, 2, 2), (big, 2, big), (1, 1, big - 1)]
             mask = SupportIndex(tensor).witnessed(np.array(cells, dtype=np.int64))
-            # the fibre index witness() builds is sized by the extents
-            assert mask.tolist() == [bool(brute_force_offsets(tensor, c)) for c in cells]
+            offsets = [sorted(brute_force_offsets(tensor, c)) for c in cells]
+            assert mask.tolist() == [bool(o) for o in offsets]
             assert mask.any() and not mask.all()
-        assert np.dtype(object) in dtypes
+            joined.update(dtypes)
+            del dtypes[:]
+            # no array witness() builds is sized by the extents
+            found = [witness(tensor, c) for c in cells]
+            assert [None if w is None else w.offset for w in found] == [
+                o[0] if o else None for o in offsets]
+            # its keys leave int64 where the extents past the first do
+            assert (np.dtype(object) in dtypes) == (extents[1:] == (big, big))
+            del dtypes[:]
+        assert np.dtype(object) in joined
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     def test_round_and_chunk_boundaries_change_no_mask(self, block, monkeypatch):
