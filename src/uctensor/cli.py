@@ -4,6 +4,8 @@ Commands speak either human-readable lines or line-delimited JSON records
 with stable field names (``--format jsonl``), and every run starts by
 echoing its full effective configuration so it can be reproduced.  Exit
 codes: 0 success, 1 property or convergence failure, 2 input error.
+Commands raise ``IngestError`` or ``CapacityError`` for bad input, and
+``main`` alone turns either into one ``error`` record and exit code 2.
 """
 
 from __future__ import annotations
@@ -216,8 +218,11 @@ def schema_from_args(args) -> Schema:
 
 
 def load_ratings(path: str, schema: Schema, dedupe: str | None):
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:  # a file that cannot be read is bad input too
+        raise IngestError(str(exc)) from None
     digest = hashlib.sha256(raw).hexdigest()
     tensor, idmap = parse_ratings(decode_text(raw), schema, dedupe)
     return tensor, idmap, digest
@@ -352,15 +357,9 @@ def _decode(text, dtype: str, what: str) -> np.ndarray:
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_complete(args) -> int:
-    emitter = Emitter(args.format)
+def cmd_complete(args, emitter: Emitter) -> int:
     config = RunConfig(k=args.k, epsilon=args.epsilon, max_sweeps=args.max_sweeps, fmt=args.format)
-    try:
-        schema = schema_from_args(args)
-        tensor, idmap, digest = load_ratings(args.ratings, schema, args.dedupe)
-    except (IngestError, OSError) as exc:
-        emitter.emit({"record": "error", "message": str(exc)})
-        return 2
+    tensor, idmap, digest = load_ratings(args.ratings, schema_from_args(args), args.dedupe)
     k = args.k if args.k is not None else tensor.d - 1
     emitter.emit(config.as_record(
         "complete", ratings=args.ratings, output=args.output,
@@ -368,17 +367,15 @@ def cmd_complete(args) -> int:
         source_digest=digest,
     ))
     started = time.perf_counter()
-    try:
+    try:  # --k outside 1..d-1, or fit settings the fit refuses
         model = tca(tensor, k, CompletionConfig(args.epsilon, args.max_sweeps))
     except ValueError as exc:
-        emitter.emit({"record": "error", "message": str(exc)})
-        return 2
+        raise IngestError(str(exc)) from None
     elapsed = time.perf_counter() - started
     try:
         save_model(args.output, model, idmap, digest)
     except OSError as exc:
-        emitter.emit({"record": "error", "message": f"cannot write model: {exc}"})
-        return 2
+        raise IngestError(f"cannot write model: {exc}") from None
     emitter.emit({
         **_convergence_record(model.report),
         "seconds": round(elapsed, 6), "model": args.output,
@@ -394,13 +391,11 @@ def _convergence_record(report: ConvergenceReport) -> dict:
     }
 
 
-def cmd_predict(args) -> int:
-    emitter = Emitter(args.format)
+def cmd_predict(args, emitter: Emitter) -> int:
     try:
         model, idmap, digest = load_model(args.model)
     except (OSError, ValueError) as exc:
-        emitter.emit({"record": "error", "message": f"cannot load model: {exc}"})
-        return 2
+        raise IngestError(f"cannot load model: {exc}") from None
     bounds = None
     if args.round:
         try:
@@ -408,10 +403,7 @@ def cmd_predict(args) -> int:
             if not lo < hi:
                 raise ValueError
         except ValueError:
-            emitter.emit({
-                "record": "error", "message": f"--round expects 'lo,hi' with lo < hi, got {args.round!r}",
-            })
-            return 2
+            raise IngestError(f"--round expects 'lo,hi' with lo < hi, got {args.round!r}") from None
         bounds = (lo, hi)
     emitter.emit(RunConfig(
         k=model.k, epsilon=model.report.epsilon, max_sweeps=model.config.max_sweeps,
@@ -419,14 +411,10 @@ def cmd_predict(args) -> int:
     ).as_record("predict", model=args.model, source_digest=digest, all=args.all))
 
     if args.all and model.source.box_size > COMPLETE_ALL_CAP:
-        emitter.emit({
-            "record": "error",
-            "message": (
-                f"extent box has {model.source.box_size} cells, above the "
-                f"cap {COMPLETE_ALL_CAP}; query per cell instead"
-            ),
-        })
-        return 2
+        raise CapacityError(
+            f"extent box has {model.source.box_size} cells, above the "
+            f"cap {COMPLETE_ALL_CAP}; query per cell instead"
+        )
 
     fmt = args.format
     write = emitter.out.write
@@ -492,20 +480,19 @@ def _parse_consensus_spec(text: str, tensor: SparseTensor, idmap: IdMap) -> Orde
     return OrderingSpec(dim, tuple(gamma))
 
 
-def _verify_oracle(tensor, k, emitter, config, compared, fitted) -> PropertyReport | None:
-    """Direct-solve cross-check; None, after a warning, over either oracle cap.
+def _verify_oracle(tensor, k, oracle_cap, compared, fitted) -> PropertyReport:
+    """Direct-solve cross-check; CapacityError over either oracle cap.
 
     ``compared()`` returns the cells to compare predictions on and
     ``fitted()`` the ``csa(tensor, k)`` fit; each is called only when the
     check runs.
     """
     try:
-        if len(tensor) > config.oracle_cap:
-            raise CapacityError(f"{len(tensor)} known entries over cap {config.oracle_cap}")
+        if len(tensor) > oracle_cap:
+            raise CapacityError(f"{len(tensor)} known entries over cap {oracle_cap}")
         x, oracle = solve_lcsp(tensor, k, build_constraints(tensor, k))
     except CapacityError as exc:
-        emitter.emit({"record": "warning", "message": f"oracle checks skipped: {exc}"})
-        return None
+        raise CapacityError(f"oracle checks skipped: {exc}") from None
     x_csa, family, report = fitted()
     dev_canonical = float(np.abs(x_csa - x).max())
     cells = compared()
@@ -530,37 +517,19 @@ def _verify_oracle(tensor, k, emitter, config, compared, fitted) -> PropertyRepo
     )
 
 
-def cmd_verify(args) -> int:
-    emitter = Emitter(args.format)
+def cmd_verify(args, emitter: Emitter) -> int:
     config = RunConfig(k=args.k, seed=args.seed, fmt=args.format, oracle_cap=args.oracle_cap)
-    try:
-        schema = schema_from_args(args)
-        tensor, idmap, digest = load_ratings(args.ratings, schema, args.dedupe)
-    except (IngestError, OSError) as exc:
-        emitter.emit({"record": "error", "message": str(exc)})
-        return 2
+    tensor, idmap, digest = load_ratings(args.ratings, schema_from_args(args), args.dedupe)
     k = args.k if args.k is not None else tensor.d - 1
     wanted = [p.strip() for p in args.properties.split(",")] if args.properties else list(ALL_PROPERTIES)
     unknown = [p for p in wanted if p not in ALL_PROPERTIES]
-    try:
-        if unknown:
-            raise IngestError(f"unknown properties: {unknown}")
-        if not 1 <= k <= tensor.d - 1:
-            raise IngestError(f"--k {k} is outside 1..{tensor.d - 1} for a {tensor.d}-d tensor")
-        if not 0 < args.factor < float("inf"):
-            raise IngestError(f"--factor must be positive and finite, got {args.factor}")
-        lowest = {"--trials": (args.trials, 1), "--orderings": (args.orderings, 1),
-                  "--oracle-cap": (args.oracle_cap, 0)}
-        for flag, (value, least) in lowest.items():
-            if value < least:
-                raise IngestError(f"{flag} must be at least {least}, got {value}")
-        declared_specs = [
-            _parse_consensus_spec(text, tensor, idmap)
-            for text in (args.consensus_spec or [])
-        ]
-    except IngestError as exc:
-        emitter.emit({"record": "error", "message": str(exc)})
-        return 2
+    if unknown:
+        raise IngestError(f"unknown properties: {unknown}")
+    if not 1 <= k <= tensor.d - 1:
+        raise IngestError(f"--k {k} is outside 1..{tensor.d - 1} for a {tensor.d}-d tensor")
+    declared_specs = [
+        _parse_consensus_spec(text, tensor, idmap) for text in (args.consensus_spec or [])
+    ]
     emitter.emit(config.as_record(
         "verify", ratings=args.ratings, effective_k=k, properties=wanted,
         extents=list(tensor.extents), known=len(tensor), source_digest=digest,
@@ -576,79 +545,73 @@ def cmd_verify(args) -> int:
     spec_error = False
     reports: list[PropertyReport] = []
     for name in wanted:
-        if name == "full_support":
-            try:
+        try:  # a check past a size cap is skipped with a warning
+            if name == "full_support":
                 failures = _support.unsupported_cells(tensor, scanned())
-            except CapacityError as exc:
-                emitter.emit({"record": "warning", "message": str(exc)})
-                continue
-            fully_supported = not len(failures)
-            reports.append(PropertyReport(
-                name="full_support",
-                instances=tensor.box_size - len(tensor),
-                max_deviation=0.0,
-                violations=[],
-                passed=True,
-                informational=True,
-                notes=[
-                    f"{len(failures)} unsupported missing indices"
-                    + (f"; first {tuple(failures[0].tolist())}" if len(failures) else "")
-                ],
-            ))
-        elif name == "unit_consistency":
-            reports.append(check_unit_consistency(
-                tensor, k, trials=args.trials, seed=args.seed, cells=compared(), fit=fitted(),
-            ))
-        elif name == "gauge_uniqueness":
-            rep = check_gauge_uniqueness(
-                tensor, k, orderings=args.orderings, seed=args.seed, cells=compared(),
-                fit=fitted(),
-            )
-            if fully_supported is False:
-                rep.informational = True
-                rep.notes.append("tensor lacks full support; result is informational")
-            reports.append(rep)
-        elif name == "scale_fairness":
-            try:
+                fully_supported = not len(failures)
+                reports.append(PropertyReport(
+                    name="full_support",
+                    instances=tensor.box_size - len(tensor),
+                    max_deviation=0.0,
+                    violations=[],
+                    passed=True,
+                    informational=True,
+                    notes=[
+                        f"{len(failures)} unsupported missing indices"
+                        + (f"; first {tuple(failures[0].tolist())}" if len(failures) else "")
+                    ],
+                ))
+            elif name == "unit_consistency":
+                reports.append(check_unit_consistency(
+                    tensor, k, trials=args.trials, seed=args.seed, cells=compared(), fit=fitted(),
+                ))
+            elif name == "gauge_uniqueness":
+                rep = check_gauge_uniqueness(
+                    tensor, k, orderings=args.orderings, seed=args.seed, cells=compared(),
+                    fit=fitted(),
+                )
+                if fully_supported is False:
+                    rep.informational = True
+                    rep.notes.append("tensor lacks full support; result is informational")
+                reports.append(rep)
+            elif name == "scale_fairness":
                 reports.append(check_scale_fairness(
                     tensor, dim=1, slice_index=int(tensor.coords_array()[:, 0].min()),
                     factor=args.factor, fit=fitted() if k == tensor.d - 1 else None,
                 ))
-            except CapacityError as exc:
-                emitter.emit({"record": "warning", "message": str(exc)})
-        elif name == "consensus_ordering":
-            _, family, report = fitted()
-            model = CompletionModel(tensor, family, report, k)
-            if declared_specs:
-                specs = declared_specs
-            else:
-                specs = []
-                for dim in range(1, tensor.d + 1):
-                    specs.extend(find_consensus_sets(tensor, dim, min_size=2))
-            if not specs:
-                reports.append(PropertyReport(
-                    name="consensus_ordering", instances=0, max_deviation=0.0,
-                    violations=[], passed=True, tolerance=0.0,
-                    notes=["no unanimously ordered slice sets found; vacuous"],
-                ))
-            for ospec in specs:
-                try:
-                    rep = check_consensus_ordering(model, ospec)
-                except OrderingSpecError as exc:
-                    # a bad declaration is an input problem, not a failed property
-                    spec_error = True
-                    emitter.emit({
-                        "record": "error",
-                        "message": f"ordering spec invalid ({exc.clause} clause): {exc}",
-                        "clause": exc.clause,
-                    })
-                    continue
-                rep.notes.append(f"dim {ospec.dim}, slices {list(ospec.gamma)}")
-                reports.append(rep)
-        elif name == "oracle_equivalence":
-            rep = _verify_oracle(tensor, k, emitter, config, compared, fitted)
-            if rep is not None:
-                reports.append(rep)
+            elif name == "consensus_ordering":
+                _, family, report = fitted()
+                model = CompletionModel(tensor, family, report, k)
+                if declared_specs:
+                    specs = declared_specs
+                else:
+                    specs = []
+                    for dim in range(1, tensor.d + 1):
+                        specs.extend(find_consensus_sets(tensor, dim, min_size=2))
+                if not specs:
+                    reports.append(PropertyReport(
+                        name="consensus_ordering", instances=0, max_deviation=0.0,
+                        violations=[], passed=True, tolerance=0.0,
+                        notes=["no unanimously ordered slice sets found; vacuous"],
+                    ))
+                for ospec in specs:
+                    try:
+                        rep = check_consensus_ordering(model, ospec)
+                    except OrderingSpecError as exc:
+                        # a bad declaration is an input problem, not a failed property
+                        spec_error = True
+                        emitter.emit({
+                            "record": "error",
+                            "message": f"ordering spec invalid ({exc.clause} clause): {exc}",
+                            "clause": exc.clause,
+                        })
+                        continue
+                    rep.notes.append(f"dim {ospec.dim}, slices {list(ospec.gamma)}")
+                    reports.append(rep)
+            elif name == "oracle_equivalence":
+                reports.append(_verify_oracle(tensor, k, args.oracle_cap, compared, fitted))
+        except CapacityError as exc:
+            emitter.emit({"record": "warning", "message": str(exc)})
 
     for rep in reports:
         emitter.emit(rep.as_dict())
@@ -668,21 +631,28 @@ def _random_full_support_matrix(rng, rows, cols, density):
     """The first of up to ``FULL_SUPPORT_DRAWS`` random matrices with full support.
 
     A draw with an empty row or column is skipped unscanned: the missing
-    cells of an empty line have no fibre, so none has a witness.  Raises
-    ``IngestError``, naming the shape and density, if no draw has it.
+    cells of an empty line have no fibre, so none has a witness.  The
+    draws stop early once their scans would cover more than
+    ``support.DEFAULT_SCAN_CAP`` missing cells in all.  Raises
+    ``IngestError``, naming the shape, the density and the draws made, if
+    no draw has full support.
     """
-    for _ in range(FULL_SUPPORT_DRAWS):
+    scanned, cap = 0, _support.DEFAULT_SCAN_CAP
+    for draw in range(1, FULL_SUPPORT_DRAWS + 1):
         known = rng.random((rows, cols)) < density
         if not (known.any(axis=0).all() and known.any(axis=1).all()):
             continue
+        scanned += known.size - int(known.sum())
+        if scanned > cap:
+            break
         values = np.exp(rng.uniform(-1.0, 1.0, size=int(known.sum())))
         tensor = SparseTensor.from_arrays((rows, cols), np.argwhere(known) + 1, values)
         ok, _ = _support.is_fully_supported(tensor)
         if ok:
             return tensor
     raise IngestError(
-        f"no {rows}x{cols} matrix of density {density} with full support "
-        f"in {FULL_SUPPORT_DRAWS} draws"
+        f"no {rows}x{cols} matrix of density {density} with full support in {draw} draws"
+        + (f"; one more scan would pass the support scan cap {cap}" if scanned > cap else "")
     )
 
 
@@ -814,57 +784,40 @@ def experiment_scaling(
     return summary, data
 
 
-def _check_experiment_args(args) -> None:
-    """Raise ``IngestError`` naming the first size or factor outside its range."""
+def _check_experiment_size(args) -> None:
+    """Raise ``IngestError`` for a ``--user`` past ``--rows``, or if the named
+    experiment's largest matrix has more than ``support.DEFAULT_SCAN_CAP``
+    cells; called before anything is allocated."""
+    cap = _support.DEFAULT_SCAN_CAP
     if args.name == "consensus":
-        lowest = {"--users": (args.users, 2), "--base-products": (args.base_products, 1)}
+        size = f"--users {args.users} x (--base-products {args.base_products} + 3)"
+        cells = args.users * (args.base_products + 3)
     elif args.name == "fairness":
-        lowest = {"--rows": (args.rows, 1), "--cols": (args.cols, 1),
-                  "--top-n": (args.top_n, 1), "--user": (args.user, 1)}
-    else:
-        lowest = {"--rows": (args.rows, 1), "--cols": (args.cols, 1),
-                  "--doublings": (args.doublings, 1),
-                  "--sweeps-per-measure": (args.sweeps_per_measure, 1)}
-    for flag, (value, least) in lowest.items():
-        if value < least:
-            raise IngestError(f"{flag} must be at least {least}, got {value}")
-    if args.name == "fairness":
         if args.user > args.rows:
             raise IngestError(f"--user {args.user} is outside 1..{args.rows}")
-        if args.rows * args.cols > _support.DEFAULT_SCAN_CAP:  # before any matrix is drawn
-            raise IngestError(
-                f"--rows {args.rows} x --cols {args.cols} is {args.rows * args.cols} cells, "
-                f"over the support scan cap {_support.DEFAULT_SCAN_CAP}"
-            )
-        if not 0 < args.density <= 1:
-            raise IngestError(f"--density must be in (0, 1], got {args.density}")
-        if not 0 < args.factor < float("inf"):
-            raise IngestError(f"--factor must be positive and finite, got {args.factor}")
+        size, cells = f"--rows {args.rows} x --cols {args.cols}", args.rows * args.cols
+    else:  # the last shape has rows * cols * 2**doublings cells
+        if args.doublings >= cap.bit_length():  # 2**doublings alone passes the cap
+            raise IngestError(f"--doublings {args.doublings} grows past the support scan cap {cap}")
+        size = f"--rows {args.rows} x --cols {args.cols} x 2^--doublings {args.doublings}"
+        cells = args.rows * args.cols << args.doublings
+    if cells > cap:
+        raise IngestError(f"{size} is {cells} cells, over the support scan cap {cap}")
 
 
-def cmd_experiment(args) -> int:
-    emitter = Emitter(args.format)
+def cmd_experiment(args, emitter: Emitter) -> int:
     config = RunConfig(seed=args.seed, fmt=args.format)
-    try:
-        _check_experiment_args(args)
-    except IngestError as exc:
-        emitter.emit({"record": "error", "message": str(exc)})
-        return 2
+    _check_experiment_size(args)
     emitter.emit(config.as_record("experiment", name=args.name))
     if args.name == "consensus":
         summary, data = experiment_consensus(
             users=args.users, base_products=args.base_products, seed=args.seed,
         )
     elif args.name == "fairness":
-        try:
-            summary, data = experiment_fairness(
-                rows=args.rows, cols=args.cols, density=args.density, user=args.user,
-                factor=args.factor, top_n=args.top_n, seed=args.seed,
-            )
-        # no random matrix with full support, or one past a scan cap
-        except (IngestError, CapacityError) as exc:
-            emitter.emit({"record": "error", "message": str(exc)})
-            return 2
+        summary, data = experiment_fairness(
+            rows=args.rows, cols=args.cols, density=args.density, user=args.user,
+            factor=args.factor, top_n=args.top_n, seed=args.seed,
+        )
     else:
         summary, data = experiment_scaling(
             base_rows=args.rows, base_cols=args.cols, doublings=args.doublings,
@@ -891,6 +844,40 @@ def cmd_experiment(args) -> int:
 
 
 # -- argument parsing -------------------------------------------------------
+
+
+def _at_least(least: int) -> tuple:
+    return lambda value: value >= least, f"at least {least}"
+
+
+_POSITIVE = (lambda value: 0 < value < math.inf, "positive and finite")
+
+# Every numeric flag's bound, by command, as (test, text): main refuses a
+# value that fails its test before the command runs or reads a file.  The
+# rest need more than the flag: --k is checked against the tensor, and
+# complete's --epsilon and --max-sweeps by the fit itself.
+FLAG_BOUNDS = {
+    "verify": {
+        "--trials": _at_least(1), "--orderings": _at_least(1), "--factor": _POSITIVE,
+        "--oracle-cap": _at_least(0), "--seed": _at_least(0),
+    },
+    "experiment": {  # whichever experiment is named
+        "--users": _at_least(2), "--base-products": _at_least(1),
+        "--rows": _at_least(1), "--cols": _at_least(1),
+        "--density": (lambda value: 0 < value <= 1, "in (0, 1]"),
+        "--user": _at_least(1), "--factor": _POSITIVE, "--top-n": _at_least(1),
+        "--doublings": _at_least(1), "--sweeps-per-measure": _at_least(1),
+        "--seed": _at_least(0),
+    },
+}
+
+
+def _check_flags(args) -> None:
+    """Raise ``IngestError`` naming the first flag outside its ``FLAG_BOUNDS`` bound."""
+    for flag, (within, bound) in FLAG_BOUNDS.get(args.command, {}).items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not within(value):
+            raise IngestError(f"{flag} must be {bound}, got {value}")
 
 
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
@@ -987,10 +974,15 @@ def main(argv: list[str] | None = None) -> int:
             args.rows = 30 if args.name == "fairness" else 32
         if args.cols is None:
             args.cols = 20 if args.name == "fairness" else 32
+    emitter = Emitter(args.format)
     try:
-        return args.func(args)
+        _check_flags(args)
+        return args.func(args, emitter)
+    except (IngestError, CapacityError) as exc:  # bad input, or input past a size cap
+        emitter.emit({"record": "error", "message": str(exc)})
+        return 2
     except ConvergenceError as exc:  # a fit that ran its budget out, in any command
-        Emitter(args.format).emit(_convergence_record(exc.report))
+        emitter.emit(_convergence_record(exc.report))
         return 1
 
 

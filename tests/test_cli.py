@@ -1,3 +1,4 @@
+import argparse
 import base64
 import hashlib
 import io
@@ -945,6 +946,122 @@ class TestExperiment:
             "entries", "sweeps", "wall_seconds", "per_sweep_seconds", "ratio_vs_previous",
         ]
         assert len(lines) == 4  # header + 3 sizes
+
+    @pytest.mark.parametrize("argv, message", [
+        (["consensus", "--users", "8", "--base-products", "10"],
+         "--users 8 x (--base-products 10 + 3) is 104 cells, over the support scan cap 100"),
+        (["consensus", "--users", "10000000"], "is 430000000 cells, over"),
+        (["scaling", "--rows", "4", "--cols", "4", "--doublings", "3"],
+         "--rows 4 x --cols 4 x 2^--doublings 3 is 128 cells, over the support scan cap 100"),
+        # 2**7 > 100 whatever the base shape, so the count is never computed
+        (["scaling", "--rows", "1", "--cols", "1", "--doublings", "7"],
+         "--doublings 7 grows past the support scan cap 100"),
+        (["scaling", "--doublings", str(10**30)], f"--doublings {10**30} grows past"),
+        (["consensus", "--users", "4", "--base-products", "22"], None),
+        (["scaling", "--rows", "3", "--cols", "4", "--doublings", "3"], None),
+        (["scaling", "--rows", "1", "--cols", "1", "--doublings", "6"], None),
+    ])
+    def test_experiment_sizes_are_capped_before_anything_is_built(
+        self, capsys, monkeypatch, argv, message
+    ):
+        monkeypatch.setattr(support, "DEFAULT_SCAN_CAP", 100)
+        built = []
+
+        def stand_in(**kwargs):  # the experiment itself, which builds the matrices
+            built.append(kwargs)
+            return {"record": "experiment", "passed": True}, [("column",)]
+
+        monkeypatch.setattr(cli, f"experiment_{argv[0]}", stand_in)
+        code, records = run_jsonl(capsys, ["experiment", *argv])
+        assert capsys.readouterr().err == ""
+        if message is None:  # at most 100 cells: the experiment runs
+            assert code == 0 and len(built) == 1
+            return
+        assert code == 2 and not built
+        assert [r["record"] for r in records] == ["error"]
+        assert message in records[0]["message"]
+
+    def test_fairness_draws_stop_at_the_scan_cap(self, capsys, monkeypatch):
+        # seed 0 scans 33 draws without full support (61-80 missing cells each)
+        # before the 34th scan finds it; draws with an empty line go unscanned
+        argv = ["experiment", "fairness", "--rows", "10", "--cols", "10", "--density", "0.3"]
+        scanned = []
+        full_support = support.is_fully_supported
+
+        def counted(tensor, *args):
+            scanned.append(tensor.box_size - len(tensor))
+            return full_support(tensor, *args)
+
+        monkeypatch.setattr(support, "is_fully_supported", counted)
+        code, _ = run_jsonl(capsys, argv)
+        assert code == 0 and len(scanned) == 34
+
+        scanned.clear()
+        monkeypatch.setattr(support, "DEFAULT_SCAN_CAP", 200)
+        code, records = run_jsonl(capsys, argv)
+        assert code == 2 and [r["record"] for r in records] == ["config", "error"]
+        assert scanned == [72, 80]  # a third scan, of 74 cells, would pass the cap
+        assert records[1]["message"] == (
+            "no 10x10 matrix of density 0.3 with full support in 4 draws; "
+            "one more scan would pass the support scan cap 200"
+        )
+
+
+class TestFlagBounds:
+    # every bounded flag of every subcommand, just outside its bound
+    OUTSIDE = [
+        ["verify", "--trials", "0"],
+        ["verify", "--orderings", "0"],
+        ["verify", "--factor", "0"],
+        ["verify", "--factor", "inf"],
+        ["verify", "--oracle-cap", "-1"],
+        ["verify", "--seed", "-1"],
+        ["consensus", "--users", "1"],
+        ["consensus", "--base-products", "0"],
+        ["consensus", "--seed", "-1"],
+        ["fairness", "--rows", "0"],
+        ["fairness", "--cols", "0"],
+        ["fairness", "--density", "0"],
+        ["fairness", "--density", "1.001"],
+        ["fairness", "--user", "0"],
+        ["fairness", "--factor", "0"],
+        ["fairness", "--factor", "inf"],
+        ["fairness", "--top-n", "0"],
+        ["fairness", "--seed", "-1"],
+        ["scaling", "--rows", "0"],
+        ["scaling", "--cols", "0"],
+        ["scaling", "--doublings", "0"],
+        ["scaling", "--sweeps-per-measure", "0"],
+        ["scaling", "--seed", "-1"],
+    ]
+
+    @pytest.mark.parametrize("command, flag, value", OUTSIDE)
+    def test_out_of_bounds_flag_is_one_error_record(self, tmp_path, capsys, command, flag, value):
+        # verify names a file that does not exist: the flag is refused before it is read
+        head = (["verify", str(tmp_path / "absent.csv")] if command == "verify"
+                else ["experiment", command])
+        code, records = run_jsonl(capsys, [*head, flag, value])
+        assert code == 2
+        assert [r["record"] for r in records] == ["error"]
+        assert records[0]["message"].startswith(f"{flag} must be ")
+        assert capsys.readouterr().err == ""
+
+    def test_every_numeric_flag_has_a_bound(self):
+        # --k needs the tensor; complete's fit settings are checked by the fit
+        unbounded = {"--k", "--epsilon", "--max-sweeps"}
+        commands = next(
+            action.choices for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for command, parser in commands.items():
+            numeric = {
+                max(action.option_strings, key=len) for action in parser._actions
+                if action.type in (int, float)
+            }
+            assert numeric - unbounded == set(cli.FLAG_BOUNDS.get(command, {})), command
+        assert {flag for command, flag, _ in self.OUTSIDE} == {
+            flag for bounds in cli.FLAG_BOUNDS.values() for flag in bounds
+        }
 
 
 class TestMain:
