@@ -18,7 +18,6 @@ from .canonical_scaling import (
     sweep,
 )
 from .completion import (
-    CompletionConfig,
     CompletionModel,
     complete_all,
     mca,
@@ -49,6 +48,7 @@ from .properties import (
     PropertyReport,
     check_consensus_ordering,
     check_gauge_uniqueness,
+    check_oracle_equivalence,
     check_scale_fairness,
     check_unit_consistency,
     find_consensus_sets,
@@ -60,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "CompletionConfig",
     "CompletionModel",
     "ConstraintSystem",
     "ConvergenceError",
@@ -83,6 +82,7 @@ __all__ = [
     "build_constraints",
     "check_consensus_ordering",
     "check_gauge_uniqueness",
+    "check_oracle_equivalence",
     "check_scale_fairness",
     "check_unit_consistency",
     "complete_all",

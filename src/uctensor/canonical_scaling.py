@@ -41,9 +41,10 @@ labels.  Gauss-Seidel contracts slowly on poorly connected patterns (a
 chain of length L needs on the order of L² sweeps, and CG without
 peeling about 2L iterations; a ring, which does not peel, still takes
 CG about L); :func:`sweep` stays available to drive the paper's
-iteration one pass at a time.  For a CG iteration ``v`` is the squared
-norm of the centering steps every subtensor of the core would take at
-once, the same kind of measure as a sweep's, one value per step.
+iteration one pass at a time, and :func:`experiment_scaling` times it.
+For a CG iteration ``v`` is the squared norm of the centering steps
+every subtensor of the core would take at once, the same kind of measure
+as a sweep's, one value per step.
 
 :func:`csa_many` fits many value vectors on one pattern, such as the
 rescaled copies a property check compares, in one run: the rows of an
@@ -71,6 +72,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -91,6 +93,8 @@ FIT_BLOCK = 16_384
 # Steps without a new minimum of v, once v is below epsilon, after which
 # rounding noise is taken to have stalled the run.
 STALL_STEPS = 10
+
+MEASURE_SECONDS = 0.01  # shortest timed stretch of sweeps in experiment_scaling
 
 
 @dataclass(eq=False)
@@ -200,6 +204,7 @@ class ConvergenceReport:
     sweeps: int
     v_trace: list[float]
     epsilon: float
+    max_sweeps: int  # the step budget the run had
     converged: bool
     # Why the run ended: "floor", "stagnation" or "budget".  residual is the
     # worst |sum of canonical log values| over a subtensor at the end.  The
@@ -601,7 +606,7 @@ def _fit_rows(
         s, traces, reasons = _fit_chunk(groups, x, chunk_orders, epsilon, max_sweeps, core)
         for x_r, s_r, trace, reason, res in zip(x, s, traces, reasons, _worst_sums(groups, x)):
             report = ConvergenceReport(
-                len(trace), trace, epsilon, trace[-1] < epsilon, reason, res
+                len(trace), trace, epsilon, max_sweeps, trace[-1] < epsilon, reason, res
             )
             if not report.converged:
                 raise ConvergenceError(
@@ -730,3 +735,57 @@ def apply_scaling(tensor: SparseTensor, family: ScalingFamily) -> SparseTensor:
     return SparseTensor.from_arrays(
         tensor.extents, tensor.coords_array(), scaled_values(tensor, family)
     )
+
+
+def experiment_scaling(
+    base_rows: int = 32,
+    base_cols: int = 32,
+    doublings: int = 5,
+    sweeps_per_measure: int = 8,
+    repeats: int = 5,
+    seed: int = 0,
+) -> tuple[dict, list[tuple]]:
+    """Per-sweep wall time as the number of known entries doubles.
+
+    Each size is timed ``repeats`` times and the fastest per-sweep time
+    kept, which filters scheduler noise out of the small sizes.  A repeat
+    runs at least ``sweeps_per_measure`` sweeps and ``MEASURE_SECONDS``,
+    so sub-millisecond sweeps are timed over many, and the repeats cycle
+    through the sizes, so a slow spell of the host slows them all.
+    """
+    rng = np.random.default_rng(seed)
+    shapes = [(base_rows, base_cols)]
+    for i in range(doublings):
+        r, c = shapes[-1]
+        shapes.append((r * 2, c) if i % 2 == 0 else (r, c * 2))
+    tensors = []
+    for r, c in shapes:
+        values = np.exp(rng.uniform(-1.0, 1.0, size=(r, c)))
+        cells = ((i + 1, j + 1) for i in range(r) for j in range(c))
+        tensors.append(SparseTensor((r, c), zip(cells, values.ravel().tolist())))
+    best = [(float("inf"), 0, 0.0)] * len(tensors)  # per-sweep s, sweeps, wall s
+    for _ in range(repeats):
+        for n, tensor in enumerate(tensors):
+            state = ScalingState(tensor, 1)
+            count, elapsed, started = 0, 0.0, time.perf_counter()
+            while count < sweeps_per_measure or elapsed < MEASURE_SECONDS:
+                sweep(state)
+                count += 1
+                elapsed = time.perf_counter() - started
+            best[n] = min(best[n], (elapsed / count, count, elapsed))
+    per_sweep = [b[0] for b in best]
+    ratios = [float("nan")] + [b / a for a, b in zip(per_sweep, per_sweep[1:])]
+    max_ratio = max(ratios[1:], default=0.0)
+    data = [("entries", "sweeps", "wall_seconds", "per_sweep_seconds", "ratio_vs_previous")]
+    data.extend(
+        (len(t), count, wall, s, ratio) for t, (s, count, wall), ratio in zip(tensors, best, ratios)
+    )
+    summary = {
+        "record": "experiment",
+        "name": "scaling",
+        "doublings": doublings,
+        "max_ratio_per_doubling": max_ratio,
+        "passed": max_ratio <= 2.5,
+        "seed": seed,
+    }
+    return summary, data

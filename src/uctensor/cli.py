@@ -5,7 +5,10 @@ with stable field names (``--format jsonl``), and every run starts by
 echoing its full effective configuration so it can be reproduced.  Exit
 codes: 0 success, 1 property or convergence failure, 2 input error.
 Commands raise ``IngestError`` or ``CapacityError`` for bad input, and
-``main`` alone turns either into one ``error`` record and exit code 2.
+``main`` alone turns either into one ``error`` record and exit code 2;
+the parser raises ``IngestError`` for an argv it refuses, so that ends
+the same way.  The experiments live beside the code they exercise, in
+``properties`` and ``canonical_scaling``.
 """
 
 from __future__ import annotations
@@ -18,59 +21,24 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import support as _support
 from .canonical_scaling import (
-    DEFAULT_EPSILON,
-    DEFAULT_MAX_SWEEPS,
-    ConvergenceReport,
-    ScalingFamily,
-    ScalingState,
-    csa,
-    sweep,
+    DEFAULT_EPSILON, DEFAULT_MAX_SWEEPS, ConvergenceReport, ScalingFamily, csa, experiment_scaling,
 )
-from .completion import (
-    COMPLETE_ALL_CAP,
-    CompletionConfig,
-    CompletionModel,
-    predict_many,
-    round_to_scale,
-    tca,
-)
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    IngestError,
-    OrderingSpecError,
-    UnknownIdError,
-)
-from .ingest import (
-    IdMap,
-    Schema,
-    decode_text,
-    idmap_from_dict,
-    idmap_to_dict,
-    parse_ratings,
-)
+from .completion import CompletionModel, predict_many, predicted_blocks, round_to_scale, tca
+from .errors import CapacityError, ConvergenceError, IngestError, OrderingSpecError, UnknownIdError
+from .ingest import IdMap, Schema, decode_text, idmap_from_dict, idmap_to_dict, parse_ratings
 # oracle_complete goes uncalled here: perfbench's traced run wraps it
 # under this module's name too
 from .lcsp_oracle import build_constraints, oracle_complete, solve_lcsp  # noqa: F401
 from .properties import (
-    MISSING_CAP,
-    OrderingSpec,
-    PropertyReport,
-    _first_rank_changes,
-    _rescaled_predictions,
-    checked_cells,
-    check_consensus_ordering,
-    check_gauge_uniqueness,
-    check_scale_fairness,
-    check_unit_consistency,
-    find_consensus_sets,
+    MISSING_CAP, OrderingSpec, PropertyReport, checked_cells, check_consensus_ordering,
+    check_gauge_uniqueness, check_oracle_equivalence, check_scale_fairness,
+    check_unit_consistency, experiment_consensus, experiment_fairness, find_consensus_sets,
 )
 from .sparse_tensor import SparseTensor
 
@@ -87,31 +55,16 @@ ALL_PROPERTIES = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Effective settings of one command invocation."""
-
-    k: int | None = None
-    epsilon: float = DEFAULT_EPSILON
-    max_sweeps: int = DEFAULT_MAX_SWEEPS
-    seed: int = 0
-    fmt: str = "human"
-    oracle_cap: int = 500
-
-    def as_record(self, command: str, **extra) -> dict:
-        rec = {
-            "record": "config",
-            "command": command,
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "max_sweeps": self.max_sweeps,
-            "seed": self.seed,
-            "format": self.fmt,
-            "oracle_cap": self.oracle_cap,
-            "missing_cap": MISSING_CAP,
-        }
-        rec.update(extra)
-        return rec
+def _config_record(
+    command: str, fmt: str, k: int | None = None, epsilon: float = DEFAULT_EPSILON,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS, seed: int = 0, oracle_cap: int = 500, **extra,
+) -> dict:
+    """The ``config`` record of one invocation's effective settings, then ``extra``."""
+    return {
+        "record": "config", "command": command, "k": k, "epsilon": epsilon,
+        "max_sweeps": max_sweeps, "seed": seed, "format": fmt, "oracle_cap": oracle_cap,
+        "missing_cap": MISSING_CAP, **extra,
+    }
 
 
 class Emitter:
@@ -239,7 +192,7 @@ def save_model(path: str, model: CompletionModel, idmap: IdMap, digest: str) -> 
         "k": model.k,
         "extents": list(model.source.extents),
         "epsilon": report.epsilon,
-        "max_sweeps": model.config.max_sweeps,
+        "max_sweeps": report.max_sweeps,
         "sweeps": report.sweeps,
         "converged": report.converged,
         "v_trace": report.v_trace,
@@ -300,15 +253,12 @@ def load_model(path: str) -> tuple[CompletionModel, IdMap, str]:
             sweeps=int(payload["sweeps"]),
             v_trace=[float(v) for v in payload["v_trace"]],
             epsilon=float(payload["epsilon"]),
+            max_sweeps=int(payload["max_sweeps"]),
             converged=bool(payload["converged"]),
             stop_reason=payload["stop_reason"],
             residual=float(payload["residual"]),
         )
-        config = CompletionConfig(
-            epsilon=float(payload["epsilon"]), max_sweeps=int(payload["max_sweeps"])
-        )
-        model = CompletionModel(tensor, family, report, k, config)
-        return model, idmap, payload["source_digest"]
+        return CompletionModel(tensor, family, report, k), idmap, payload["source_digest"]
     except (TypeError, IndexError, KeyError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
 
@@ -358,17 +308,16 @@ def _decode(text, dtype: str, what: str) -> np.ndarray:
 
 
 def cmd_complete(args, emitter: Emitter) -> int:
-    config = RunConfig(k=args.k, epsilon=args.epsilon, max_sweeps=args.max_sweeps, fmt=args.format)
     tensor, idmap, digest = load_ratings(args.ratings, schema_from_args(args), args.dedupe)
     k = args.k if args.k is not None else tensor.d - 1
-    emitter.emit(config.as_record(
-        "complete", ratings=args.ratings, output=args.output,
-        extents=list(tensor.extents), known=len(tensor), effective_k=k,
-        source_digest=digest,
+    emitter.emit(_config_record(
+        "complete", args.format, k=args.k, epsilon=args.epsilon, max_sweeps=args.max_sweeps,
+        ratings=args.ratings, output=args.output, extents=list(tensor.extents),
+        known=len(tensor), effective_k=k, source_digest=digest,
     ))
     started = time.perf_counter()
     try:  # --k outside 1..d-1, or fit settings the fit refuses
-        model = tca(tensor, k, CompletionConfig(args.epsilon, args.max_sweeps))
+        model = tca(tensor, k, epsilon=args.epsilon, max_sweeps=args.max_sweeps)
     except ValueError as exc:
         raise IngestError(str(exc)) from None
     elapsed = time.perf_counter() - started
@@ -405,16 +354,10 @@ def cmd_predict(args, emitter: Emitter) -> int:
         except ValueError:
             raise IngestError(f"--round expects 'lo,hi' with lo < hi, got {args.round!r}") from None
         bounds = (lo, hi)
-    emitter.emit(RunConfig(
-        k=model.k, epsilon=model.report.epsilon, max_sweeps=model.config.max_sweeps,
-        fmt=args.format,
-    ).as_record("predict", model=args.model, source_digest=digest, all=args.all))
-
-    if args.all and model.source.box_size > COMPLETE_ALL_CAP:
-        raise CapacityError(
-            f"extent box has {model.source.box_size} cells, above the "
-            f"cap {COMPLETE_ALL_CAP}; query per cell instead"
-        )
+    emitter.emit(_config_record(
+        "predict", args.format, k=model.k, epsilon=model.report.epsilon,
+        max_sweeps=model.report.max_sweeps, model=args.model, source_digest=digest, all=args.all,
+    ))
 
     fmt = args.format
     write = emitter.out.write
@@ -422,9 +365,10 @@ def cmd_predict(args, emitter: Emitter) -> int:
     sep, encode = (", ", json.dumps) if fmt == "jsonl" else (",", str)
     asked = successes = 0
     if args.all:  # block by block, one line (and one write) per cell
+        blocks = predicted_blocks(model)  # CapacityError past the box cap
         columns = [np.array([encode(i) for i in ids], dtype=object) for ids in idmap.to_id]
-        for block in model.source.missing_blocks():
-            raws = predict_many(model, block).tolist()
+        for block, predictions in blocks:
+            raws = predictions.tolist()
             keys = map(sep.join, zip(*(
                 col[block[:, dim] - 1].tolist() for dim, col in enumerate(columns)
             )))
@@ -480,45 +424,7 @@ def _parse_consensus_spec(text: str, tensor: SparseTensor, idmap: IdMap) -> Orde
     return OrderingSpec(dim, tuple(gamma))
 
 
-def _verify_oracle(tensor, k, oracle_cap, compared, fitted) -> PropertyReport:
-    """Direct-solve cross-check; CapacityError over either oracle cap.
-
-    ``compared()`` returns the cells to compare predictions on and
-    ``fitted()`` the ``csa(tensor, k)`` fit; each is called only when the
-    check runs.
-    """
-    try:
-        if len(tensor) > oracle_cap:
-            raise CapacityError(f"{len(tensor)} known entries over cap {oracle_cap}")
-        x, oracle = solve_lcsp(tensor, k, build_constraints(tensor, k))
-    except CapacityError as exc:
-        raise CapacityError(f"oracle checks skipped: {exc}") from None
-    x_csa, family, report = fitted()
-    dev_canonical = float(np.abs(x_csa - x).max())
-    cells = compared()
-    preds = predict_many(CompletionModel(tensor, family, report, k), cells)
-    # oracle_complete at every cell, in one pass: log_sums equals log_sum_at
-    references = map(math.exp, (-oracle.log_sums(cells)).tolist())
-    dev_pred = 0.0
-    for pred, reference in zip(preds.tolist(), references):
-        dev_pred = max(dev_pred, abs(pred / reference - 1.0))
-    violations = []
-    if dev_canonical > 1e-8:
-        violations.append(f"canonical log values diverge from projection: {dev_canonical:.3e}")
-    if dev_pred > 1e-6:
-        violations.append(f"predictions diverge from direct solve: {dev_pred:.3e}")
-    return PropertyReport(
-        name="oracle_equivalence",
-        instances=len(cells),
-        max_deviation=max(dev_canonical, dev_pred),
-        violations=violations,
-        passed=not violations,
-        tolerance=1e-8,
-    )
-
-
 def cmd_verify(args, emitter: Emitter) -> int:
-    config = RunConfig(k=args.k, seed=args.seed, fmt=args.format, oracle_cap=args.oracle_cap)
     tensor, idmap, digest = load_ratings(args.ratings, schema_from_args(args), args.dedupe)
     k = args.k if args.k is not None else tensor.d - 1
     wanted = [p.strip() for p in args.properties.split(",")] if args.properties else list(ALL_PROPERTIES)
@@ -530,8 +436,9 @@ def cmd_verify(args, emitter: Emitter) -> int:
     declared_specs = [
         _parse_consensus_spec(text, tensor, idmap) for text in (args.consensus_spec or [])
     ]
-    emitter.emit(config.as_record(
-        "verify", ratings=args.ratings, effective_k=k, properties=wanted,
+    emitter.emit(_config_record(
+        "verify", args.format, k=args.k, seed=args.seed, oracle_cap=args.oracle_cap,
+        ratings=args.ratings, effective_k=k, properties=wanted,
         extents=list(tensor.extents), known=len(tensor), source_digest=digest,
     ))
 
@@ -582,12 +489,10 @@ def cmd_verify(args, emitter: Emitter) -> int:
             elif name == "consensus_ordering":
                 _, family, report = fitted()
                 model = CompletionModel(tensor, family, report, k)
-                if declared_specs:
-                    specs = declared_specs
-                else:
-                    specs = []
-                    for dim in range(1, tensor.d + 1):
-                        specs.extend(find_consensus_sets(tensor, dim, min_size=2))
+                specs = declared_specs or [
+                    spec for dim in range(1, tensor.d + 1)
+                    for spec in find_consensus_sets(tensor, dim, min_size=2)
+                ]
                 if not specs:
                     reports.append(PropertyReport(
                         name="consensus_ordering", instances=0, max_deviation=0.0,
@@ -609,7 +514,15 @@ def cmd_verify(args, emitter: Emitter) -> int:
                     rep.notes.append(f"dim {ospec.dim}, slices {list(ospec.gamma)}")
                     reports.append(rep)
             elif name == "oracle_equivalence":
-                reports.append(_verify_oracle(tensor, k, args.oracle_cap, compared, fitted))
+                try:  # the direct solve, under both oracle caps
+                    if len(tensor) > args.oracle_cap:
+                        raise CapacityError(
+                            f"{len(tensor)} known entries over cap {args.oracle_cap}"
+                        )
+                    oracle = solve_lcsp(tensor, k, build_constraints(tensor, k))
+                except CapacityError as exc:
+                    raise CapacityError(f"oracle checks skipped: {exc}") from None
+                reports.append(check_oracle_equivalence(tensor, k, oracle, fitted(), compared()))
         except CapacityError as exc:
             emitter.emit({"record": "warning", "message": str(exc)})
 
@@ -621,167 +534,6 @@ def cmd_verify(args, emitter: Emitter) -> int:
 
 
 # -- experiments ------------------------------------------------------------
-
-MEASURE_SECONDS = 0.01  # shortest timed stretch of sweeps in experiment_scaling
-# random matrices experiment_fairness draws before giving up on full support
-FULL_SUPPORT_DRAWS = 100
-
-
-def _random_full_support_matrix(rng, rows, cols, density):
-    """The first of up to ``FULL_SUPPORT_DRAWS`` random matrices with full support.
-
-    A draw with an empty row or column is skipped unscanned: the missing
-    cells of an empty line have no fibre, so none has a witness.  The
-    draws stop early once their scans would cover more than
-    ``support.DEFAULT_SCAN_CAP`` missing cells in all.  Raises
-    ``IngestError``, naming the shape, the density and the draws made, if
-    no draw has full support.
-    """
-    scanned, cap = 0, _support.DEFAULT_SCAN_CAP
-    for draw in range(1, FULL_SUPPORT_DRAWS + 1):
-        known = rng.random((rows, cols)) < density
-        if not (known.any(axis=0).all() and known.any(axis=1).all()):
-            continue
-        scanned += known.size - int(known.sum())
-        if scanned > cap:
-            break
-        values = np.exp(rng.uniform(-1.0, 1.0, size=int(known.sum())))
-        tensor = SparseTensor.from_arrays((rows, cols), np.argwhere(known) + 1, values)
-        ok, _ = _support.is_fully_supported(tensor)
-        if ok:
-            return tensor
-    raise IngestError(
-        f"no {rows}x{cols} matrix of density {density} with full support in {draw} draws"
-        + (f"; one more scan would pass the support scan cap {cap}" if scanned > cap else "")
-    )
-
-
-def experiment_consensus(
-    users: int = 50, base_products: int = 40, seed: int = 0
-) -> tuple[dict, list[tuple]]:
-    """Planted unanimous ranking: half the users rate three extra products
-    3 > 2 > 1; control users' predictions must reproduce that order."""
-    rng = np.random.default_rng(seed)
-    raters = users // 2
-    cols = base_products + 3
-    table = np.full((users, cols), np.nan)  # NaN where unrated
-    table[:, :base_products] = rng.uniform(1.0, 5.0, size=(users, base_products))
-    table[:raters, base_products:] = [3.0, 2.0, 1.0]
-    known = ~np.isnan(table)
-    tensor = SparseTensor.from_arrays(table.shape, np.argwhere(known) + 1, table[known])
-    model = tca(tensor, 1)
-    best, mid, worst = base_products + 1, base_products + 2, base_products + 3
-    report = check_consensus_ordering(model, OrderingSpec(dim=2, gamma=(worst, mid, best)))
-    control = np.arange(raters + 1, users + 1)
-    cells = np.column_stack([np.repeat(control, 3), np.tile([worst, mid, best], len(control))])
-    preds = predict_many(model, cells).reshape(-1, 3).tolist()
-    rows = [(u, low, middle, high, int(low < middle < high))
-            for u, (low, middle, high) in zip(control.tolist(), preds)]
-    summary = {
-        "record": "experiment",
-        "name": "consensus",
-        "users": users,
-        "products": cols,
-        "raters": raters,
-        "control_users": users - raters,
-        "violations": len(report.violations),
-        "max_deviation": report.max_deviation,
-        "passed": report.passed,
-        "seed": seed,
-    }
-    return summary, [("user", "pred_low", "pred_mid", "pred_high", "ordered")] + rows
-
-
-def experiment_fairness(
-    rows: int = 30,
-    cols: int = 20,
-    density: float = 0.5,
-    user: int = 1,
-    factor: float = 1.25,
-    top_n: int = 10,
-    seed: int = 0,
-    tolerance: float = 1e-9,
-) -> tuple[dict, list[tuple]]:
-    """One user rescales all their ratings; nobody else's predictions or
-    top-N lists may move."""
-    rng = np.random.default_rng(seed)
-    tensor = _random_full_support_matrix(rng, rows, cols, density)
-    cells, inside, p_before, p_after = _rescaled_predictions(tensor, 1, user, factor)
-    others = ~inside
-    changed_predictions = int((np.abs(p_after[others] / p_before[others] - 1.0) > tolerance).sum())
-    _, first = _first_rank_changes(cells[others], 1, p_before[others], p_after[others])
-    # users whose top-n list changed: those whose ranking first changes below rank n
-    changed_by_n = {n: int((first < n).sum()) for n in range(1, top_n + 1)}
-    summary = {
-        "record": "experiment",
-        "name": "fairness",
-        "rows": rows,
-        "cols": cols,
-        "known": len(tensor),
-        "scaled_user": user,
-        "factor": factor,
-        "changed_predictions": changed_predictions,
-        "changed_top_n_lists": changed_by_n[top_n],
-        "passed": changed_predictions == 0 and all(v == 0 for v in changed_by_n.values()),
-        "seed": seed,
-    }
-    data = [("top_n", "users_with_changed_list")]
-    data.extend((n, changed_by_n[n]) for n in sorted(changed_by_n))
-    return summary, data
-
-
-def experiment_scaling(
-    base_rows: int = 32,
-    base_cols: int = 32,
-    doublings: int = 5,
-    sweeps_per_measure: int = 8,
-    repeats: int = 5,
-    seed: int = 0,
-) -> tuple[dict, list[tuple]]:
-    """Per-sweep wall time as the number of known entries doubles.
-
-    Each size is timed ``repeats`` times and the fastest per-sweep time
-    kept, which filters scheduler noise out of the small sizes.  A repeat
-    runs at least ``sweeps_per_measure`` sweeps and ``MEASURE_SECONDS``,
-    so sub-millisecond sweeps are timed over many, and the repeats cycle
-    through the sizes, so a slow spell of the host slows them all.
-    """
-    rng = np.random.default_rng(seed)
-    shapes = [(base_rows, base_cols)]
-    for i in range(doublings):
-        r, c = shapes[-1]
-        shapes.append((r * 2, c) if i % 2 == 0 else (r, c * 2))
-    tensors = []
-    for r, c in shapes:
-        values = np.exp(rng.uniform(-1.0, 1.0, size=(r, c)))
-        cells = ((i + 1, j + 1) for i in range(r) for j in range(c))
-        tensors.append(SparseTensor((r, c), zip(cells, values.ravel().tolist())))
-    best = [(float("inf"), 0, 0.0)] * len(tensors)  # per-sweep s, sweeps, wall s
-    for _ in range(repeats):
-        for n, tensor in enumerate(tensors):
-            state = ScalingState(tensor, 1)
-            count, elapsed, started = 0, 0.0, time.perf_counter()
-            while count < sweeps_per_measure or elapsed < MEASURE_SECONDS:
-                sweep(state)
-                count += 1
-                elapsed = time.perf_counter() - started
-            best[n] = min(best[n], (elapsed / count, count, elapsed))
-    per_sweep = [b[0] for b in best]
-    ratios = [float("nan")] + [b / a for a, b in zip(per_sweep, per_sweep[1:])]
-    max_ratio = max(ratios[1:], default=0.0)
-    data = [("entries", "sweeps", "wall_seconds", "per_sweep_seconds", "ratio_vs_previous")]
-    data.extend(
-        (len(t), count, wall, s, ratio) for t, (s, count, wall), ratio in zip(tensors, best, ratios)
-    )
-    summary = {
-        "record": "experiment",
-        "name": "scaling",
-        "doublings": doublings,
-        "max_ratio_per_doubling": max_ratio,
-        "passed": max_ratio <= 2.5,
-        "seed": seed,
-    }
-    return summary, data
 
 
 def _check_experiment_size(args) -> None:
@@ -806,9 +558,8 @@ def _check_experiment_size(args) -> None:
 
 
 def cmd_experiment(args, emitter: Emitter) -> int:
-    config = RunConfig(seed=args.seed, fmt=args.format)
     _check_experiment_size(args)
-    emitter.emit(config.as_record("experiment", name=args.name))
+    emitter.emit(_config_record("experiment", args.format, seed=args.seed, name=args.name))
     if args.name == "consensus":
         summary, data = experiment_consensus(
             users=args.users, base_products=args.base_products, seed=args.seed,
@@ -827,8 +578,11 @@ def cmd_experiment(args, emitter: Emitter) -> int:
     lines = ["\t".join(str(v) for v in row) for row in data]
     text = "\n".join(lines) + "\n"
     if args.data:
-        with open(args.data, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.data, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise IngestError(f"cannot write data: {exc}") from None
         emitter.emit({"record": "info", "data_file": args.data, "rows": len(data) - 1})
     elif args.format == "human":
         sys.stdout.write(text)
@@ -880,10 +634,25 @@ def _check_flags(args) -> None:
             raise IngestError(f"{flag} must be {bound}, got {value}")
 
 
+def _delimiter(text: str) -> str:
+    """A ``--delimiter`` value: any string but the empty one."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals raise ``IngestError``, for ``main`` to report."""
+
+    def error(self, message: str):
+        raise IngestError(f"{self.prog}: {message}")
+
+
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schema", default="key,key,value",
                    help="comma-separated column roles, e.g. key,key,value")
-    p.add_argument("--delimiter", default=",", help="field delimiter ('::' accepted)")
+    p.add_argument("--delimiter", default=",", type=_delimiter,
+                   help="field delimiter ('::' accepted)")
     p.add_argument("--header", action="store_true", help="skip the first line")
     p.add_argument("--transform", default=None, metavar="a,b",
                    help="affine value transform a*value+b (result must be positive)")
@@ -899,7 +668,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 @functools.cache  # built once per process: building it costs more than most parses
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uctensor",
         description="Unit-consistent completion of sparse positive rating tensors.",
     )
@@ -920,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("queries", nargs="*",
                    help="queries as delimiter-joined external ids, e.g. u2,p2")
     p.add_argument("--all", action="store_true", help="predict every missing cell")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=",", type=_delimiter)
     p.add_argument("--round", default=None, metavar="lo,hi",
                    help="also emit the prediction rounded and clamped to [lo, hi]")
     p.add_argument("--format", default="human", choices=("human", "jsonl"))
@@ -967,15 +736,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _asked_format(argv: list[str]) -> str:
+    """The format ``argv`` asks for, read without the parser: "jsonl" if
+    its last ``--format`` names it, "human" otherwise."""
+    fmt = "human"
+    for flag, value in zip(argv, [*argv[1:], ""]):
+        if flag == "--format":
+            fmt = value
+        elif flag.startswith("--format="):
+            fmt = flag[len("--format="):]
+    return "jsonl" if fmt == "jsonl" else "human"
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "experiment":
-        if args.rows is None:
-            args.rows = 30 if args.name == "fairness" else 32
-        if args.cols is None:
-            args.cols = 20 if args.name == "fairness" else 32
-    emitter = Emitter(args.format)
+    argv = sys.argv[1:] if argv is None else argv
+    emitter = Emitter(_asked_format(argv))  # until the parser has read the argv
     try:
+        args = build_parser().parse_args(argv)
+        emitter = Emitter(args.format)
+        if args.command == "experiment":
+            if args.rows is None:
+                args.rows = 30 if args.name == "fairness" else 32
+            if args.cols is None:
+                args.cols = 20 if args.name == "fairness" else 32
         _check_flags(args)
         return args.func(args, emitter)
     except (IngestError, CapacityError) as exc:  # bad input, or input past a size cap

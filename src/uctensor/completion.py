@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -36,15 +37,7 @@ from .canonical_scaling import (
 from .errors import CapacityError
 from .sparse_tensor import Index, SparseTensor, check_index, check_ints, check_rows
 
-COMPLETE_ALL_CAP = 10_000_000  # largest extent box complete_all and predict --all fill
-
-
-@dataclass(frozen=True)
-class CompletionConfig:
-    """Knobs for fitting."""
-
-    epsilon: float = DEFAULT_EPSILON
-    max_sweeps: int = DEFAULT_MAX_SWEEPS
+COMPLETE_ALL_CAP = 10_000_000  # largest extent box predicted_blocks fills
 
 
 @dataclass
@@ -58,7 +51,6 @@ class CompletionModel:
     scaling: ScalingFamily
     report: ConvergenceReport
     k: int
-    config: CompletionConfig = field(default_factory=CompletionConfig)
 
     def predict(self, idx: Index) -> float:
         return predict(self, idx)
@@ -84,12 +76,15 @@ class CompletionModel:
 def tca(
     tensor: SparseTensor,
     k: int | None = None,
-    config: CompletionConfig = CompletionConfig(),
+    epsilon: float = DEFAULT_EPSILON,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> CompletionModel:
     """Fit a completion model: canonical scaling, then invert at queries.
 
-    ``k`` defaults to d-1 (slice scaling).  Preprocessing is one scaling
-    run, linear in the number of known entries per sweep for fixed d.
+    ``k`` defaults to d-1 (slice scaling); ``epsilon`` and ``max_sweeps``
+    go to :func:`csa`, whose report keeps them.  Preprocessing is one
+    scaling run, linear in the number of known entries per sweep for
+    fixed d.
 
     Raises
     ------
@@ -102,19 +97,17 @@ def tca(
         raise ValueError("cannot complete a tensor with no known entries")
     if k is None:
         k = tensor.d - 1
-    _, family, report = csa(
-        tensor, k, epsilon=config.epsilon, max_sweeps=config.max_sweeps
-    )
-    return CompletionModel(tensor, family, report, k, config)
+    _, family, report = csa(tensor, k, epsilon=epsilon, max_sweeps=max_sweeps)
+    return CompletionModel(tensor, family, report, k)
 
 
 def mca(
-    matrix: SparseTensor, config: CompletionConfig = CompletionConfig()
+    matrix: SparseTensor, epsilon: float = DEFAULT_EPSILON, max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> CompletionModel:
     """Matrix special case of :func:`tca` (d = 2, row/column scaling)."""
     if matrix.d != 2:
         raise ValueError(f"mca requires a 2-dimensional tensor, got d={matrix.d}")
-    return tca(matrix, 1, config)
+    return tca(matrix, 1, epsilon, max_sweeps)
 
 
 def predict(model: CompletionModel, idx: Index) -> float:
@@ -163,19 +156,31 @@ def round_to_scale(raw: float, low: float, high: float) -> float:
     return float(min(high, max(low, round(raw))))
 
 
-def complete_all(model: CompletionModel) -> SparseTensor:
-    """Dense-in-box tensor combining known entries and predictions.
+def predicted_blocks(model: CompletionModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every missing cell of the source's extent box with its prediction.
 
-    Refuses boxes larger than ``COMPLETE_ALL_CAP`` cells; use
-    :func:`predict` per query instead for large index spaces.
+    Returns an iterator of ``(cells, predictions)``, one pair per
+    :meth:`SparseTensor.missing_blocks` block, in flat-index order.
+    Raises ``CapacityError`` at once for a box of more than
+    ``COMPLETE_ALL_CAP`` cells; use :func:`predict` per query instead for
+    large index spaces.  :func:`complete_all` and ``uctensor predict
+    --all`` both fill the box through it.
     """
     box = model.source.box_size
     if box > COMPLETE_ALL_CAP:
         raise CapacityError(
-            f"extent box has {box} cells, above the complete_all cap {COMPLETE_ALL_CAP}"
+            f"extent box has {box} cells, above the cap {COMPLETE_ALL_CAP}; query per cell instead"
         )
+    return ((block, predict_many(model, block)) for block in model.source.missing_blocks())
+
+
+def complete_all(model: CompletionModel) -> SparseTensor:
+    """Dense-in-box tensor combining known entries and predictions.
+
+    Refuses what :func:`predicted_blocks` refuses.
+    """
     source = model.source
-    blocks = list(source.missing_blocks())
-    coords = np.concatenate([source.coords_array(), *blocks])
-    values = np.concatenate([source.values_array(), *(predict_many(model, b) for b in blocks)])
+    blocks = list(predicted_blocks(model))
+    coords = np.concatenate([source.coords_array(), *(cells for cells, _ in blocks)])
+    values = np.concatenate([source.values_array(), *(preds for _, preds in blocks)])
     return SparseTensor.from_arrays(source.extents, coords, values)

@@ -40,13 +40,14 @@ class ConstraintSystem:
 
     Rows follow the deterministic subtensor order (fixed-dimension subsets
     ascending, then slices ascending), restricted to non-empty
-    subtensors; columns follow known entries ascending by flat index.
+    subtensors; columns follow known entries ascending by flat index, and
+    ``columns`` holds their indices as the tensor's (N, d) ``coords_array``.
     ``matrix[i, t]`` is 1 iff entry t lies in subtensor i.  ``a`` is the
     log-value vector aligned with the columns.
     """
 
     k: int
-    columns: tuple[Index, ...]
+    columns: np.ndarray
     matrix: np.ndarray
     a: np.ndarray
 
@@ -69,7 +70,7 @@ def build_constraints(tensor: SparseTensor, k: int) -> ConstraintSystem:
     matrix = np.vstack([np.flatnonzero(g.counts)[:, None] == g.labels for g in groups])
     matrix = matrix.astype(np.float64)
     a = np.log(tensor.values_array())
-    return ConstraintSystem(k, tensor.known_indices(), matrix, a)
+    return ConstraintSystem(k, tensor.coords_array(), matrix, a)
 
 
 def solve_lcsp(

@@ -16,6 +16,10 @@ The consensus code reads a slice's known set from one sort of the known
 rows per dimension: rows by slice, then by point (the index without the
 slice's coordinate) in lexicographic order, so every occupied slice is
 one contiguous block of points and values.
+
+The ``consensus`` and ``fairness`` experiments of ``uctensor experiment``
+live here too: each plants a guarantee's premise in a synthetic matrix
+and measures it with the checks' own helpers.
 """
 
 from __future__ import annotations
@@ -28,18 +32,20 @@ import numpy as np
 
 from . import sparse_tensor as _sparse_tensor
 from . import support as _support
-# apply_scaling and tca go uncalled here: perfbench's traced run wraps
-# them under this module's names too
+# apply_scaling goes uncalled here: perfbench's traced run wraps it under
+# this module's name too
 from .canonical_scaling import (  # noqa: F401
     ConvergenceReport, ScalingFamily, apply_scaling, csa, csa_many, scaled_values,
 )
-from .completion import CompletionModel, predict_many, tca  # noqa: F401
-from .errors import CapacityError, OrderingSpecError
+from .completion import CompletionModel, predict_many, tca
+from .errors import CapacityError, IngestError, OrderingSpecError
 from .lcsp_oracle import gauge_check
 from .sparse_tensor import SparseTensor
 
 STRICTNESS_SLACK = 1e-12
 MISSING_CAP = 20_000  # missing cells, in flat order, that checked_cells reads
+# random matrices experiment_fairness draws before giving up on full support
+FULL_SUPPORT_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -479,6 +485,43 @@ def check_gauge_uniqueness(
     )
 
 
+def check_oracle_equivalence(
+    tensor: SparseTensor,
+    k: int,
+    oracle: tuple[np.ndarray, ScalingFamily],
+    fit: Fit,
+    cells: np.ndarray,
+) -> PropertyReport:
+    """The iterative fit agrees with the direct solve.
+
+    ``oracle`` is what :func:`~uctensor.lcsp_oracle.solve_lcsp` returns
+    for ``(tensor, k)`` and ``fit`` what ``csa(tensor, k)`` returns.  Their
+    canonical log values must agree within 1e-8, and their predictions at
+    ``cells``, missing cells as an (m, d) int array, within 1e-6 relative.
+    """
+    x, family = oracle
+    dev_canonical = float(np.abs(fit[0] - x).max())
+    preds = predict_many(_model(tensor, k, fit), cells)
+    # oracle_complete at every cell, in one pass: log_sums equals log_sum_at
+    references = map(math.exp, (-family.log_sums(cells)).tolist())
+    dev_pred = 0.0
+    for pred, reference in zip(preds.tolist(), references):
+        dev_pred = max(dev_pred, abs(pred / reference - 1.0))
+    violations = []
+    if dev_canonical > 1e-8:
+        violations.append(f"canonical log values diverge from projection: {dev_canonical:.3e}")
+    if dev_pred > 1e-6:
+        violations.append(f"predictions diverge from direct solve: {dev_pred:.3e}")
+    return PropertyReport(
+        name="oracle_equivalence",
+        instances=len(cells),
+        max_deviation=max(dev_canonical, dev_pred),
+        violations=violations,
+        passed=not violations,
+        tolerance=1e-8,
+    )
+
+
 def find_consensus_sets(
     tensor: SparseTensor, dim: int, min_size: int = 2
 ) -> list[OrderingSpec]:
@@ -516,3 +559,109 @@ def find_consensus_sets(
             for run in np.split(members[ranked], breaks) if len(run) >= min_size
         )
     return specs
+
+
+# -- experiments ------------------------------------------------------------
+
+
+def _random_full_support_matrix(rng, rows, cols, density):
+    """The first of up to ``FULL_SUPPORT_DRAWS`` random matrices with full support.
+
+    A draw with an empty row or column is skipped unscanned: the missing
+    cells of an empty line have no fibre, so none has a witness.  The
+    draws stop early once their scans would cover more than
+    ``support.DEFAULT_SCAN_CAP`` missing cells in all.  Raises
+    ``IngestError``, naming the shape, the density and the draws made, if
+    no draw has full support.
+    """
+    scanned, cap = 0, _support.DEFAULT_SCAN_CAP
+    for draw in range(1, FULL_SUPPORT_DRAWS + 1):
+        known = rng.random((rows, cols)) < density
+        if not (known.any(axis=0).all() and known.any(axis=1).all()):
+            continue
+        scanned += known.size - int(known.sum())
+        if scanned > cap:
+            break
+        values = np.exp(rng.uniform(-1.0, 1.0, size=int(known.sum())))
+        tensor = SparseTensor.from_arrays((rows, cols), np.argwhere(known) + 1, values)
+        ok, _ = _support.is_fully_supported(tensor)
+        if ok:
+            return tensor
+    raise IngestError(
+        f"no {rows}x{cols} matrix of density {density} with full support in {draw} draws"
+        + (f"; one more scan would pass the support scan cap {cap}" if scanned > cap else "")
+    )
+
+
+def experiment_consensus(
+    users: int = 50, base_products: int = 40, seed: int = 0
+) -> tuple[dict, list[tuple]]:
+    """Planted unanimous ranking: half the users rate three extra products
+    3 > 2 > 1; control users' predictions must reproduce that order."""
+    rng = np.random.default_rng(seed)
+    raters = users // 2
+    cols = base_products + 3
+    table = np.full((users, cols), np.nan)  # NaN where unrated
+    table[:, :base_products] = rng.uniform(1.0, 5.0, size=(users, base_products))
+    table[:raters, base_products:] = [3.0, 2.0, 1.0]
+    known = ~np.isnan(table)
+    tensor = SparseTensor.from_arrays(table.shape, np.argwhere(known) + 1, table[known])
+    model = tca(tensor, 1)
+    best, mid, worst = base_products + 1, base_products + 2, base_products + 3
+    report = check_consensus_ordering(model, OrderingSpec(dim=2, gamma=(worst, mid, best)))
+    control = np.arange(raters + 1, users + 1)
+    cells = np.column_stack([np.repeat(control, 3), np.tile([worst, mid, best], len(control))])
+    preds = predict_many(model, cells).reshape(-1, 3).tolist()
+    rows = [(u, low, middle, high, int(low < middle < high))
+            for u, (low, middle, high) in zip(control.tolist(), preds)]
+    summary = {
+        "record": "experiment",
+        "name": "consensus",
+        "users": users,
+        "products": cols,
+        "raters": raters,
+        "control_users": users - raters,
+        "violations": len(report.violations),
+        "max_deviation": report.max_deviation,
+        "passed": report.passed,
+        "seed": seed,
+    }
+    return summary, [("user", "pred_low", "pred_mid", "pred_high", "ordered")] + rows
+
+
+def experiment_fairness(
+    rows: int = 30,
+    cols: int = 20,
+    density: float = 0.5,
+    user: int = 1,
+    factor: float = 1.25,
+    top_n: int = 10,
+    seed: int = 0,
+    tolerance: float = 1e-9,
+) -> tuple[dict, list[tuple]]:
+    """One user rescales all their ratings; nobody else's predictions or
+    top-N lists may move."""
+    rng = np.random.default_rng(seed)
+    tensor = _random_full_support_matrix(rng, rows, cols, density)
+    cells, inside, p_before, p_after = _rescaled_predictions(tensor, 1, user, factor)
+    others = ~inside
+    changed_predictions = int((np.abs(p_after[others] / p_before[others] - 1.0) > tolerance).sum())
+    _, first = _first_rank_changes(cells[others], 1, p_before[others], p_after[others])
+    # users whose top-n list changed: those whose ranking first changes below rank n
+    changed_by_n = {n: int((first < n).sum()) for n in range(1, top_n + 1)}
+    summary = {
+        "record": "experiment",
+        "name": "fairness",
+        "rows": rows,
+        "cols": cols,
+        "known": len(tensor),
+        "scaled_user": user,
+        "factor": factor,
+        "changed_predictions": changed_predictions,
+        "changed_top_n_lists": changed_by_n[top_n],
+        "passed": changed_predictions == 0 and all(v == 0 for v in changed_by_n.values()),
+        "seed": seed,
+    }
+    data = [("top_n", "users_with_changed_list")]
+    data.extend((n, changed_by_n[n]) for n in sorted(changed_by_n))
+    return summary, data

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uctensor
-from uctensor import cli, lcsp_oracle, sparse_tensor, support
+from uctensor import cli, completion, lcsp_oracle, properties, sparse_tensor, support
 from uctensor.cli import ALL_PROPERTIES, Emitter, load_model, main, save_model
-from uctensor.completion import predict_many, round_to_scale, tca
+from uctensor.completion import complete_all, predict_many, round_to_scale, tca
 from uctensor.errors import CapacityError, UnknownIdError
 from uctensor.ingest import IdMap
 from uctensor.sparse_tensor import SparseTensor, all_indices
@@ -245,6 +245,18 @@ class TestPredict:
         assert code == 0 and model.source.box_size - len(model.source) == 5
         assert "".join(lines[1:]) == reference.getvalue()
 
+    def test_one_patch_of_the_box_cap_reaches_predict_all_and_complete_all(
+        self, demo_model, capsys, monkeypatch
+    ):
+        model, _, _ = load_model(demo_model)
+        monkeypatch.setattr(completion, "COMPLETE_ALL_CAP", 3)  # the demo box has 4 cells
+        with pytest.raises(CapacityError) as refused:
+            complete_all(model)
+        code, records = run_jsonl(capsys, ["predict", demo_model, "--all"])
+        assert code == 2 and [r["record"] for r in records] == ["config", "error"]
+        assert records[1]["message"] == str(refused.value)
+        assert "above the cap 3" in str(refused.value)
+
     def test_round_bounds_must_be_ordered(self, demo_model, capsys):
         assert main(["predict", demo_model, "--all", "--round", "5,1"]) == 2
         assert capsys.readouterr().out.startswith("error: --round expects")
@@ -417,6 +429,16 @@ class TestArtifact:
             assert model2.predict(idx) == model1.predict(idx)
         with open(demo_model) as a, open(resaved) as b:
             assert a.read() == b.read()
+
+    def test_fit_settings_are_stored_and_echoed(self, demo_file, tmp_path, capsys):
+        out = str(tmp_path / "m.json")
+        assert main(["complete", demo_file, "-o", out, "--epsilon", "1e-20",
+                     "--max-sweeps", "77"]) == 0
+        payload = json.loads(open(out).read())
+        assert (payload["epsilon"], payload["max_sweeps"]) == (1e-20, 77)
+        capsys.readouterr()
+        _, records = run_jsonl(capsys, ["predict", out, "u2,p2"])
+        assert (records[0]["epsilon"], records[0]["max_sweeps"]) == (1e-20, 77)
 
     def test_artifact_stores_log_coefficients(self, demo_model):
         payload = json.loads(open(demo_model).read())
@@ -879,7 +901,7 @@ class TestExperiment:
         assert argv[1] in records[0]["message"]
 
     def test_no_full_support_draw_is_an_input_error(self):
-        from uctensor.cli import FULL_SUPPORT_DRAWS
+        from uctensor.properties import FULL_SUPPORT_DRAWS
 
         done = self.run_subprocess(["fairness", "--rows", "6", "--cols", "5", "--density", "1e-9"])
         assert done.returncode == 2, done.stdout + done.stderr
@@ -896,7 +918,7 @@ class TestExperiment:
         def refuse(*args):
             raise AssertionError("a matrix was drawn")
 
-        monkeypatch.setattr(cli, "_random_full_support_matrix", refuse)
+        monkeypatch.setattr(properties, "_random_full_support_matrix", refuse)
         code, records = run_jsonl(capsys, ["experiment", "fairness", "--rows", "20",
                                            "--cols", "16"])
         assert code == 2 and [r["record"] for r in records] == ["error"]
@@ -907,7 +929,7 @@ class TestExperiment:
             raise CapacityError("scale fairness would compare 280 missing cells over cap 250")
 
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "_rescaled_predictions", over_cap)
+        monkeypatch.setattr(properties, "_rescaled_predictions", over_cap)
         code, records = run_jsonl(capsys, ["experiment", "fairness", "--rows", "20",
                                            "--cols", "15"])
         assert code == 2 and [r["record"] for r in records] == ["config", "error"]
@@ -932,6 +954,15 @@ class TestExperiment:
         lines = capsys.readouterr().out.splitlines()
         first = lines.index("entries\tsweeps\twall_seconds\tper_sweep_seconds\tratio_vs_previous") + 1
         assert lines[first].endswith("\tnan")
+
+    def test_unwritable_data_path_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "no" / "such" / "x.tsv"
+        code, records = run_jsonl(capsys, ["experiment", "consensus", "--users", "8",
+                                           "--base-products", "5", "--data", str(data)])
+        assert code == 2 and capsys.readouterr().err == ""
+        assert [r["record"] for r in records] == ["config", "experiment", "error"]
+        assert records[-1]["message"].startswith("cannot write data: ")
+        assert not data.exists()
 
     def test_scaling_writes_data_file(self, tmp_path, capsys):
         data = tmp_path / "scaling.tsv"
@@ -1064,7 +1095,72 @@ class TestFlagBounds:
         }
 
 
+def numeric_flags():
+    """(command, longest option string) of every int or float flag of every subcommand."""
+    commands = next(
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return [
+        (command, max(action.option_strings, key=len))
+        for command, parser in commands.items() for action in parser._actions
+        if action.type in (int, float)
+    ]
+
+
+# the parser refuses each before a file is read, so absent.csv is never opened
+HEADS = {"complete": ["complete", "absent.csv"], "verify": ["verify", "absent.csv"],
+         "experiment": ["experiment", "consensus"]}
+REFUSED = [[*HEADS[command], flag, "x"] for command, flag in numeric_flags()] + [
+    ["complete", "absent.csv", "--no-such-flag"],
+    ["predict", "model.json", "--no-such-flag"],
+    ["predict"],
+    ["verify"],
+    [],
+    ["experiment", "nosuch"],
+    ["verify", "absent.csv", "--dedupe", "first"],
+]
+
+
 class TestMain:
+    @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+    def test_parser_refusal_is_one_error_record(self, capsys, argv):
+        code = main([*argv, "--format", "jsonl"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert [json.loads(line)["record"] for line in captured.out.splitlines()] == ["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "absent.csv", "--seed", "x"],
+        ["verify", "absent.csv", "--seed", "x", "--format", "xml"],
+        ["verify", "absent.csv", "--seed", "x", "--format"],
+        ["verify", "absent.csv", "--format", "jsonl", "--format=human", "--seed", "x"],
+    ])
+    def test_parser_refusal_falls_back_to_human_lines(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("error: uctensor verify: argument ")
+        assert len(captured.out.splitlines()) == 1
+
+    def test_parser_refusal_reads_the_format_flag_with_its_value(self, capsys):
+        assert main(["verify", "absent.csv", "--format=jsonl", "--seed", "x"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "record": "error",
+            "message": "uctensor verify: argument --seed: invalid int value: 'x'",
+        }
+
+    @pytest.mark.parametrize("command", ["complete", "verify", "predict"])
+    def test_empty_delimiter_is_input_error(self, demo_file, demo_model, capsys, command):
+        argv = ([command, demo_file] if command != "predict"
+                else [command, demo_model, "u1,p1"])
+        code, records = run_jsonl(capsys, [*argv, "--delimiter="])
+        assert code == 2 and capsys.readouterr().err == ""
+        assert records == [{
+            "record": "error",
+            "message": f"uctensor {command}: argument --delimiter: must not be empty",
+        }]
+
     def test_calls_in_one_process_print_what_separate_processes_print(
         self, demo_file, tmp_path, capsys
     ):

@@ -83,6 +83,12 @@ class TestTcaGeneral:
         model = tca(tensor)
         assert model.k == 2
 
+    def test_fit_settings_reach_the_report(self, golden_matrix):
+        model = tca(golden_matrix, 1, epsilon=1e-20, max_sweeps=77)
+        assert (model.report.epsilon, model.report.max_sweeps) == (1e-20, 77)
+        report = mca(golden_matrix, epsilon=1e-20, max_sweeps=77).report
+        assert (report.epsilon, report.max_sweeps) == (1e-20, 77)
+
     def test_empty_tensor_rejected(self):
         with pytest.raises(ValueError):
             tca(SparseTensor((2, 2), {}), 1)

@@ -42,7 +42,7 @@ class TestBuildConstraints:
     def test_golden_matrix_system(self, golden_matrix):
         system = build_constraints(golden_matrix, 1)
         # columns ascend by flat index: (1,1), (2,1), (1,2)
-        assert system.columns == ((1, 1), (2, 1), (1, 2))
+        assert system.columns.tolist() == [[1, 1], [2, 1], [1, 2]]
         assert occupied_rows(golden_matrix, 1) == [
             ((1,), (1,)),
             ((1,), (2,)),
@@ -79,9 +79,10 @@ class TestBuildConstraints:
         system = build_constraints(golden_matrix, 1)
         rows = occupied_rows(golden_matrix, 1)
         assert len(system.matrix) == len(rows)
+        columns = [tuple(c) for c in system.columns.tolist()]
         for row, (dims, coords) in zip(system.matrix, rows):
-            cols = [system.columns[t] for t in np.flatnonzero(row)]
-            assert cols == reference_members(system.columns, dims, coords)
+            cols = [columns[t] for t in np.flatnonzero(row)]
+            assert cols == reference_members(columns, dims, coords)
 
 
 class TestSolveLcsp:

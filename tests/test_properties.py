@@ -5,13 +5,14 @@ from uctensor import properties, sparse_tensor, support
 from uctensor.canonical_scaling import apply_scaling, csa
 from uctensor.completion import CompletionModel, predict_many, tca
 from uctensor.errors import CapacityError, OrderingSpecError
-from uctensor.lcsp_oracle import gauge_check, oracle_complete
+from uctensor.lcsp_oracle import gauge_check, oracle_complete, solve_lcsp
 from uctensor.properties import (
     OrderingSpec,
     _distinct_less,
     _rescaled_predictions,
     check_consensus_ordering,
     check_gauge_uniqueness,
+    check_oracle_equivalence,
     check_scale_fairness,
     check_unit_consistency,
     checked_cells,
@@ -355,6 +356,26 @@ class TestGaugeUniqueness:
         a = check_gauge_uniqueness(golden_matrix, 1, orderings=3, seed=5)
         b = check_gauge_uniqueness(golden_matrix, 1, orderings=3, seed=5)
         assert a == b
+
+
+class TestOracleEquivalence:
+    def test_fit_agrees_with_direct_solve(self, golden_matrix):
+        fit = csa(golden_matrix, 1)
+        rep = check_oracle_equivalence(
+            golden_matrix, 1, solve_lcsp(golden_matrix, 1), fit, np.array([[2, 2]])
+        )
+        assert rep.passed and rep.name == "oracle_equivalence" and rep.instances == 1
+        assert rep.max_deviation < 1e-12 and rep.tolerance == 1e-8
+
+    def test_diverging_fit_is_reported(self, golden_matrix):
+        x, family, report = csa(golden_matrix, 1)
+        rep = check_oracle_equivalence(
+            golden_matrix, 1, solve_lcsp(golden_matrix, 1), (x + 1e-6, family, report),
+            np.array([[2, 2]]),
+        )
+        assert not rep.passed and len(rep.violations) == 1
+        assert rep.violations[0].startswith("canonical log values diverge from projection: ")
+        assert rep.max_deviation == pytest.approx(1e-6)
 
 
 class TestFindConsensusSets:
