@@ -482,10 +482,13 @@ def cmd_verify(args, emitter: Emitter) -> int:
                     rep.notes.append("tensor lacks full support; result is informational")
                 reports.append(rep)
             elif name == "scale_fairness":
-                reports.append(check_scale_fairness(
-                    tensor, dim=1, slice_index=int(tensor.coords_array()[:, 0].min()),
-                    factor=args.factor, fit=fitted() if k == tensor.d - 1 else None,
-                ))
+                try:
+                    reports.append(check_scale_fairness(
+                        tensor, dim=1, slice_index=int(tensor.coords_array()[:, 0].min()),
+                        factor=args.factor, fit=fitted() if k == tensor.d - 1 else None,
+                    ))
+                except ValueError as exc:  # a --factor past the float range
+                    raise IngestError(str(exc)) from None
             elif name == "consensus_ordering":
                 _, family, report = fitted()
                 model = CompletionModel(tensor, family, report, k)
@@ -565,10 +568,13 @@ def cmd_experiment(args, emitter: Emitter) -> int:
             users=args.users, base_products=args.base_products, seed=args.seed,
         )
     elif args.name == "fairness":
-        summary, data = experiment_fairness(
-            rows=args.rows, cols=args.cols, density=args.density, user=args.user,
-            factor=args.factor, top_n=args.top_n, seed=args.seed,
-        )
+        try:
+            summary, data = experiment_fairness(
+                rows=args.rows, cols=args.cols, density=args.density, user=args.user,
+                factor=args.factor, top_n=args.top_n, seed=args.seed,
+            )
+        except ValueError as exc:  # a --factor past the float range
+            raise IngestError(str(exc)) from None
     else:
         summary, data = experiment_scaling(
             base_rows=args.rows, base_cols=args.cols, doublings=args.doublings,
@@ -604,6 +610,10 @@ def _at_least(least: int) -> tuple:
     return lambda value: value >= least, f"at least {least}"
 
 
+def _between(least: int, most: int) -> tuple:
+    return lambda value: least <= value <= most, f"from {least} to {most}"
+
+
 _POSITIVE = (lambda value: 0 < value < math.inf, "positive and finite")
 
 # Every numeric flag's bound, by command, as (test, text): main refuses a
@@ -612,7 +622,8 @@ _POSITIVE = (lambda value: 0 < value < math.inf, "positive and finite")
 # complete's --epsilon and --max-sweeps by the fit itself.
 FLAG_BOUNDS = {
     "verify": {
-        "--trials": _at_least(1), "--orderings": _at_least(1), "--factor": _POSITIVE,
+        # each trial and each ordering is one more fit of the whole file
+        "--trials": _between(1, 1000), "--orderings": _between(1, 1000), "--factor": _POSITIVE,
         "--oracle-cap": _at_least(0), "--seed": _at_least(0),
     },
     "experiment": {  # whichever experiment is named
@@ -699,10 +710,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ratings")
     p.add_argument("--properties", default=None,
                    help=f"comma-separated subset of: {','.join(ALL_PROPERTIES)}")
+    bounds = FLAG_BOUNDS["verify"]
     p.add_argument("--trials", type=int, default=20,
-                   help="random scaling trials for unit consistency")
+                   help=f"random scaling trials for unit consistency, {bounds['--trials'][1]}")
     p.add_argument("--orderings", type=int, default=5,
-                   help="random sweep orders for gauge uniqueness")
+                   help=f"random sweep orders for gauge uniqueness, {bounds['--orderings'][1]}")
     p.add_argument("--factor", type=float, default=1.25,
                    help="scale factor for the fairness check")
     p.add_argument("--oracle-cap", type=int, default=500,

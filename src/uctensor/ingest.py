@@ -13,16 +13,13 @@ rating, and silently aggregating would corrupt the line products the
 scaler relies on.  An explicit dedupe policy ("last" or "mean-log",
 geometric mean) can be opted into.
 
-Parsing takes the whole text at once.  A regular file, where every
-record has the same column count, every value parses and is positive
-after the transform, every id is known and no key repeats, is read in
-a few passes over whole columns: one split into lines, one flat split
-of the fields, ``float`` over the value column, ``str.strip`` and
-first-seen interning over each key column, and
-:meth:`SparseTensor.from_arrays` for the tensor.  Any irregular record
-sends the same text through the line-by-line loop, which is the one
-place that raises a record's error, naming its line, and that applies a
-dedupe policy; so errors and dedupe results do not depend on the path.
+Parsing reads the text in chunks of whole lines, so its transient
+strings are bounded by a chunk, and reads each chunk a whole column at a
+time: ``float`` over the values, ``str.strip`` and interning over each
+key column, the id tables carried from chunk to chunk.  Only a chunk
+with a bad record is read again line by line, to name its first bad
+line.  Repeated keys are found, and a dedupe policy applied, on the
+coordinate arrays of the whole file.
 
 The canonical output format is a sorted CSV (rows ascending by flat
 index) plus a sidecar id-map file; parse/serialize round-trips are exact.
@@ -30,16 +27,23 @@ index) plus a sidecar id-map file; parse/serialize round-trips are exact.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .errors import DuplicateRecordError, ParseError, RecordError, UnknownIdError
-from .sparse_tensor import Index, SparseTensor
+from .sparse_tensor import Index, SparseTensor, _radix_keys
+
+# Characters of whole lines parsed at a time: a chunk's strings, about 4 MB
+# of short rating lines, are all the parse holds besides its arrays, and a
+# 1M-entry file parsed no faster in chunks 16 times larger.
+CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -94,19 +98,17 @@ class IdMap:
         self.to_coord: list[dict[str, int]] = [dict() for _ in range(d)]
         self.to_id: list[list[str]] = [[] for _ in range(d)]
 
+    @classmethod
+    def from_tables(cls, tables: Iterable[dict[str, int]]) -> "IdMap":
+        """The map whose per-dimension tables number their ids 1, 2, ... in order."""
+        idmap = cls(0)
+        idmap.to_coord = list(tables)
+        idmap.to_id = [list(table) for table in idmap.to_coord]
+        return idmap
+
     @property
     def d(self) -> int:
         return len(self.to_coord)
-
-    def intern(self, dim: int, external: str) -> int:
-        """Coordinate for an id, assigning the next one on first sight."""
-        table = self.to_coord[dim]
-        coord = table.get(external)
-        if coord is None:
-            self.to_id[dim].append(external)
-            coord = len(self.to_id[dim])
-            table[external] = coord
-        return coord
 
     def resolve(self, ids: Iterable[str]) -> Index:
         """External ids (one per dimension) to an index vector.
@@ -214,154 +216,147 @@ def parse_ratings(
     if dedupe not in (None, "last", "mean-log"):
         raise ValueError(f"unknown dedupe policy {dedupe!r}")
     if idmap is not None and idmap.d != schema.d:
-        raise ValueError(
-            f"idmap covers {idmap.d} dimensions but the schema has {schema.d} keys"
-        )
+        raise ValueError(f"idmap covers {idmap.d} dimensions but the schema has {schema.d} keys")
     text = _read_text(source)
-    return _parse_regular(text, schema, idmap) or _parse_lines(
-        text.split("\n"), schema, dedupe, idmap
-    )
+    fixed = idmap is not None
+    tables = idmap.to_coord if fixed else [
+        defaultdict(itertools.count(1).__next__) for _ in range(schema.d)  # first-seen order
+    ]
+    chunks = []
+    for pos, lineno, lines in _line_chunks(text, schema.header):
+        chunk = _read_columns(lines, schema, tables)
+        if chunk is None:  # the chunk's first bad line, unless a key repeats before it
+            bad, error = _first_error(lines, lineno, schema, idmap)
+            if dedupe is None:
+                with contextlib.suppress(RecordError):  # no record before the bad line
+                    parse_ratings(text[:pos] + "\n".join(lines[:bad]), schema, None, idmap)
+            raise error
+        chunks.append(chunk)
+    counts = [len(values) for _, values in chunks]
+    if not sum(counts):
+        raise RecordError("no records parsed", line=None)
+    if not fixed:
+        idmap = IdMap.from_tables(map(dict, tables))
+    extents = idmap.extents()
+    coords, values = (np.concatenate(part) for part in zip(*chunks))
+    del chunks  # the chunks' arrays, freed before the tensor sorts its copies
+    if dedupe is not None:
+        coords, values = _merge_repeats(coords, values, extents, dedupe)
+    try:
+        return SparseTensor.from_arrays(extents, coords, values), idmap
+    except ValueError:  # coords and values are checked, so a key repeats
+        _, first = np.unique(_radix_keys(coords, extents), return_index=True)
+        repeat = record = int(np.delete(np.arange(len(coords)), first).min())
+    for (_, lineno, lines), count in zip(_line_chunks(text, schema.header), counts):
+        if record < count:
+            break
+        record -= count
+    lineno = [lineno + i for i, line in enumerate(lines) if line][record]
+    key = idmap.unresolve(tuple(coords[repeat].tolist()))
+    raise DuplicateRecordError(f"line {lineno}: duplicate rating for key {key}", line=lineno)
 
 
-def _parse_regular(
-    text: str, schema: Schema, idmap: IdMap | None
-) -> tuple[SparseTensor, IdMap] | None:
-    """The whole-text parse: the result, or None when any record is irregular.
+def _line_chunks(text: str, header: bool) -> Iterator[tuple[int, int, list[str]]]:
+    """Runs of whole lines of ``text``, about ``CHUNK`` characters each: the
+    offset of each in ``text``, the number of its first line, and its lines,
+    trailing ``"\r"`` dropped and the header line blanked."""
+    strip = "\r" in text
+    lineno = pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + CHUNK)
+        end = len(text) if end < 0 else end
+        lines = text[pos:end].split("\n")
+        if strip:
+            lines = [line.rstrip("\r") for line in lines]
+        if header and not pos:
+            lines[0] = ""
+        yield pos, lineno + 1, lines
+        lineno += len(lines)
+        pos = end + 1
 
-    Irregular means no records, lines of differing column counts or too
-    few columns, a value that does not parse, a transformed value that
-    is not positive and finite, an id outside a fixed ``idmap``, or a
-    repeated key.  Each pass runs over a whole column in C.
-    """
-    lines = text.split("\n")
-    if schema.header:
-        del lines[:1]
-    if "\r" in text:
-        lines = [line.rstrip("\r") for line in lines]
+
+def _read_columns(
+    lines: list[str], schema: Schema, tables: list[dict[str, int]]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """A chunk's coordinates and values, read a whole column at a time, or
+    None for a bad record; ids are interned once every value has passed."""
     lines = list(filter(None, lines))
-    delimiter = schema.delimiter
+    delimiter, width = schema.delimiter, schema.needed
     counts = set(map(str.count, lines, itertools.repeat(delimiter)))
-    if len(counts) != 1:
+    if min(counts, default=width) + 1 < width:
         return None
-    width = counts.pop() + 1
-    if width < schema.needed:
-        return None
-    n = len(lines)
-    # no field holds "\n", so joining on it keeps a delimiter from matching
-    # across two lines; replace matches as split does, left to right
-    fields = "\n".join(lines).replace(delimiter, "\n").split("\n")
-    del lines
-    try:
-        values = np.fromiter(
-            map(float, fields[schema.value_column::width]), np.float64, count=n
-        )
-    except ValueError:
-        return None
-    if schema.transform is not None:
-        a, b = schema.transform
-        with np.errstate(all="ignore"):  # inf and nan are refused below
-            values = a * values + b
-    fixed_map = idmap is not None
-    if not fixed_map:
-        idmap = IdMap(schema.d)
-    coords = np.empty((n, schema.d), dtype=np.int64)
-    for dim, col in enumerate(schema.key_columns):
-        keys = list(map(str.strip, fields[col::width]))
-        if fixed_map:
-            table = idmap.to_coord[dim]
-        else:  # first-seen order
-            table = dict(zip(dict.fromkeys(keys), itertools.count(1)))
-            idmap.to_coord[dim] = table
-            idmap.to_id[dim] = list(table)
-        try:
-            coords[:, dim] = np.fromiter(map(table.__getitem__, keys), np.int64, count=n)
-        except KeyError:
+    if len(counts) == 1:
+        width = counts.pop() + 1
+        # no field holds "\n", so joining on it keeps a delimiter from matching
+        # across two lines; replace matches as split does, left to right
+        fields = "\n".join(lines).replace(delimiter, "\n").split("\n")
+    else:  # ragged lines, or none: the first fields of each, as many as needed
+        fields = [field for line in lines for field in line.split(delimiter, width)[:width]]
+    try:  # a ValueError is a value that does not parse, a KeyError an unknown id
+        values = np.fromiter(map(float, fields[schema.value_column::width]), np.float64)
+        if schema.transform is not None:
+            a, b = schema.transform
+            with np.errstate(all="ignore"):  # inf and nan are refused below
+                values = a * values + b
+        if not ((values > 0.0) & np.isfinite(values)).all():
             return None
-    try:
-        return SparseTensor.from_arrays(idmap.extents(), coords, values), idmap
-    except ValueError:  # a value not positive and finite, or a repeated key
+        coords = np.empty((len(values), schema.d), dtype=np.int64)
+        for dim, (col, table) in enumerate(zip(schema.key_columns, tables)):
+            keys = map(str.strip, fields[col::width])
+            coords[:, dim] = np.fromiter(map(table.__getitem__, keys), np.int64, len(values))
+    except (ValueError, KeyError):
         return None
+    return coords, values
 
 
-def _parse_lines(
-    lines: Iterable[str], schema: Schema, dedupe: str | None, idmap: IdMap | None
-) -> tuple[SparseTensor, IdMap]:
-    """The line-by-line parse behind :func:`parse_ratings`.
-
-    It runs whenever the whole-text parse finds an irregular record, so
-    it is the one place that raises for a bad line, naming its number,
-    and that applies a dedupe policy.
-    """
-    fixed_map = idmap is not None
-    if idmap is None:
-        idmap = IdMap(schema.d)
-    cells: dict[Index, float] = {}
-    log_acc: dict[Index, list[float]] = {}
+def _first_error(lines: list[str], lineno: int, schema: Schema,
+                 idmap: IdMap | None) -> tuple[int, Exception]:
+    """The position in ``lines`` of the first bad line, and its error, as a
+    record at a time raises it; ``lineno`` numbers the first line."""
     needed = schema.needed
-
-    for lineno, line in enumerate(lines, start=1):
-        if schema.header and lineno == 1:
-            continue
-        line = line.rstrip("\r\n")
+    for i, line in enumerate(lines):
         if not line:
             continue
-        parts = line.split(schema.delimiter)
+        parts, at = line.split(schema.delimiter), f"line {lineno + i}"
         if len(parts) < needed:
-            raise ParseError(
-                f"line {lineno}: expected at least {needed} columns, got {len(parts)}",
-                line=lineno,
-            )
+            return i, ParseError(f"{at}: expected at least {needed} columns, got {len(parts)}",
+                                 line=lineno + i)
         try:
-            raw_value = float(parts[schema.value_column])
+            value = schema.apply_transform(float(parts[schema.value_column]))
         except ValueError:
-            raise ParseError(
-                f"line {lineno}: value {parts[schema.value_column]!r} is not a number",
-                line=lineno,
-            ) from None
-        value = schema.apply_transform(raw_value)
+            return i, ParseError(f"{at}: value {parts[schema.value_column]!r} is not a number",
+                                 line=lineno + i)
         if not (value > 0 and math.isfinite(value)):
-            raise RecordError(
-                f"line {lineno}: transformed value {value!r} is not strictly positive "
-                "(zero marks absent entries)",
-                line=lineno,
-            )
-        keys = tuple(parts[col].strip() for col in schema.key_columns)
-        if fixed_map:
+            return i, RecordError(f"{at}: transformed value {value!r} is not strictly positive "
+                                  "(zero marks absent entries)", line=lineno + i)
+        if idmap is not None:
             try:
-                idx = idmap.resolve(keys)
+                idmap.resolve([parts[col].strip() for col in schema.key_columns])
             except UnknownIdError as exc:
-                raise UnknownIdError(f"line {lineno}: {exc}") from None
-        else:
-            idx = tuple(idmap.intern(dim, key) for dim, key in enumerate(keys))
-        if idx in cells:
-            if dedupe is None:
-                raise DuplicateRecordError(
-                    f"line {lineno}: duplicate rating for key "
-                    f"{idmap.unresolve(idx)}",
-                    line=lineno,
-                )
-            if dedupe == "last":
-                cells[idx] = value
-            else:
-                log_acc[idx].append(math.log(value))
-        else:
-            cells[idx] = value
-            if dedupe == "mean-log":
-                log_acc[idx] = [math.log(value)]
-
-    if dedupe == "mean-log":
-        for idx, logs in log_acc.items():
-            if len(logs) > 1:
-                cells[idx] = math.exp(sum(logs) / len(logs))
-    extents = idmap.extents()
-    if not cells:
-        raise RecordError("no records parsed", line=None)
-    return SparseTensor(extents, cells), idmap
+                return i, UnknownIdError(f"{at}: {exc}")
+    raise AssertionError("no bad line in a chunk the column reader refused")
 
 
-def write_ratings(
-    tensor: SparseTensor, idmap: IdMap, target: IO, delimiter: str = ","
-) -> None:
+def _merge_repeats(coords: np.ndarray, values: np.ndarray, extents: tuple[int, ...],
+                   dedupe: str) -> tuple[np.ndarray, np.ndarray]:
+    """One record per key, in flat-index order: its last record's value, or
+    the geometric mean of its records by ``math.log`` and ``math.exp`` in
+    file order, as a record at a time gives it."""
+    keys = _radix_keys(coords[:, ::-1], extents[::-1])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    first, ends = order[starts], np.append(starts[1:], len(order))
+    if dedupe == "last":
+        return coords[first], values[order[ends - 1]]
+    merged = values[first]
+    for run in np.flatnonzero(ends - starts > 1).tolist():
+        logs = [math.log(value) for value in values[order[starts[run]:ends[run]]].tolist()]
+        merged[run] = math.exp(sum(logs) / len(logs))
+    return coords[first], merged
+
+
+def write_ratings(tensor: SparseTensor, idmap: IdMap, target: IO, delimiter: str = ",") -> None:
     """Write the canonical sorted CSV: keys ascending by flat index.
 
     Values are written with full round-trip precision, so rewriting the
@@ -377,12 +372,16 @@ def idmap_to_dict(idmap: IdMap) -> dict:
 
 
 def idmap_from_dict(payload: dict) -> IdMap:
-    dims = payload["dimensions"]
-    idmap = IdMap(len(dims))
-    for dim, ids in enumerate(dims):
-        for external in ids:
-            idmap.intern(dim, str(external))
-    return idmap
+    """The map of :func:`idmap_to_dict`'s payload; ValueError for a repeated id."""
+    tables = []
+    for dim, ids in enumerate(payload["dimensions"]):
+        ids = list(map(str, ids))
+        table = dict(zip(ids, itertools.count(1)))
+        if len(table) != len(ids):
+            repeated = next(external for external, n in Counter(ids).items() if n > 1)
+            raise ValueError(f"dimension {dim + 1} repeats id {repeated!r}")
+        tables.append(table)
+    return IdMap.from_tables(tables)
 
 
 def write_idmap(idmap: IdMap, target: IO) -> None:

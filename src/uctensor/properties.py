@@ -317,24 +317,43 @@ def _rescaled_predictions(
     """Predictions at the missing cells before and after one slice is rescaled.
 
     Fits ``tensor`` at k = d-1, unless ``fit`` is that fit already, and
-    again with every known entry of slice ``slice_index`` along ``dim``
-    multiplied by ``factor``, both as one batch.  Returns the missing
-    cells as an (m, d) int array in flat order, the mask of those inside
-    the slice, and the two fits' predictions at them.  Refuses, before
-    any of that, more than ``support.DEFAULT_SCAN_CAP`` missing cells.
+    again with ``log(factor)`` added to the log of every known entry of
+    slice ``slice_index`` along ``dim``, both as one batch.  Returns the
+    missing cells as an (m, d) int array in flat order, the mask of those
+    inside the slice, and the two fits' predictions at them.  Refuses,
+    before any of that, more than ``support.DEFAULT_SCAN_CAP`` missing
+    cells, and raises ValueError where ``factor`` takes a value of the
+    slice, or a prediction inside it, outside the positive floats.
     """
     missing, cap = tensor.box_size - len(tensor), _support.DEFAULT_SCAN_CAP
     if missing > cap:
         raise CapacityError(f"scale fairness would compare {missing} missing cells over cap {cap}")
     k, coords, values = tensor.d - 1, tensor.coords_array(), tensor.values_array()
-    rows = [np.where(coords[:, dim - 1] == slice_index, values * factor, values)]
+    in_slice = coords[:, dim - 1] == slice_index
+    _check_scaled(values[in_slice], factor, "a value", dim, slice_index)
+    logs = np.log(values)
+    rows = [np.where(in_slice, logs + math.log(factor), logs)]
     if fit is None:
-        rows.insert(0, values)
-    fits = list(csa_many(tensor, k, map(np.log, rows)))
+        rows.insert(0, logs)
+    fits = list(csa_many(tensor, k, rows))
     before, after = _model(tensor, k, fit or fits[0]), _model(tensor, k, fits[-1])
     cells = np.concatenate([*tensor.missing_blocks(), np.empty((0, tensor.d), np.int64)])
     inside = cells[:, dim - 1] == slice_index
-    return cells, inside, predict_many(before, cells), predict_many(after, cells)
+    p_before = predict_many(before, cells)
+    _check_scaled(p_before[inside], factor, "a prediction", dim, slice_index)
+    return cells, inside, p_before, predict_many(after, cells)
+
+
+def _check_scaled(values: np.ndarray, factor: float, what: str, dim: int, slice_index: int) -> None:
+    """Raise ValueError unless every ``values * factor`` is a positive finite float."""
+    with np.errstate(over="ignore", under="ignore"):
+        scaled = values * factor
+    bad = np.flatnonzero(~((scaled > 0.0) & np.isfinite(scaled)))
+    if bad.size:
+        raise ValueError(
+            f"factor {factor!r} takes {what} of slice {slice_index} of dimension {dim}, "
+            f"{values[bad[0]].item()!r}, to {scaled[bad[0]].item()!r}, outside the float range"
+        )
 
 
 def _first_rank_changes(

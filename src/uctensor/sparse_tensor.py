@@ -7,8 +7,10 @@ linearization :func:`flat_index`, and the N values aligned with them.
 order; the constructor takes a mapping from index tuples to values, or
 (index, value) pairs, and converts them to arrays.  ``entries``, the
 values keyed by index tuple in flat-index order, is a dict view built on
-first use, for scalar lookups; :meth:`SparseTensor.locate` finds known
-cells without it, by one binary search.  All values are strictly
+first use, for scalar lookups; its keys and values share one Python
+object per distinct coordinate and per distinct value, which nearly
+halves its size.  :meth:`SparseTensor.locate` finds known cells without
+it, by one binary search.  All values are strictly
 positive; zero is reserved to mean "absent".  Tensors are immutable
 after construction, so concurrent read access is safe.
 
@@ -66,6 +68,20 @@ def _radix_keys(coords: np.ndarray, radices: tuple[int, ...]) -> np.ndarray:
         keys += column.astype(dtype, copy=False)
         keys -= 1
     return keys
+
+
+def _shared_objects(column: np.ndarray, extent: int | None = None) -> list:
+    """``column.tolist()``, holding one Python object per distinct element.
+
+    A column of 1-based coordinates whose ``extent`` is at most its
+    length gathers from a table of every coordinate; any other column
+    gathers from its distinct elements.  Positive finite floats are equal
+    exactly when their bits are, so the values are those of ``tolist()``.
+    """
+    if extent is not None and extent <= len(column):
+        return np.arange(extent + 1).astype(object)[column].tolist()
+    distinct, inverse = np.unique(column, return_inverse=True)
+    return distinct.astype(object)[inverse.reshape(-1)].tolist()
 
 
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -335,13 +351,15 @@ class SparseTensor:
     def entries(self) -> dict[Index, float]:
         """Known values keyed by index tuple, in flat-index order.
 
-        A view of the arrays for scalar lookups, built on first use.
+        A view of the arrays for scalar lookups, built on first use.  Equal
+        coordinates and equal values are one Python object each.
         """
         if self._entries is None:
-            # tuples zipped from d column lists, not one list per row:
-            # faster, and a quarter less transient memory at 250k entries
-            keys = zip(*self._coords.T.tolist())
-            self._entries = dict(zip(keys, self._values.tolist()))
+            # tuples zipped from d column lists, not one list per row, and
+            # one Python object per distinct coordinate and value: 24 MB,
+            # not 44 MB, at 250k entries (tracemalloc)
+            columns = map(_shared_objects, self._coords.T, self.extents)
+            self._entries = dict(zip(zip(*columns), _shared_objects(self._values)))
         return self._entries
 
     def known_indices(self) -> tuple[Index, ...]:

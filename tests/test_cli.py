@@ -519,10 +519,9 @@ class TestArtifact:
         values = data.draw(st.lists(
             st.floats(1e-3, 1e3), min_size=len(known), max_size=len(known)
         ))
-        idmap = IdMap(d)
-        for dim, n in enumerate(extents):
-            for i in range(n):
-                idmap.intern(dim, f"d{dim}-{i}")
+        idmap = IdMap.from_tables(
+            {f"d{dim}-{i}": i + 1 for i in range(n)} for dim, n in enumerate(extents)
+        )
 
         def same(a, b):
             return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -710,6 +709,8 @@ class TestVerify:
         ["--trials", "0"],
         ["--orderings", "-2"],
         ["--orderings", "0"],
+        ["--trials", "99999999999999999999999"],
+        ["--orderings", "99999999999999999999999"],
         ["--oracle-cap", "-1"],
     ])
     def test_bad_input_is_one_error_record(self, demo_file, flags):
@@ -723,6 +724,18 @@ class TestVerify:
         assert done.stderr == ""
         records = [json.loads(line) for line in done.stdout.splitlines()]
         assert [r["record"] for r in records] == ["error"]
+
+    def test_factor_past_the_float_range_is_an_input_error(self, demo_file, capsys):
+        # scaled by 1e308, the slice's value 2.0 is inf; a factor is added in
+        # logs, so nothing overflows before the refusal
+        code, records = run_jsonl(capsys, ["verify", demo_file, "--factor", "1e308"])
+        assert code == 2
+        assert [r["record"] for r in records] == ["config", "error"]
+        assert records[1]["message"] == (
+            "factor 1e+308 takes a value of slice 1 of dimension 1, 2.0, to inf, "
+            "outside the float range"
+        )
+        assert capsys.readouterr().err == ""
 
     def test_fit_failing_in_a_check_is_a_convergence_record(
         self, demo_file, capsys, monkeypatch
@@ -900,6 +913,14 @@ class TestExperiment:
         assert [r["record"] for r in records] == ["error"]
         assert argv[1] in records[0]["message"]
 
+    def test_factor_past_the_float_range_is_an_input_error(self):
+        done = self.run_subprocess(["fairness", "--factor", "1e308", "--rows", "5", "--cols", "5"])
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert done.stderr == ""
+        records = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [r["record"] for r in records] == ["config", "error"]
+        assert "factor 1e+308 takes a value of slice 1 of dimension 1" in records[1]["message"]
+
     def test_no_full_support_draw_is_an_input_error(self):
         from uctensor.properties import FULL_SUPPORT_DRAWS
 
@@ -1042,7 +1063,9 @@ class TestFlagBounds:
     # every bounded flag of every subcommand, just outside its bound
     OUTSIDE = [
         ["verify", "--trials", "0"],
+        ["verify", "--trials", "1001"],
         ["verify", "--orderings", "0"],
+        ["verify", "--orderings", "1001"],
         ["verify", "--factor", "0"],
         ["verify", "--factor", "inf"],
         ["verify", "--oracle-cap", "-1"],

@@ -187,10 +187,10 @@ def fitted_tensors(draw):
 
 def _reloaded(model):
     """``model`` through a save_model/load_model round trip."""
-    idmap = IdMap(model.source.d)
-    for dim, n in enumerate(model.source.extents):
-        for coord in range(1, n + 1):
-            idmap.intern(dim, f"{dim}:{coord}")
+    idmap = IdMap.from_tables(
+        {f"{dim}:{coord}": coord for coord in range(1, n + 1)}
+        for dim, n in enumerate(model.source.extents)
+    )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
         save_model(path, model, idmap, "0" * 64)

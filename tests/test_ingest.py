@@ -1,10 +1,12 @@
 import io
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uctensor import ingest
+from uctensor import SparseTensor, ingest
 from uctensor.errors import (
     DuplicateRecordError,
     ParseError,
@@ -12,6 +14,7 @@ from uctensor.errors import (
     UnknownIdError,
 )
 from uctensor.ingest import (
+    IdMap,
     Schema,
     decode_text,
     idmap_from_dict,
@@ -141,7 +144,77 @@ class TestParseRatings:
             parse_ratings(["u1,p1,4\n"])
 
 
-# -- the whole-text parse against the line loop --------------------------------
+# -- the chunked parse against the line loop ------------------------------------
+
+
+def reference_parse(lines, schema, dedupe, idmap):
+    """The parse one record at a time: every error names its line, and
+    repeated keys are met in file order."""
+    fixed_map = idmap is not None
+    tables = idmap.to_coord if fixed_map else [{} for _ in schema.key_columns]
+    cells: dict[tuple[int, ...], float] = {}
+    log_acc: dict[tuple[int, ...], list[float]] = {}
+    needed = schema.needed
+
+    for lineno, line in enumerate(lines, start=1):
+        if schema.header and lineno == 1:
+            continue
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split(schema.delimiter)
+        if len(parts) < needed:
+            raise ParseError(
+                f"line {lineno}: expected at least {needed} columns, got {len(parts)}",
+                line=lineno,
+            )
+        try:
+            raw_value = float(parts[schema.value_column])
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: value {parts[schema.value_column]!r} is not a number",
+                line=lineno,
+            ) from None
+        value = schema.apply_transform(raw_value)
+        if not (value > 0 and math.isfinite(value)):
+            raise RecordError(
+                f"line {lineno}: transformed value {value!r} is not strictly positive "
+                "(zero marks absent entries)",
+                line=lineno,
+            )
+        keys = tuple(parts[col].strip() for col in schema.key_columns)
+        if fixed_map:
+            try:
+                idx = idmap.resolve(keys)
+            except UnknownIdError as exc:
+                raise UnknownIdError(f"line {lineno}: {exc}") from None
+        else:
+            idx = tuple(table.setdefault(key, len(table) + 1) for table, key in zip(tables, keys))
+        if idx in cells:
+            if dedupe is None:
+                raise DuplicateRecordError(
+                    f"line {lineno}: duplicate rating for key "
+                    f"{IdMap.from_tables(tables).unresolve(idx)}",
+                    line=lineno,
+                )
+            if dedupe == "last":
+                cells[idx] = value
+            else:
+                log_acc[idx].append(math.log(value))
+        else:
+            cells[idx] = value
+            if dedupe == "mean-log":
+                log_acc[idx] = [math.log(value)]
+
+    if dedupe == "mean-log":
+        for idx, logs in log_acc.items():
+            if len(logs) > 1:
+                cells[idx] = math.exp(sum(logs) / len(logs))
+    idmap = IdMap.from_tables(tables)
+    if not cells:
+        raise RecordError("no records parsed", line=None)
+    return SparseTensor(idmap.extents(), cells), idmap
+
 
 IDS = ["a", "b", "c", "u\x0bv", "x\x1cy", "\u00e9\x85z", "m\u2028n", "r\rs"]
 PADS = ["", "", " ", "\x0b", "\x85", "\u2028"]
@@ -151,8 +224,7 @@ BAD_VALUES = ["0", "-2", "nan", "inf", "x", ""]
 
 @st.composite
 def rating_files(draw):
-    """A rating file, its source, the arguments to parse it, and whether its
-    records all have one column count and distinct keys."""
+    """A rating file, its source, and the arguments to parse it."""
     d = draw(st.sampled_from([2, 3]))
     extra = draw(st.sampled_from([0, 0, 1, 2]))
     order = draw(st.permutations(range(d + 1 + extra)))
@@ -171,7 +243,6 @@ def rating_files(draw):
         keys = list(dict.fromkeys(keys))  # no repeated key
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = ["user::item\tvalue,x"] if schema.header else []
-    uniform = len(set(keys)) == len(keys)
     for key in keys:
         fields = ["e"] * (d + 1 + extra)
         for col, external in zip(schema.key_columns, key):
@@ -183,7 +254,6 @@ def rating_files(draw):
             fields.pop()
         elif ragged == 1:
             fields.append("extra")
-        uniform = uniform and ragged > 1
         lines.append(schema.delimiter.join(fields))
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(["", "\r"])))
@@ -198,7 +268,7 @@ def rating_files(draw):
         idmap = idmap_from_dict({"dimensions": known})
     dedupe = draw(st.sampled_from([None, "last", "mean-log"]))
     source = text.encode("utf-8") if draw(st.booleans()) else text
-    return text, source, schema, dedupe, idmap, uniform
+    return text, source, schema, dedupe, idmap
 
 
 def outcome(call):
@@ -217,25 +287,36 @@ def outcome(call):
 
 
 class TestWholeTextParse:
+    """A whole text, parsed in chunks of lines, against the line loop."""
+
     @given(rating_files())
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_line_loop(self, case):
-        text, source, schema, dedupe, idmap, uniform = case
+        text, source, schema, dedupe, idmap = case
         expected = outcome(
-            lambda: ingest._parse_lines(io.StringIO(text), schema, dedupe, idmap)
+            lambda: reference_parse(io.StringIO(text), schema, dedupe, idmap)
         )
-        assert outcome(lambda: parse_ratings(source, schema, dedupe, idmap)) == expected
-        regular = ingest._parse_regular(text, schema, idmap)
-        if regular is not None:
-            assert outcome(lambda: regular) == expected
-        elif uniform:  # only a record the line loop refuses sends such a file there
-            assert expected[0] == "error"
+        line_reads = []
+        first_error = ingest._first_error
+
+        def counted(*args):
+            line_reads.append(args[1])
+            return first_error(*args)
+
+        # whole-file chunks, and chunks of one line or a few
+        for chunk in (ingest.CHUNK, 1, 7):
+            line_reads.clear()
+            with mock.patch.object(ingest, "CHUNK", chunk), \
+                    mock.patch.object(ingest, "_first_error", counted):
+                assert outcome(lambda: parse_ratings(source, schema, dedupe, idmap)) == expected
+            if expected[0] == "parsed":
+                assert not line_reads  # only a bad record sends a chunk there
 
     def test_well_formed_file_skips_line_loop(self, monkeypatch):
         def line_loop(*args):
             raise AssertionError("the line loop ran on a well-formed file")
 
-        monkeypatch.setattr(ingest, "_parse_lines", line_loop)
+        monkeypatch.setattr(ingest, "_first_error", line_loop)
         schema = Schema(
             key_columns=(2, 0, 1), value_column=3, delimiter="::", header=True,
             transform=(2.0, 1.0),
@@ -266,8 +347,35 @@ class TestWholeTextParse:
             parse_ratings(text)
         assert excinfo.value.line == line
         with pytest.raises(error) as reference:
-            ingest._parse_lines(io.StringIO(text), Schema(), None, None)
+            reference_parse(io.StringIO(text), Schema(), None, None)
         assert str(excinfo.value) == str(reference.value)
+        # a bad line is named by the line re-reader; a repeated key and an
+        # empty file are found on the whole file's arrays
+        if error in (ParseError, RecordError) and line is not None:
+            bad, found = ingest._first_error(text.split("\n"), 1, Schema(), None)
+            assert (bad + 1, found.line, str(found)) == (line, line, str(reference.value))
+
+    def test_repeat_before_a_bad_line_is_named_first(self):
+        text = "u1,p1,4\nu2,p1,3\nu1,p1,5\nu3,p1,x\n"
+        for chunk in (ingest.CHUNK, 1):
+            with mock.patch.object(ingest, "CHUNK", chunk):
+                with pytest.raises(DuplicateRecordError, match="^line 3: "):
+                    parse_ratings(text)
+                with pytest.raises(ParseError, match="^line 4: "):
+                    parse_ratings(text, dedupe="last")
+
+    def test_dedupe_across_chunks(self):
+        # the repeated key's records sit in different chunks
+        text = "u1,p1,2\nu2,p1,3\nu1,p2,4\nu1,p1,8\nu2,p1,5\n"
+        for chunk in (ingest.CHUNK, 1, 7):
+            with mock.patch.object(ingest, "CHUNK", chunk):
+                last, _ = parse_ratings(text, dedupe="last")
+                mean, _ = parse_ratings(text, dedupe="mean-log")
+                with pytest.raises(DuplicateRecordError, match="^line 4: .*'u1', 'p1'"):
+                    parse_ratings(text)
+            assert last.entries == {(1, 1): 8.0, (2, 1): 5.0, (1, 2): 4.0}
+            assert mean.entries[(1, 1)] == math.exp((math.log(2.0) + math.log(8.0)) / 2)
+            assert mean.entries[(2, 1)] == math.exp((math.log(3.0) + math.log(5.0)) / 2)
 
 
 class TestIdMap:
@@ -300,6 +408,16 @@ class TestIdMap:
         _, idmap = parse("u1,p1,4\nu2,p2,3\n")
         for ids in (("u1", "p1"), ("u2", "p2"), ("u2", "p1")):
             assert idmap.unresolve(idmap.resolve(ids)) == ids
+
+    def test_repeated_id_in_a_payload_is_refused(self):
+        with pytest.raises(ValueError, match="^dimension 2 repeats id 'p1'$"):
+            idmap_from_dict({"dimensions": [["u1"], ["p1", "p2", "p1"]]})
+
+    def test_payload_ids_are_strings_numbered_in_order(self):
+        idmap = idmap_from_dict({"dimensions": [["u1", 7], ["p1"]]})
+        assert idmap.to_id == [["u1", "7"], ["p1"]]
+        assert idmap.to_coord == [{"u1": 1, "7": 2}, {"p1": 1}]
+        assert idmap.resolve(("7", "p1")) == (2, 1)
 
     def test_serialization_round_trip(self):
         _, idmap = parse("u1,p1,4\nu2,p2,3\n")

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from uctensor import properties, sparse_tensor, support
-from uctensor.canonical_scaling import apply_scaling, csa
+from uctensor.canonical_scaling import apply_scaling, csa, csa_many
 from uctensor.completion import CompletionModel, predict_many, tca
 from uctensor.errors import CapacityError, OrderingSpecError
 from uctensor.lcsp_oracle import gauge_check, oracle_complete, solve_lcsp
@@ -502,13 +504,14 @@ class TestBatchedFits:
             assert report.max_deviation == worst
 
     def test_scale_fairness_matches_fitting_the_rescaled_tensor(self):
+        # the slice is rescaled in logs, log(1.5) added to its log values,
+        # and that fit, alone in its batch, is the one the check compares
         for tensor, _ in self.tensors():
             d = tensor.d
-            coords, values = tensor.coords_array(), tensor.values_array()
-            scaled = np.where(coords[:, 0] == 1, values * 1.5, values)
-            before, after = tca(tensor, d - 1), tca(
-                SparseTensor.from_arrays(tensor.extents, coords, scaled), d - 1
-            )
+            coords, logs = tensor.coords_array(), np.log(tensor.values_array())
+            shifted = np.where(coords[:, 0] == 1, logs + math.log(1.5), logs)
+            (fit,) = csa_many(tensor, d - 1, [shifted])
+            before, after = tca(tensor, d - 1), CompletionModel(tensor, fit[1], fit[2], d - 1)
             cells, inside, p_before, p_after = _rescaled_predictions(tensor, 1, 1, 1.5)
             assert p_before.tobytes() == predict_many(before, cells).tobytes()
             assert p_after.tobytes() == predict_many(after, cells).tobytes()

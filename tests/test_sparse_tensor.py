@@ -193,6 +193,30 @@ class TestGet:
             golden_matrix.get((3, 1))
 
 
+class TestEntries:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_object_per_distinct_coordinate_and_value(self, d):
+        # coordinates past CPython's small-int cache; the first dimension's
+        # extent is under the entry count (a table of every coordinate), the
+        # others far over it (the distinct coordinates only)
+        rng = np.random.default_rng(d)
+        pool = 1_000 + rng.choice(10**9 - 1_000, size=40, replace=False)
+        users = np.repeat(np.arange(301, 401), 5)
+        rest = [np.concatenate([rng.choice(pool, 5, replace=False) for _ in range(100)])]
+        rest += [rng.choice(pool, size=500) for _ in range(d - 2)]
+        values = rng.choice([1.5, 2.25, 1e300, 7.0], size=500)
+        tensor = SparseTensor.from_arrays((400,) + (10**9,) * (d - 1),
+                                          np.column_stack([users, *rest]), values)
+        coords, values = tensor.coords_array(), tensor.values_array()
+        expected = dict(zip(zip(*coords.T.tolist()), values.tolist()))
+        assert list(tensor.entries.items()) == list(expected.items())
+        for column in [*zip(*tensor.entries), tensor.entries.values()]:
+            objects = {}
+            for element in column:
+                objects.setdefault(element, set()).add(id(element))
+            assert all(len(ids) == 1 for ids in objects.values())
+
+
 def subtensors(tensor, k):
     """Every (fixed_dims, fixed_coords) row of ``tensor.groups(k)``, in group order."""
     return [
